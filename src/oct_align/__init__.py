@@ -4,7 +4,6 @@ from .align import (
     AlignConfig,
     apply_axial_correction,
     global_ncc,
-    local_ncc,
     local_ncc_map,
     optimize_alignment,
     solve_from_surfaces,
@@ -52,12 +51,7 @@ from .metrics import (
 )
 from .pipeline import run_pipeline
 from .postprocess import crop_rows, fix_surface_order, flatten_to_bm, unflatten, uncrop_rows
-from .resample import (
-    axial_shift_derivative,
-    resample_axial,
-    resample_columns,
-    rescale_displacements,
-)
+from .resample import resample_axial, resample_columns
 from .synth import (
     MotionSpec,
     PhantomSpec,

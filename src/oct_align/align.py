@@ -9,7 +9,8 @@ The objective combines two terms over adjacent B-scans:
 
 Both terms are invariant to a constant added to all displacements, so
 every solver mean-centers its result (the gauge convention used throughout
-the package).
+the package).  The similarity term is the sum of the per-pixel map that
+``local_ncc_map`` returns.
 
 Three solvers are provided: a closed form that minimizes the supervised
 term exactly, a coordinate-descent optimizer over the full objective
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .core import DisplacementField, OctVolume, SurfaceSet
+from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, search_order
 from .errors import DimensionError, NumericalError, ValidationError
 from .resample import _interp_rows, resample_axial
 
@@ -57,9 +58,8 @@ class AlignConfig:
 
 
 def _positions(surfaces) -> np.ndarray:
-    if isinstance(surfaces, SurfaceSet):
-        return surfaces.positions
-    pos = np.asarray(surfaces, dtype=np.float64)
+    """as_positions, with a single (N_B, N_A) surface promoted to (1, N_B, N_A)."""
+    pos = as_positions(surfaces)
     if pos.ndim == 2:
         pos = pos[None]
     if pos.ndim != 3:
@@ -97,7 +97,7 @@ def _window_stats(img: np.ndarray, n: int):
     return img, s, var
 
 
-def _ncc_from_stats(stats_a, stats_b, n: int) -> float:
+def _ncc_map(stats_a, stats_b, n: int) -> np.ndarray:
     img_a, s_a, var_a = stats_a
     img_b, s_b, var_b = stats_b
     n2 = float(n * n)
@@ -105,7 +105,11 @@ def _ncc_from_stats(stats_a, stats_b, n: int) -> float:
     valid = (var_a >= VARIANCE_EPS * n2) & (var_b >= VARIANCE_EPS * n2)
     out = np.zeros_like(cross)
     np.divide(cross * cross, var_a * var_b, out=out, where=valid)
-    return float(out.sum())
+    return out
+
+
+def _ncc_from_stats(stats_a, stats_b, n: int) -> float:
+    return float(_ncc_map(stats_a, stats_b, n).sum())
 
 
 def local_ncc_map(img_a: np.ndarray, img_b: np.ndarray, window: int = 9) -> np.ndarray:
@@ -120,33 +124,7 @@ def local_ncc_map(img_a: np.ndarray, img_b: np.ndarray, window: int = 9) -> np.n
         raise DimensionError(f"images must share a 2D shape, got {a.shape} vs {b.shape}")
     if min(a.shape) < window:
         raise DimensionError(f"image {a.shape} smaller than the {window}x{window} window")
-    n2 = float(window * window)
-    _, s_a, var_a = _window_stats(a, window)
-    _, s_b, var_b = _window_stats(b, window)
-    cross = _box_sum(a * b, window) - s_a * s_b / n2
-    valid = (var_a >= VARIANCE_EPS * n2) & (var_b >= VARIANCE_EPS * n2)
-    out = np.zeros_like(cross)
-    np.divide(cross * cross, var_a * var_b, out=out, where=valid)
-    return out
-
-
-def local_ncc(volume, axial=None, cfg: AlignConfig | None = None) -> float:
-    """Total windowed squared NCC between consecutive B-scans (to be maximized).
-
-    The volume is resampled by ``axial`` before scoring.
-    """
-    cfg = cfg or AlignConfig()
-    data = volume.data if isinstance(volume, OctVolume) else np.asarray(volume)
-    data = data.astype(np.float64)
-    if axial is not None:
-        data = resample_axial(data, axial)
-    total = 0.0
-    stats = _window_stats(data[0], cfg.ncc_window)
-    for b in range(data.shape[0] - 1):
-        nxt = _window_stats(data[b + 1], cfg.ncc_window)
-        total += _ncc_from_stats(stats, nxt, cfg.ncc_window)
-        stats = nxt
-    return total
+    return _ncc_map(_window_stats(a, window), _window_stats(b, window), window)
 
 
 def global_ncc(img_a: np.ndarray, img_b: np.ndarray) -> float:
@@ -181,13 +159,6 @@ def solve_from_surfaces(surfaces) -> DisplacementField:
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 
 
-def _spiral(radius: int):
-    yield 0
-    for k in range(1, radius + 1):
-        yield -k
-        yield k
-
-
 def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     """Sequential integer registration of each B-scan to its corrected predecessor.
 
@@ -199,7 +170,7 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     for b in range(1, n_b):
         template = _interp_rows(data[b - 1], d[b - 1])
         best_s, best_v = 0, -np.inf
-        for s in _spiral(2 * radius):
+        for s in search_order(2 * radius):
             v = global_ncc(template, _interp_rows(data[b], float(s)))
             if v > best_v:
                 best_v, best_s = v, s

@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_preprocess)
 
     sp = sub.add_parser("losses", help="evaluate the segmentation losses")
-    sp.add_argument("--vol", default=None, help="unused; accepted for symmetry")
     sp.add_argument("--q", required=True, help="surface distributions file")
     sp.add_argument("--surfaces", required=True, help="ground-truth surfaces CSV")
     sp.add_argument("--labels", required=True, help="label map file")
@@ -274,12 +273,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OctAlignError as exc:
+    except (OctAlignError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFoundError", "message": str(exc)}),
               file=sys.stderr)
         return 1
 

@@ -57,6 +57,18 @@ def most_frequent_int(values) -> int:
     return int(cand[int(np.argmin(first))])
 
 
+def search_order(radius: int):
+    """Integer candidates 0, -1, 1, -2, 2, ... up to +/-radius.
+
+    Searches that keep the first strict improvement therefore resolve ties
+    toward the smaller |shift|, and toward the negative one at equal |shift|.
+    """
+    yield 0
+    for k in range(1, radius + 1):
+        yield -k
+        yield k
+
+
 @dataclass(frozen=True)
 class OctVolume:
     """A 3D OCT intensity grid with physical voxel spacing.
@@ -166,6 +178,13 @@ class SurfaceSet:
 
     def with_positions(self, positions: np.ndarray) -> "SurfaceSet":
         return SurfaceSet(positions=positions, names=self.names)
+
+
+def as_positions(surfaces) -> np.ndarray:
+    """Positions of a SurfaceSet, or any array-like as float64, unreshaped."""
+    if isinstance(surfaces, SurfaceSet):
+        return surfaces.positions
+    return np.asarray(surfaces, dtype=np.float64)
 
 
 @dataclass(frozen=True)

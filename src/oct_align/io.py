@@ -66,7 +66,18 @@ def _read_header_payload(path, required_keys) -> tuple[dict, bytes]:
     return header, payload
 
 
-def _payload_array(path, payload, dtype_tag, np_dtype, count):
+def _header_ints(path, header: dict, keys) -> tuple[int, ...]:
+    """The header's dimension fields as nonnegative ints, or FormatError."""
+    try:
+        values = tuple(int(header[k]) for k in keys)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: header fields {list(keys)} must be integers: {exc}") from exc
+    if min(values) < 0:
+        raise FormatError(f"{path}: header fields {list(keys)} must be nonnegative, got {values}")
+    return values
+
+
+def _payload_array(path, payload, np_dtype, count):
     itemsize = np.dtype(np_dtype).itemsize
     if len(payload) != count * itemsize:
         raise FormatError(
@@ -92,12 +103,13 @@ def read_volume(path) -> OctVolume:
     )
     if header["dtype"] != _VOLUME_DTYPE:
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    n_b, n_a, n_r = (int(header[k]) for k in ("n_b", "n_a", "n_r"))
-    flat = _payload_array(path, payload, _VOLUME_DTYPE, "<f4", n_b * n_a * n_r)
-    return OctVolume(
-        data=flat.reshape(n_b, n_a, n_r),
-        spacing=tuple(float(x) for x in header["spacing_um"]),
-    )
+    n_b, n_a, n_r = _header_ints(path, header, ("n_b", "n_a", "n_r"))
+    try:
+        spacing = tuple(float(x) for x in header["spacing_um"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: spacing_um must be a list of numbers: {exc}") from exc
+    flat = _payload_array(path, payload, "<f4", n_b * n_a * n_r)
+    return OctVolume(data=flat.reshape(n_b, n_a, n_r), spacing=spacing)
 
 
 _SURFACE_HEADER = "surface,b,a,r"
@@ -197,8 +209,8 @@ def read_distributions(path) -> np.ndarray:
     header, payload = _read_header_payload(path, ("n_l", "n_b", "n_a", "n_r", "dtype"))
     if header["dtype"] != "f64le":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    dims = tuple(int(header[k]) for k in ("n_l", "n_b", "n_a", "n_r"))
-    flat = _payload_array(path, payload, "f64le", "<f8", int(np.prod(dims)))
+    dims = _header_ints(path, header, ("n_l", "n_b", "n_a", "n_r"))
+    flat = _payload_array(path, payload, "<f8", int(np.prod(dims)))
     return flat.reshape(dims).copy()
 
 
@@ -222,12 +234,11 @@ def read_labels(path) -> LabelMap:
     )
     if header["dtype"] != "u8":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    n_b, n_a, n_r = (int(header[k]) for k in ("n_b", "n_a", "n_r"))
-    flat = _payload_array(path, payload, "u8", np.uint8, n_b * n_a * n_r)
-    return LabelMap(
-        labels=flat.reshape(n_b, n_a, n_r).astype(np.int16),
-        n_surfaces=int(header["n_surfaces"]),
+    n_b, n_a, n_r, n_surfaces = _header_ints(
+        path, header, ("n_b", "n_a", "n_r", "n_surfaces")
     )
+    flat = _payload_array(path, payload, np.uint8, n_b * n_a * n_r)
+    return LabelMap(labels=flat.reshape(n_b, n_a, n_r).astype(np.int16), n_surfaces=n_surfaces)
 
 
 def write_json(path, obj) -> None:

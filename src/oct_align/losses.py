@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import surface_alignment_loss
-from .core import LabelMap, SurfaceDistribution, SurfaceSet
+from .core import LabelMap, SurfaceDistribution, as_positions
 from .errors import DimensionError, ValidationError
 
 LOG_FLOOR = 1e-12
@@ -25,12 +25,6 @@ def _probs(q) -> np.ndarray:
     if isinstance(q, SurfaceDistribution):
         return q.probs
     return np.asarray(q, dtype=np.float64)
-
-
-def _rows(s) -> np.ndarray:
-    if isinstance(s, SurfaceSet):
-        return s.positions
-    return np.asarray(s, dtype=np.float64)
 
 
 def soft_argmax(q) -> np.ndarray:
@@ -47,7 +41,7 @@ def soft_argmax(q) -> np.ndarray:
 
 
 def _int_gt(gt, n_rows: int) -> np.ndarray:
-    g = _rows(gt)
+    g = as_positions(gt)
     if np.any(g != np.round(g)):
         raise ValidationError("ground-truth rows must be integers")
     gi = g.astype(np.int64)
@@ -79,13 +73,13 @@ def grad_cross_entropy(q, gt) -> np.ndarray:
 
 def smooth_l1(pred, gt) -> float:
     """sum of 0.5 t^2 for |t| < 1 else |t| - 0.5, with t = pred - gt."""
-    t = _rows(pred) - _rows(gt)
+    t = as_positions(pred) - as_positions(gt)
     a = np.abs(t)
     return float(np.where(a < 1.0, 0.5 * t * t, a - 0.5).sum())
 
 
 def grad_smooth_l1(pred, gt) -> np.ndarray:
-    t = _rows(pred) - _rows(gt)
+    t = as_positions(pred) - as_positions(gt)
     return np.where(np.abs(t) < 1.0, t, np.sign(t))
 
 
@@ -95,7 +89,7 @@ def smoothness_energy(s) -> float:
     Border samples contribute only the differences that exist; a constant
     surface scores exactly 0.
     """
-    pos = _rows(s)
+    pos = as_positions(s)
     total = 0.0
     if pos.shape[-2] > 1:
         db = np.diff(pos, axis=-2)
@@ -107,7 +101,7 @@ def smoothness_energy(s) -> float:
 
 
 def grad_smoothness(s) -> np.ndarray:
-    pos = _rows(s)
+    pos = as_positions(s)
     out = np.zeros_like(pos)
     if pos.shape[-2] > 1:
         db = np.diff(pos, axis=-2)
@@ -193,7 +187,7 @@ def smoothness_weights(gt_surfaces, lambda_base: float) -> LossWeights:
     per_volume = []
     n_s = None
     for v, s in enumerate(volumes):
-        pos = _rows(s)
+        pos = as_positions(s)
         if n_s is None:
             n_s = pos.shape[0]
         elif pos.shape[0] != n_s:
@@ -217,7 +211,7 @@ def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeigh
     total = dice_ce + cross_entropy + smooth_l1 + sum_l lambda_l * smoothness.
     """
     p = _probs(q)
-    gt = _rows(gt_surfaces)
+    gt = as_positions(gt_surfaces)
     if p.shape[:-1] != gt.shape:
         raise DimensionError(f"distributions {p.shape} do not match gt {gt.shape}")
     if weights.lambda_l.shape[0] != gt.shape[0]:
@@ -243,8 +237,8 @@ def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeigh
 
 def mixed_surfaces(gt, pred, annotated) -> np.ndarray:
     """Ground-truth rows on annotated B-scans, predicted rows elsewhere."""
-    g = _rows(gt)
-    p = _rows(pred)
+    g = as_positions(gt)
+    p = as_positions(pred)
     mask = np.asarray(annotated, dtype=bool)
     if g.shape != p.shape:
         raise DimensionError(f"gt {g.shape} and predictions {p.shape} differ")
@@ -264,7 +258,7 @@ def alignment_loss_semi(gt, pred, axial, annotated) -> float:
 
 def grad_alignment(surfaces, axial) -> np.ndarray:
     """d(surface_alignment_loss)/d(axial)."""
-    pos = _rows(surfaces)
+    pos = as_positions(surfaces)
     d = np.asarray(axial, dtype=np.float64)
     out = np.zeros_like(d)
     if pos.shape[1] < 2 or pos.shape[0] == 0:
@@ -299,13 +293,11 @@ def grad_alignment_semi(gt, pred, axial, annotated):
 
 
 _GRAD_TABLE = {
-    "cross_entropy": lambda q, gt: grad_cross_entropy(q, gt),
-    "smooth_l1": lambda pred, gt: grad_smooth_l1(pred, gt),
-    "smoothness": lambda s: grad_smoothness(s),
-    "alignment": lambda surfaces, axial: grad_alignment(surfaces, axial),
-    "alignment_semi": lambda gt, pred, axial, annotated: grad_alignment_semi(
-        gt, pred, axial, annotated
-    ),
+    "cross_entropy": grad_cross_entropy,
+    "smooth_l1": grad_smooth_l1,
+    "smoothness": grad_smoothness,
+    "alignment": grad_alignment,
+    "alignment_semi": grad_alignment_semi,
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .align import global_ncc
-from .core import DisplacementField, OctVolume, SurfaceSet, most_frequent_int
+from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, most_frequent_int
 from .errors import DimensionError, ValidationError
 from .synth import MotionSpec
 
@@ -19,12 +19,28 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _pos(s) -> np.ndarray:
-    return s.positions if isinstance(s, SurfaceSet) else np.asarray(s, dtype=np.float64)
+def _summary(gts, per_surface, overall) -> dict:
+    """Volume-wise values with their mean/std, per surface and overall.
 
-
-def _agg(values: np.ndarray):
-    return float(np.mean(values)), float(np.std(values))
+    ``per_surface`` is (V, L) and ``overall`` (V,); surface names come from
+    the first SurfaceSet among ``gts``.
+    """
+    per_surface = np.asarray(per_surface, dtype=np.float64)
+    overall = np.asarray(overall, dtype=np.float64)
+    names = next((list(g.names) for g in gts if isinstance(g, SurfaceSet)), None)
+    return {
+        "surfaces": names or [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
+        "per_surface": {
+            "volume_values_um": per_surface.tolist(),
+            "mean_um": per_surface.mean(axis=0).tolist(),
+            "std_um": per_surface.std(axis=0).tolist(),
+        },
+        "overall": {
+            "volume_values_um": overall.tolist(),
+            "mean_um": float(overall.mean()),
+            "std_um": float(overall.std()),
+        },
+    }
 
 
 def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
@@ -44,13 +60,10 @@ def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
         raise DimensionError("preds, gts, and masks must have the same volume count")
     per_surface = []
     overall = []
-    names = None
     for p, g, m in zip(preds, gts, masks):
-        pp, gg = _pos(p), _pos(g)
+        pp, gg = as_positions(p), as_positions(g)
         if pp.shape != gg.shape:
             raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
-        if names is None and isinstance(g, SurfaceSet):
-            names = list(g.names)
         err = np.abs(pp - gg) * float(dz_um)
         if m is not None:
             m = np.asarray(m, dtype=bool)
@@ -61,22 +74,7 @@ def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
         else:
             per_surface.append(err.mean(axis=(1, 2)).tolist())
             overall.append(float(err.mean()))
-    per_surface = np.asarray(per_surface)  # (V, L)
-    mean_l, std_l = per_surface.mean(axis=0), per_surface.std(axis=0)
-    mean_o, std_o = _agg(np.asarray(overall))
-    return {
-        "surfaces": names or [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
-        "per_surface": {
-            "volume_values_um": per_surface.tolist(),
-            "mean_um": mean_l.tolist(),
-            "std_um": std_l.tolist(),
-        },
-        "overall": {
-            "volume_values_um": list(map(float, overall)),
-            "mean_um": mean_o,
-            "std_um": std_o,
-        },
-    }
+    return _summary(gts, per_surface, overall)
 
 
 def _curve_distances(pred_rows, gt_rows, dz, dx):
@@ -104,15 +102,12 @@ def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
     if len(preds) != len(gts):
         raise DimensionError("preds and gts must have the same volume count")
     per_surface = []
-    names = None
     for p, g in zip(preds, gts):
-        pp, gg = _pos(p), _pos(g)
+        pp, gg = as_positions(p), as_positions(g)
         if pp.shape != gg.shape:
             raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
         if pp.shape[2] == 0:
             raise ValidationError("cannot compute hd95 of an empty surface")
-        if names is None and isinstance(g, SurfaceSet):
-            names = list(g.names)
         vals = np.empty(pp.shape[0])
         for l in range(pp.shape[0]):
             per_b = [
@@ -120,22 +115,9 @@ def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
                 for b in range(pp.shape[1])
             ]
             vals[l] = float(np.mean(per_b))
-        per_surface.append(vals.tolist())
+        per_surface.append(vals)
     per_surface = np.asarray(per_surface)
-    overall = per_surface.mean(axis=1)
-    return {
-        "surfaces": names or [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
-        "per_surface": {
-            "volume_values_um": per_surface.tolist(),
-            "mean_um": per_surface.mean(axis=0).tolist(),
-            "std_um": per_surface.std(axis=0).tolist(),
-        },
-        "overall": {
-            "volume_values_um": overall.tolist(),
-            "mean_um": float(overall.mean()),
-            "std_um": float(overall.std()),
-        },
-    }
+    return _summary(gts, per_surface, per_surface.mean(axis=1))
 
 
 def adjacent_ncc(volume: OctVolume) -> float:
@@ -151,7 +133,7 @@ def connectivity_histogram(surfaces: SurfaceSet, bins=None):
     Default bins are unit-width starting at 0 and covering every value, so
     the total mass is exactly L * (N_B - 1) * N_A.  Returns (counts, edges).
     """
-    pos = _pos(surfaces)
+    pos = as_positions(surfaces)
     if pos.shape[1] < 2:
         raise DimensionError("need at least two B-scans for connectivity")
     vals = np.abs(pos[:, 1:, :] - pos[:, :-1, :]).ravel()

@@ -20,11 +20,18 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .align import AlignConfig, apply_axial_correction, optimize_alignment, template_match_align
+from .errors import ConfigError
 from .metrics import adjacent_ncc, motion_error
 from .synth import PhantomSpec, generate_phantom, simulate_motion
 from .transverse import align_transverse
 
 REPORT_SCHEMA = 1
+
+# recovery axis -> the methods each work item reports an error for
+_METHODS = {
+    "axial": ("supervised", "unsupervised", "template"),
+    "transverse": ("masked", "no_layer_mask"),
+}
 
 
 def phantom_seed(seed: int, index: int) -> int:
@@ -115,6 +122,9 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
     arguments (timings are returned separately so the report stays
     byte-stable across runs).
     """
+    for name, value in (("volumes", volumes), ("repeats", repeats), ("jobs", jobs)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     work = [
         (seed, i, j, tuple(dims), n_layers, radius, transverse_radius,
          dict(align_overrides or {}))
@@ -133,26 +143,19 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
         for k, v in r["timing"].items():
             timings[k] = timings.get(k, 0.0) + v
 
-    def column(path):
-        out = []
-        for rec in records:
-            v = rec
-            for key in path:
-                v = v[key]
-            out.append(v)
-        return out
+    def column(group, key):
+        return [rec[group][key] for rec in records]
 
-    per_phantom = []
-    for i in range(volumes):
-        sub = [rec for rec in records if rec["phantom"] == i]
-        per_phantom.append({
-            "phantom": i,
-            "axial_supervised_mean_px": float(np.mean([r["axial_err_px"]["supervised"] for r in sub])),
-            "axial_unsupervised_mean_px": float(np.mean([r["axial_err_px"]["unsupervised"] for r in sub])),
-            "axial_template_mean_px": float(np.mean([r["axial_err_px"]["template"] for r in sub])),
-            "transverse_masked_mean_px": float(np.mean([r["transverse_err_px"]["masked"] for r in sub])),
-            "transverse_no_layer_mask_mean_px": float(np.mean([r["transverse_err_px"]["no_layer_mask"] for r in sub])),
-        })
+    recovery = {}
+    per_phantom = [{"phantom": i} for i in range(volumes)]
+    for axis, methods in _METHODS.items():
+        summary = recovery[f"{axis}_recovery_px"] = {}
+        for method in methods:
+            errs = column(f"{axis}_err_px", method)
+            summary[method] = _mean_std(errs)
+            for row in per_phantom:
+                sub = [e for e, rec in zip(errs, records) if rec["phantom"] == row["phantom"]]
+                row[f"{axis}_{method}_mean_px"] = float(np.mean(sub))
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -164,18 +167,10 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
         "n_layers": n_layers,
         "search_radius_px": radius,
         "transverse_search_radius_px": transverse_radius,
-        "axial_recovery_px": {
-            "supervised": _mean_std(column(("axial_err_px", "supervised"))),
-            "unsupervised": _mean_std(column(("axial_err_px", "unsupervised"))),
-            "template": _mean_std(column(("axial_err_px", "template"))),
-        },
-        "transverse_recovery_px": {
-            "masked": _mean_std(column(("transverse_err_px", "masked"))),
-            "no_layer_mask": _mean_std(column(("transverse_err_px", "no_layer_mask"))),
-        },
+        **recovery,
         "ncc_adjacent": {
-            "before_mean": float(np.mean(column(("ncc_adjacent", "before")))),
-            "after_axial_mean": float(np.mean(column(("ncc_adjacent", "after_axial")))),
+            "before_mean": float(np.mean(column("ncc_adjacent", "before"))),
+            "after_axial_mean": float(np.mean(column("ncc_adjacent", "after_axial"))),
         },
         "per_phantom": per_phantom,
         "per_volume": records,

@@ -7,7 +7,9 @@ neighboring rows.  Out-of-range source rows clamp to the nearest valid row
 near-constant background above and below the retina.
 
 Under this convention a B-scan whose content was pushed toward larger rows
-by d pixels is restored by resampling with that same d.
+by d pixels is restored by resampling with that same d.  The per-B-scan
+(``resample_axial``) and per-A-scan (``resample_columns``) variants share
+one floor/clip/weight kernel.
 """
 
 from __future__ import annotations
@@ -18,15 +20,20 @@ from .core import OctVolume
 from .errors import DimensionError, ValidationError
 
 
+def _lerp_index(pos: np.ndarray, n_r: int):
+    """Bracketing rows and upper weight for linear interpolation at ``pos``.
+
+    Rows outside [0, n_r - 1] clamp to the nearest valid row (replicate fill).
+    """
+    lo = np.floor(pos).astype(np.int64)
+    return np.clip(lo, 0, n_r - 1), np.clip(lo + 1, 0, n_r - 1), pos - lo
+
+
 def _interp_rows(img: np.ndarray, shift: float) -> np.ndarray:
     """Resample one B-scan (N_A, R) along rows at a scalar offset."""
     n_r = img.shape[-1]
-    pos = np.arange(n_r, dtype=np.float64) + float(shift)
-    lo = np.floor(pos).astype(np.int64)
-    w = pos - lo
-    lo_c = np.clip(lo, 0, n_r - 1)
-    hi_c = np.clip(lo + 1, 0, n_r - 1)
-    return img[..., lo_c] * (1.0 - w) + img[..., hi_c] * w
+    lo, hi, w = _lerp_index(np.arange(n_r, dtype=np.float64) + float(shift), n_r)
+    return img[..., lo] * (1.0 - w) + img[..., hi] * w
 
 
 def resample_axial(volume, axial):
@@ -65,49 +72,8 @@ def resample_columns(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
             f"shift map {shifts.shape} does not match volume columns {data.shape[:2]}"
         )
     n_r = data.shape[2]
-    pos = np.arange(n_r, dtype=np.float64) + shifts[..., None]
-    lo = np.floor(pos).astype(np.int64)
-    w = pos - lo
-    lo_c = np.clip(lo, 0, n_r - 1)
-    hi_c = np.clip(lo + 1, 0, n_r - 1)
+    lo, hi, w = _lerp_index(np.arange(n_r, dtype=np.float64) + shifts[..., None], n_r)
     return (
-        np.take_along_axis(data, lo_c, axis=2) * (1.0 - w)
-        + np.take_along_axis(data, hi_c, axis=2) * w
+        np.take_along_axis(data, lo, axis=2) * (1.0 - w)
+        + np.take_along_axis(data, hi, axis=2) * w
     )
-
-
-def rescale_displacements(axial, factor: float) -> np.ndarray:
-    """Divide displacements by a downsampling factor.
-
-    A grid downsampled by k along rows needs shifts divided by k for the
-    same physical motion.
-    """
-    if not np.isfinite(factor) or factor <= 0:
-        raise ValidationError(f"rescale factor must be positive, got {factor!r}")
-    return np.asarray(axial, dtype=np.float64) / float(factor)
-
-
-def axial_shift_derivative(volume, axial) -> np.ndarray:
-    """Analytic d(output)/d(d_b) of resample_axial at the given displacements.
-
-    For in-range samples the derivative of linear interpolation is the
-    difference between the two bracketing rows; clamped samples have zero
-    derivative.  Not defined where r + d_b is exactly an integer (the
-    interpolation kink).
-    """
-    data = volume.data if isinstance(volume, OctVolume) else np.asarray(volume)
-    d = np.asarray(axial, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != data.shape[0]:
-        raise DimensionError(
-            f"displacement length {d.shape} does not match N_B={data.shape[0]}"
-        )
-    work = data.astype(np.float64)
-    n_r = work.shape[2]
-    out = np.empty_like(work)
-    for b in range(work.shape[0]):
-        pos = np.arange(n_r, dtype=np.float64) + d[b]
-        lo = np.floor(pos).astype(np.int64)
-        lo_c = np.clip(lo, 0, n_r - 1)
-        hi_c = np.clip(lo + 1, 0, n_r - 1)
-        out[b] = work[b][:, hi_c] - work[b][:, lo_c]
-    return out

@@ -266,18 +266,22 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
 
 
 def shift_transverse(data: np.ndarray, shifts) -> np.ndarray:
-    """Move each B-scan's content by +t columns (integer roll, edge replicate)."""
+    """Move each B-scan's content by +t columns (integer roll, edge replicate).
+
+    ``data`` is indexed [b, a, ...]; ``shifts`` holds one integer per B-scan.
+    """
     data = np.asarray(data)
     t = np.asarray(shifts)
     if t.ndim != 1 or t.shape[0] != data.shape[0]:
         raise DimensionError(f"shift length {t.shape} does not match N_B={data.shape[0]}")
-    n_a = data.shape[1]
-    out = np.empty_like(data)
-    cols = np.arange(n_a)
-    for b in range(data.shape[0]):
-        src = np.clip(cols - int(t[b]), 0, n_a - 1)
-        out[b] = data[b, src]
-    return out
+    n_b, n_a = data.shape[:2]
+    src = np.clip(np.arange(n_a) - t.astype(np.int64)[:, None], 0, n_a - 1)
+    return data[np.arange(n_b)[:, None], src]
+
+
+def shift_surfaces_transverse(positions: np.ndarray, shifts) -> np.ndarray:
+    """shift_transverse for (L, N_B, N_A) surface positions."""
+    return shift_transverse(positions.transpose(1, 2, 0), shifts).transpose(2, 0, 1)
 
 
 def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
@@ -291,13 +295,7 @@ def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
     data = resample_axial(volume.data, -motion.axial_truth)
     data = shift_transverse(data, motion.transverse_truth)
 
-    pos = surfaces.positions
-    n_a = pos.shape[2]
-    cols = np.arange(n_a)
-    rolled = np.empty_like(pos)
-    for b in range(pos.shape[1]):
-        src = np.clip(cols - int(motion.transverse_truth[b]), 0, n_a - 1)
-        rolled[:, b, :] = pos[:, b, src]
+    rolled = shift_surfaces_transverse(surfaces.positions, motion.transverse_truth)
     shifted = rolled + motion.axial_truth[None, :, None]
     if shifted.min() < 1.0 or shifted.max() > volume.n_r:
         raise ValidationError(
@@ -312,12 +310,7 @@ def invert_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
     data = shift_transverse(volume.data.astype(np.float64), -motion.transverse_truth)
     data = resample_axial(data, motion.axial_truth)
     pos = surfaces.positions - motion.axial_truth[None, :, None]
-    n_a = pos.shape[2]
-    cols = np.arange(n_a)
-    unrolled = np.empty_like(pos)
-    for b in range(pos.shape[1]):
-        src = np.clip(cols + int(motion.transverse_truth[b]), 0, n_a - 1)
-        unrolled[:, b, :] = pos[:, b, src]
+    unrolled = shift_surfaces_transverse(pos, -motion.transverse_truth)
     return volume.with_data(data), surfaces.with_positions(unrolled)
 
 

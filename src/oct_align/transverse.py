@@ -22,9 +22,10 @@ from .core import (
     OctVolume,
     SurfaceSet,
     most_frequent_int,
+    search_order,
 )
 from .errors import ConfigError, DimensionError
-from .synth import shift_transverse
+from .synth import shift_surfaces_transverse, shift_transverse
 
 
 def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarray:
@@ -81,18 +82,11 @@ def projection_mse(proj_a: np.ndarray, proj_b: np.ndarray, t: int) -> float:
 def best_shift(proj_a: np.ndarray, proj_b: np.ndarray, radius: int) -> int:
     """Integer shift of strip b that best matches strip a; ties prefer small |t|."""
     best_t, best_v = 0, np.inf
-    for t in _candidates(radius):
+    for t in search_order(radius):
         v = projection_mse(proj_a, proj_b, t)
         if v < best_v:
             best_v, best_t = v, t
     return best_t
-
-
-def _candidates(radius: int):
-    yield 0
-    for k in range(1, radius + 1):
-        yield -k
-        yield k
 
 
 def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,
@@ -125,11 +119,5 @@ def apply_transverse_correction(volume: OctVolume, surfaces, disp: DisplacementF
     corrected = volume.with_data(data)
     if surfaces is None:
         return corrected, None
-    pos = surfaces.positions
-    n_a = pos.shape[2]
-    cols = np.arange(n_a)
-    out = np.empty_like(pos)
-    for b in range(pos.shape[1]):
-        src = np.clip(cols + int(disp.transverse[b]), 0, n_a - 1)
-        out[:, b, :] = pos[:, b, src]
-    return corrected, surfaces.with_positions(out)
+    pos = shift_surfaces_transverse(surfaces.positions, -disp.transverse)
+    return corrected, surfaces.with_positions(pos)

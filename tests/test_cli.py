@@ -6,6 +6,7 @@ import pytest
 from oct_align import io
 from oct_align.cli import main
 from oct_align.core import surfaces_to_labels
+from oct_align.pipeline import run_pipeline
 
 
 def run(argv):
@@ -80,6 +81,28 @@ class TestApplyAndAlign:
                     "--mode", "unsupervised", "--out", tmp_path / "d.csv"])
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "FileNotFoundError"
+
+    def test_malformed_header_dims_report_format_error(self, phantom_dir, tmp_path,
+                                                       capsys):
+        raw = (phantom_dir / "volume.bin").read_bytes()
+        header, payload = raw.split(b"\n", 1)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps({**json.loads(header), "n_b": "x"}).encode()
+                        + b"\n" + payload)
+        code = run(["apply", "--vol", bad, "--disp", tmp_path / "d.csv",
+                    "--out", tmp_path / "o.bin"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "FormatError"
+
+    def test_directory_as_input_reports_error_class(self, tmp_path, capsys):
+        code = run(["align", "--vol", tmp_path, "--mode", "unsupervised",
+                    "--out", tmp_path / "d.csv"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -190,3 +213,16 @@ class TestPipelineCommand:
             "supervised", "unsupervised", "template"
         }
         assert set(report["transverse_recovery_px"]) == {"masked", "no_layer_mask"}
+
+    @pytest.mark.parametrize("flag", ["--volumes", "--repeats", "--jobs"])
+    def test_nonpositive_counts_rejected(self, tmp_path, capsys, flag):
+        code = run(["pipeline", flag, 0, "--nb", 8, "--na", 32, "--out", tmp_path])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_report_does_not_depend_on_jobs(self):
+        kwargs = dict(seed=3, volumes=2, repeats=1, dims=(8, 32, 96))
+        serial, _ = run_pipeline(jobs=1, **kwargs)
+        parallel, _ = run_pipeline(jobs=2, **kwargs)
+        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)

@@ -87,6 +87,30 @@ class TestDisplacementCsv:
             io.read_displacements(path)
 
 
+@pytest.mark.parametrize("reader, keys", [
+    (io.read_volume, {"n_b": 2, "n_a": 2, "n_r": 3, "spacing_um": [1, 1, 1],
+                      "dtype": "f32le"}),
+    (io.read_distributions, {"n_l": 1, "n_b": 2, "n_a": 2, "n_r": 3, "dtype": "f64le"}),
+    (io.read_labels, {"n_b": 2, "n_a": 2, "n_r": 3, "n_surfaces": 1, "dtype": "u8"}),
+])
+@pytest.mark.parametrize("bad", ["x", None, [2], -1])
+def test_non_integer_or_negative_header_dims_rejected(tmp_path, reader, keys, bad):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(json.dumps({**keys, "n_b": bad}).encode() + b"\n" + b"\x00" * 96)
+    with pytest.raises(FormatError, match="header fields"):
+        reader(path)
+
+
+
+@pytest.mark.parametrize("bad", ["x", 3.0, ["a", 1, 1]])
+def test_non_numeric_spacing_rejected(tmp_path, bad):
+    path = tmp_path / "bad.bin"
+    header = {"n_b": 2, "n_a": 2, "n_r": 3, "spacing_um": bad, "dtype": "f32le"}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 48)
+    with pytest.raises(FormatError, match="spacing_um"):
+        io.read_volume(path)
+
+
 class TestDistributionAndLabelFiles:
     def test_distribution_round_trip(self, tmp_path, rng):
         q = rng.uniform(0.1, 1.0, size=(2, 3, 4, 8))

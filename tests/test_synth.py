@@ -11,6 +11,7 @@ from oct_align.synth import (
     generate_phantom,
     invert_motion,
     sample_motion,
+    shift_surfaces_transverse,
     shift_transverse,
     simulate_motion,
 )
@@ -192,6 +193,21 @@ def test_shift_transverse_replicates_edges(rng):
     assert np.array_equal(out[0, 0], data[0, 0])
     assert np.array_equal(out[0, 1], data[0, 0])
     assert np.array_equal(out[1], data[1])
+
+    # the gather against a per-B-scan loop, for volumes (b, a, r) and
+    # surfaces (l, b, a); shifts include both signs and |t| >= N_A
+    n_a = 5
+    t = np.array([3, -2, 0, n_a, -n_a - 4, 1])
+    vol = rng.normal(size=(t.size, n_a, 4))
+    pos = rng.uniform(1, 50, size=(3, t.size, n_a))
+    ref_vol = np.empty_like(vol)
+    ref_pos = np.empty_like(pos)
+    for b in range(t.size):
+        src = np.clip(np.arange(n_a) - t[b], 0, n_a - 1)
+        ref_vol[b] = vol[b, src]
+        ref_pos[:, b] = pos[:, b, src]
+    assert np.array_equal(shift_transverse(vol, t), ref_vol)
+    assert np.array_equal(shift_surfaces_transverse(pos, t), ref_pos)
 
 
 def test_simulate_motion_is_seed_deterministic():

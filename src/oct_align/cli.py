@@ -26,22 +26,31 @@ from .synth import PhantomSpec, generate_phantom, simulate_motion
 from .transverse import align_transverse
 
 
-def _phantom_spec_from_json(path) -> PhantomSpec:
+def _json_object(path, what: str) -> dict:
+    """The JSON object stored in ``path``, or ConfigError naming ``what``."""
     with open(path) as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: phantom spec must be a JSON object")
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return raw
+
+
+def _phantom_spec_from_json(path) -> PhantomSpec:
+    raw = _json_object(path, "phantom spec")
     fields = {f.name for f in dataclasses.fields(PhantomSpec)}
     unknown = set(raw) - fields
     if unknown:
         raise ConfigError(f"{path}: unknown phantom spec keys {sorted(unknown)}")
-    for key in ("band_intensity", "band_thickness_px", "spacing_um"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return PhantomSpec(**raw)
+    try:
+        for key in ("band_intensity", "band_thickness_px", "spacing_um"):
+            if key in raw:
+                raw[key] = tuple(raw[key])
+        return PhantomSpec(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: phantom spec values have the wrong type: {exc}") from exc
 
 
 def cmd_phantom(args) -> int:
@@ -123,15 +132,18 @@ def cmd_losses(args) -> int:
     probs = io.read_distributions(args.q)
     surf = io.read_surfaces(args.surfaces)
     labels = io.read_labels(args.labels)
-    with open(args.weights) as f:
-        wraw = json.load(f)
-    if "lambda_l" in wraw:
-        weights = LossWeights(lambda_base=float(wraw.get("lambda_base", 0.0)),
-                              lambda_l=np.asarray(wraw["lambda_l"], dtype=np.float64))
-    elif "lambda_base" in wraw:
-        weights = smoothness_weights(surf, float(wraw["lambda_base"]))
-    else:
+    wraw = _json_object(args.weights, "loss weights")
+    if "lambda_l" not in wraw and "lambda_base" not in wraw:
         raise ConfigError(f"{args.weights}: need lambda_base or lambda_l")
+    try:
+        base = float(wraw.get("lambda_base", 0.0))
+        lam = np.asarray(wraw["lambda_l"], dtype=np.float64) if "lambda_l" in wraw else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.weights}: lambda_base and lambda_l must be numbers: {exc}") from exc
+    if lam is not None:
+        weights = LossWeights(lambda_base=base, lambda_l=lam)
+    else:
+        weights = smoothness_weights(surf, base)
     if args.class_probs:
         class_probs = io.read_distributions(args.class_probs)
     else:

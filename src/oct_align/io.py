@@ -27,12 +27,22 @@ from .errors import FormatError
 _VOLUME_DTYPE = "f32le"
 
 
+# the process umask, read once: mkstemp creates 0600 files, and a renamed
+# temp file should get the mode a plain open() would have given the target
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 @contextmanager
 def atomic_path(path):
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file in the target directory, then rename into place.
+
+    A write that fails leaves neither the target nor the temp file behind.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     os.close(fd)
+    os.chmod(tmp, 0o666 & ~_UMASK)
     try:
         yield Path(tmp)
         os.replace(tmp, path)
@@ -43,7 +53,7 @@ def atomic_path(path):
 
 
 def _write_header_payload(path, header: dict, payload: bytes) -> None:
-    with open(path, "wb") as f:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         f.write(payload)
 
@@ -123,7 +133,7 @@ def write_surfaces(path, surfaces: SurfaceSet) -> None:
         indexing="ij",
     )
     table = np.column_stack([ls.ravel(), bs.ravel(), aa.ravel(), pos.ravel()])
-    with open(path, "w", newline="") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         f.write(_SURFACE_HEADER + "\n")
         np.savetxt(f, table, fmt=["%d", "%d", "%d", "%.17g"], delimiter=",", comments="")
 
@@ -167,7 +177,7 @@ def write_displacements(path, disp: DisplacementField) -> None:
         disp.axial,
         disp.transverse.astype(np.float64),
     ])
-    with open(path, "w", newline="") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         f.write(_DISP_HEADER + "\n")
         np.savetxt(f, table, fmt=["%d", "%.17g", "%d"], delimiter=",", comments="")
 
@@ -243,7 +253,6 @@ def read_labels(path) -> LabelMap:
 
 def write_json(path, obj) -> None:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    with atomic_path(path) as tmp:
-        with open(tmp, "w") as f:
-            json.dump(obj, f, sort_keys=True, indent=2)
-            f.write("\n")
+    with atomic_path(path) as tmp, open(tmp, "w") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")

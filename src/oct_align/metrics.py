@@ -12,6 +12,7 @@ import numpy as np
 from .align import global_ncc
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, most_frequent_int
 from .errors import DimensionError, ValidationError
+from .io import atomic_path
 from .synth import MotionSpec
 
 
@@ -147,7 +148,7 @@ def connectivity_histogram(surfaces: SurfaceSet, bins=None):
 
 
 def write_histogram_csv(path, counts, edges) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         f.write("bin_lo,bin_hi,count\n")
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
             f.write(f"{lo:.17g},{hi:.17g},{int(c)}\n")

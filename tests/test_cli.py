@@ -37,6 +37,16 @@ class TestPhantomCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("text", ['{"n_b": "x"}', '{"band_intensity": 3}', '[8]'])
+    def test_spec_file_with_bad_values_fails(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code = run(["phantom", "--spec", spec, "--out", tmp_path / "o"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
     def test_spec_file_round_trip(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_b": 8, "n_a": 24, "n_r": 48, "seed": 3,
@@ -174,6 +184,34 @@ class TestLossesCommand:
             assert key in out
         assert out["cross_entropy"] == 0.0
         assert out["smooth_l1"] == 0.0
+
+    @pytest.mark.parametrize("text", [
+        '{"lambda_base": 0.1',            # truncated: not valid JSON
+        '{"lambda_base": "x"}',           # not a number
+        '"lambda_l"',                     # valid JSON, not an object
+        '{"lambda_l": ["a", 1]}',         # not a vector of numbers
+        '{"lambda_base": null}',
+        '{"weight": 1}',                  # neither key
+    ])
+    def test_malformed_weights_report_config_error(self, tmp_path, capsys, text):
+        from oct_align.core import SurfaceSet
+
+        gt = np.full((1, 2, 3), 4.0)
+        gt[0, 1, :] = 6.0
+        qpath, spath, mpath = tmp_path / "q.bin", tmp_path / "s.csv", tmp_path / "m.bin"
+        io.write_distributions(qpath, np.full((1, 2, 3, 8), 0.125))
+        io.write_surfaces(spath, SurfaceSet(gt))
+        io.write_labels(mpath, surfaces_to_labels(SurfaceSet(gt), 8))
+        wpath = tmp_path / "w.json"
+        wpath.write_text(text)
+        code = run(["losses", "--q", qpath, "--surfaces", spath,
+                    "--labels", mpath, "--weights", wpath])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "ConfigError"
 
 
 class TestEvalCommand:

@@ -137,3 +137,64 @@ def test_write_json_is_deterministic(tmp_path):
     io.write_json(p1, obj)
     io.write_json(p2, obj)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class _FullDisk:
+    """File proxy that passes the first write through and fails the next one."""
+
+    def __init__(self, f):
+        self._f = f
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("No space left on device")
+        return self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _writers():
+    from oct_align import metrics
+
+    vol = OctVolume(np.ones((2, 3, 4), dtype=np.float32))
+    return {
+        "volume": (io, lambda p: io.write_volume(p, vol)),
+        "distributions": (io, lambda p: io.write_distributions(p, np.full((1, 2, 3, 4), 0.25))),
+        "labels": (io, lambda p: io.write_labels(p, LabelMap(np.zeros((2, 3, 4), np.int16), 1))),
+        "surfaces": (io, lambda p: io.write_surfaces(p, SurfaceSet(np.full((1, 2, 3), 2.5)))),
+        "displacements": (io, lambda p: io.write_displacements(p, DisplacementField.zeros(3))),
+        "histogram": (metrics, lambda p: metrics.write_histogram_csv(
+            p, np.array([3, 1]), np.array([0.0, 1.0, 2.0]))),
+        "json": (io, lambda p: io.write_json(p, {"a": 1})),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writers()))
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, name):
+    module, write = _writers()[name]
+    target = tmp_path / "out"
+    write(target)
+    good = target.read_bytes()
+    target.unlink()
+    monkeypatch.setattr(module, "open", lambda *a, **k: _FullDisk(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write(target)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    write(target)
+    assert target.read_bytes() == good
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_write_keeps_the_plain_open_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    io.write_json(tmp_path / "atomic.json", {"a": 1})
+    assert (tmp_path / "atomic.json").stat().st_mode == plain.stat().st_mode

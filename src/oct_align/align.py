@@ -23,10 +23,22 @@ the B-scan being moved: shifting by an integer only gathers rows (with
 replicate fill), so every candidate is a slice of that copy.  The window
 sums behind the NCC (``_box_sum``) add each window in one fixed order
 from its own entries, so the statistics of a slice are the slice of the
-statistics bit for bit, and the descent computes the window sums,
-variances and variance mask of all candidates once per B-scan; only the
-cross term with each neighbor is computed per candidate.  The template
-chain likewise centres its template once per step.
+statistics bit for bit, and the descent computes the window sums and
+variances of all candidates once per B-scan; only the cross term with each
+neighbor is computed per candidate.  The template chain likewise centres
+its template once per step.
+
+The cross term runs in work arrays that ``optimize_alignment`` allocates
+once per call: the doubling passes of the box sum alternate between two
+of them, and the map is written into a third.  Windows of constant
+background are dropped by dividing by a "safe" variance, +inf where the
+variance is below VARIANCE_EPS, so they score exactly 0 without a mask.
+The descent also skips a candidate when a lower bound on its terms is
+above the best value found so far: every scored window adds at most 1 to
+an NCC sum (Cauchy-Schwarz), plus a rounding slack tau derived from the
+volume's largest magnitude against VARIANCE_EPS (``_ncc_sum_bound``), so
+the smoothness terms minus that cap bound the terms from below, and the
+skipped candidates could not have won.
 """
 
 from __future__ import annotations
@@ -93,28 +105,48 @@ def surface_alignment_loss(surfaces, axial) -> float:
     return float(((dr - e[None, :, None]) ** 2).sum())
 
 
-def _run_sums(x: np.ndarray, n: int) -> np.ndarray:
-    """Sums of n consecutive entries along the first axis; it shrinks by n-1.
+def _run_sums(x: np.ndarray, n: int, out: np.ndarray, work) -> np.ndarray:
+    """Sums of n consecutive entries along the first axis, written to ``out``.
 
     Built by doubling, p_2w[i] = p_w[i] + p_w[i + w], with the binary digits
     of n picking the partial sums that make up each window.  Every output is
     summed in the same order from the entries of its own window only, so
-    the sums of a slice equal the slice of the sums bit for bit.
+    the sums of a slice equal the slice of the sums bit for bit.  The
+    partial sums alternate between the two ``work`` arrays (each at least
+    as long as x), so no call allocates; ``x`` itself is only read.
     """
     n_out = x.shape[0] - n + 1
-    acc, offset, part, width = None, 0, x, 1
+    acc, offset, part, width, k = None, 0, x, 1, 0
     while True:
         if n & width:
             piece = part[offset:offset + n_out]
-            acc = piece if acc is None else acc + piece
+            if acc is not None:
+                acc = np.add(acc, piece, out=out)
+            elif part is x:
+                acc = piece
+            else:  # a work array, which a later doubling overwrites
+                acc = out
+                acc[...] = piece
             offset += width
         if 2 * width > n:
-            return acc
-        part = part[:-width] + part[width:]
+            if acc is not out:  # n == 1: the one piece is x itself
+                out[...] = acc
+            return out
+        m = part.shape[0] - width
+        part = np.add(part[:m], part[width:], out=work[k][:m])
+        k ^= 1
         width *= 2
 
 
-def _box_sum(img: np.ndarray, n: int) -> np.ndarray:
+def _box_buffers(shape, n: int):
+    """Work arrays for ``_box_sum`` of an image of this shape: two doubling
+    buffers, the row sums and the output."""
+    h, w = shape
+    return (np.empty(shape), np.empty(shape),
+            np.empty((h - n + 1, w)), np.empty((h - n + 1, w)))
+
+
+def _box_sum(img: np.ndarray, n: int, bufs=None) -> np.ndarray:
     """Sums of the n-by-n windows of a 2-D array, left-aligned in full-width rows.
 
     Entry [i, j] is the sum of img[i:i+n, j:j+n] for j <= W-n; the last n-1
@@ -122,42 +154,86 @@ def _box_sum(img: np.ndarray, n: int) -> np.ndarray:
     rows, so both passes add contiguous blocks; runs that wrap into the next
     row land only in the zeroed columns.  Position independent (see
     ``_run_sums``): a window's sum does not depend on where the image
-    starts, which the candidate table relies on.
+    starts, which the candidate table relies on.  The result is the output
+    array of ``bufs`` (``_box_buffers``), which are allocated when omitted.
     """
-    rows = _run_sums(img, n)
-    flat = _run_sums(rows.ravel(), n)
-    out = np.empty(rows.shape)
-    out.ravel()[:flat.size] = flat
+    w0, w1, rows, out = bufs or _box_buffers(img.shape, n)
+    _run_sums(img, n, rows, (w0, w1))
+    _run_sums(rows.ravel(), n, out.ravel()[:rows.size - n + 1], (w0.ravel(), w1.ravel()))
     out[:, img.shape[1] - n + 1:] = 0.0
     return out
 
 
 def _window_stats(img: np.ndarray, n: int):
-    """(image, window sums, window variances times n^2, variance mask).
+    """(image, window sums, safe window variances times n^2).
 
-    The zero columns of the box sums have zero variance, so the mask
-    excludes them.  The descent passes B-scans transposed to (R, N_A): a row
-    shift is then a block of whole rows, which numpy adds as one run.
+    The safe variance is +inf wherever the variance is below VARIANCE_EPS
+    (constant background), so those windows score x / inf = 0 exactly.  The
+    zero columns of the box sums have zero variance, so they score 0 too.
+    The descent passes B-scans transposed to (R, N_A): a row shift is then
+    a block of whole rows, which numpy adds as one run.
     """
     n2 = float(n * n)
     s = _box_sum(img, n)
     var = _box_sum(img * img, n) - s * s / n2
-    return img, s, var, var >= VARIANCE_EPS * n2
+    return img, s, np.where(var >= VARIANCE_EPS * n2, var, np.inf)
 
 
-def _ncc_map(stats_a, stats_b, n: int) -> np.ndarray:
-    img_a, s_a, var_a, ok_a = stats_a
-    img_b, s_b, var_b, ok_b = stats_b
-    cross = _box_sum(img_a * img_b, n)
-    cross -= s_a * s_b / float(n * n)
+def _ncc_buffers(shape, n: int):
+    """Work arrays for ``_ncc_map`` of images of this shape: the product
+    image, then the ``_box_buffers``."""
+    return (np.empty(shape),) + _box_buffers(shape, n)
+
+
+def _ncc_map(stats_a, stats_b, n: int, bufs=None) -> np.ndarray:
+    """Per-pixel squared NCC of two ``_window_stats``, in full-width rows.
+
+    Runs in ``bufs`` (``_ncc_buffers``, allocated when omitted) and returns
+    its output array, so a caller that passes buffers must read the map
+    before the next call.  The variances are the safe ones: a masked window
+    divides by +inf and scores exactly the 0 a masked divide would give.
+    """
+    img_a, s_a, var_a = stats_a
+    img_b, s_b, var_b = stats_b
+    prod, *box = bufs or _ncc_buffers(img_a.shape, n)
+    cross = _box_sum(np.multiply(img_a, img_b, out=prod), n, box)
+    tmp = box[2]  # the row sums, free once the box sum is done
+    np.multiply(s_a, s_b, out=tmp)
+    tmp /= float(n * n)
+    cross -= tmp
     cross *= cross
-    out = np.zeros(cross.shape)
-    np.divide(cross, var_a * var_b, out=out, where=ok_a & ok_b)
-    return out
+    cross /= np.multiply(var_a, var_b, out=tmp)
+    return cross
 
 
-def _ncc_from_stats(stats_a, stats_b, n: int) -> float:
-    return float(_ncc_map(stats_a, stats_b, n).sum())
+def _ncc_from_stats(stats_a, stats_b, n: int, bufs=None) -> float:
+    return float(_ncc_map(stats_a, stats_b, n, bufs).sum())
+
+
+def _ncc_sum_bound(shape, n: int, max_abs: float) -> float:
+    """An upper bound on ``_ncc_from_stats`` for images of this shape.
+
+    Each of the cap = (h - n + 1)(w - n + 1) scored windows is a squared
+    correlation, at most 1 by Cauchy-Schwarz, and the other entries of the
+    map are exactly 0, so the exact sum is at most cap.  The bound is
+    cap * (1 + tau), where tau covers the rounding of the computed sum.
+    With u = 2**-53 and |values| <= max_abs = M, every box sum adds each
+    term through at most D = 4 * bit_length(n) + 1 roundings (two doubling
+    passes and the product), so the computed variance and cross term
+    box(a*b) - s_a*s_b/n^2 are each within eps = (3D + 4) u n^2 M^2 of the
+    exact ones; that is a relative error rho = eps / (VARIANCE_EPS n^2) of
+    any variance that passes the mask.  Then a window scores at most
+    (1 + 2 rho)^2 (1 + 4u), and summing the map, fewer than N = h * w
+    entries in any order, adds a factor (1 + N u).  tau doubles the
+    first-order total to cover the second-order terms and the rounding of
+    this bound.  A loose tau only means a weaker bound; at intensities near
+    1, n = 9 and clinical B-scans, tau is about 5e-9.
+    """
+    h, w = shape
+    u = 2.0 ** -53
+    rho = (3 * (4 * n.bit_length() + 1) + 4) * u * max_abs * max_abs / VARIANCE_EPS
+    tau = 2.0 * (4.0 * rho * (1.0 + rho) + (h * w + 4) * u)
+    return (h - n + 1) * (w - n + 1) * (1.0 + tau)
 
 
 def _shift_table(img: np.ndarray, n: int, radius: int):
@@ -172,12 +248,11 @@ def _shift_table(img: np.ndarray, n: int, radius: int):
     n_r = img.shape[1]
     height = n_r - n + 1
     padded = np.ascontiguousarray(np.pad(img.T, ((radius, radius), (0, 0)), mode="edge"))
-    pad_img, s, var, ok = _window_stats(padded, n)
+    pad_img, s, var = _window_stats(padded, n)
 
     def at(k: int):
         lo = radius + k
-        return (pad_img[lo:lo + n_r], s[lo:lo + height],
-                var[lo:lo + height], ok[lo:lo + height])
+        return pad_img[lo:lo + n_r], s[lo:lo + height], var[lo:lo + height]
 
     return at
 
@@ -281,13 +356,31 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
 
     The integer candidates of B-scan b are blocks of rows of one
     edge-padded, transposed copy of it (``_shift_table``): their window
-    sums, variances and variance mask are computed once per B-scan, as are
-    the neighbors' statistics, so a candidate costs only the cross term
-    with each neighbor.  The box sums add every window in one fixed order
-    (``_run_sums``), so a table-read candidate scores exactly what direct
-    resampling would.  The current and the refined (fractional) values are
-    resampled directly.  B-scans are scored transposed to (R, N_A), so each
-    candidate is a contiguous block.
+    sums and safe variances are computed once per B-scan, so a
+    candidate costs only the cross term with each neighbor.  The box sums
+    add every window in one fixed order (``_run_sums``), so a table-read
+    candidate scores exactly what direct resampling would.  The statistics
+    of the chosen value are carried forward as the next B-scan's left
+    neighbor, and the right neighbor's become the next current value, so
+    one B-scan is resampled directly per step (plus a refined value).
+    B-scans are scored transposed to (R, N_A), so each candidate is a
+    contiguous block.  The cross terms run in work arrays allocated once
+    per call (``_ncc_buffers``).
+
+    A candidate is skipped without scoring when a lower bound on its terms
+    is above the running best: each NCC sum is at most
+    ``_ncc_sum_bound`` = cap * (1 + tau) (cap scored windows of squared
+    correlation at most 1, tau the rounding slack derived there from the
+    volume's largest magnitude against VARIANCE_EPS), so the terms are at
+    least the smoothness terms minus w_ncc * cap * (1 + tau) per neighbor.
+    The bound is evaluated by the same float operations as the terms, with
+    the NCC sums replaced by their larger bound; rounding is monotone, so
+    the computed bound never exceeds the computed terms, and a skipped
+    candidate could not have passed the strict ``<`` test.  Candidates are
+    still visited from -R to R, so the chosen shift is bit for bit the one
+    of scoring every candidate; a parabola neighbor that was skipped is
+    scored when the refinement needs it.  Without surfaces the bound never
+    rises above the best, and nothing is skipped.
 
     The descent is warm-started (the closed-form surface solution when
     surfaces are given, a sequential template chain otherwise): relative
@@ -310,6 +403,9 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
         )
     n = cfg.ncc_window
     radius = cfg.search_radius
+    shape = (data.shape[2], data.shape[1])  # a B-scan as scored, (R, N_A)
+    bufs = _ncc_buffers(shape, n)
+    ncc_bound = _ncc_sum_bound(shape, n, float(np.abs(data).max()))
 
     sm_s1 = sm_s2 = None
     sm_n = 0.0
@@ -329,12 +425,15 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     def stats_at(b, x):
         return _window_stats(_interp_rows(data[b], x).T, n)
 
+    def ncc(stats_a, stats_b):
+        return _ncc_from_stats(stats_a, stats_b, n, bufs)
+
     def full_objective(dvec):
         total = 0.0
         stats = stats_at(0, dvec[0])
         for b in range(n_b - 1):
             nxt = stats_at(b + 1, dvec[b + 1])
-            total -= cfg.w_ncc * _ncc_from_stats(stats, nxt, n)
+            total -= cfg.w_ncc * ncc(stats, nxt)
             if sm_s1 is not None:
                 total += cfg.w_smooth * smooth_pair(b, dvec[b + 1] - dvec[b])
             stats = nxt
@@ -357,46 +456,57 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
         trace.append(obj)
 
     for sweep in range(cfg.max_iters):
+        left, cur = None, stats_at(0, d[0])
         for b in range(n_b):
-            left = stats_at(b - 1, d[b - 1]) if b > 0 else None
             right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
 
             def local(cand, x):
+                """The terms touching b at d[b] = x; their lower bound for cand None."""
                 val = 0.0
                 if left is not None:
-                    val -= cfg.w_ncc * _ncc_from_stats(left, cand, n)
+                    val -= cfg.w_ncc * (ncc_bound if cand is None else ncc(left, cand))
                     if sm_s1 is not None:
                         val += cfg.w_smooth * smooth_pair(b - 1, x - d[b - 1])
                 if right is not None:
-                    val -= cfg.w_ncc * _ncc_from_stats(cand, right, n)
+                    val -= cfg.w_ncc * (ncc_bound if cand is None else ncc(cand, right))
                     if sm_s1 is not None:
                         val += cfg.w_smooth * smooth_pair(b, d[b + 1] - x)
                 return val
 
             table = _shift_table(data[b], n, radius)
-            best_x = float(d[b])
-            best_v = local(stats_at(b, best_x), best_x)
+            best_x, best = float(d[b]), cur
+            best_v = local(best, best_x)
             grid = {}
             for k in range(-radius, radius + 1):
                 x = float(k)
-                v = best_v if x == best_x else local(table(k), x)
-                grid[k] = v
+                if x == best_x:
+                    grid[k] = best_v
+                    continue
+                if local(None, x) > best_v:
+                    continue  # even its lower bound loses to the best so far
+                cand = table(k)
+                grid[k] = v = local(cand, x)
                 if v < best_v:
-                    best_v, best_x = v, x
+                    best_v, best_x, best = v, x, cand
             if (
                 cfg.subpixel_refine
                 and best_x == int(best_x)
                 and abs(int(best_x)) < radius
             ):
                 k0 = int(best_x)
+                for k in (k0 - 1, k0 + 1):
+                    if k not in grid:
+                        grid[k] = local(table(k), float(k))
                 f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
                 curv = f_p - 2.0 * f_0 + f_m
                 if curv > 0:
                     xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
-                    v = local(stats_at(b, xv), xv)
+                    cand = stats_at(b, xv)
+                    v = local(cand, xv)
                     if v < best_v:
-                        best_v, best_x = v, xv
+                        best_v, best_x, best = v, xv, cand
             d[b] = best_x
+            left, cur = best, right
 
         new_obj = full_objective(d)
         if not np.isfinite(new_obj):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -122,6 +123,25 @@ def read_volume(path) -> OctVolume:
     return OctVolume(data=flat.reshape(n_b, n_a, n_r), spacing=spacing)
 
 
+def _read_table(path, header: str, what: str) -> np.ndarray:
+    """The comma-separated numeric rows below ``header``, as a 2-D array.
+
+    A file without rows gives an empty table, which the callers reject:
+    numpy's warning about it is silenced, so the failure stays the one
+    FormatError line.
+    """
+    try:
+        with open(path, "r", newline="") as f:
+            got = f.readline().strip()
+            if got != header:
+                raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:  # a malformed row, or bytes that are not UTF-8
+        raise FormatError(f"{path}: malformed {what} row: {exc}") from exc
+
+
 _SURFACE_HEADER = "surface,b,a,r"
 
 
@@ -139,14 +159,7 @@ def write_surfaces(path, surfaces: SurfaceSet) -> None:
 
 
 def read_surfaces(path) -> SurfaceSet:
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != _SURFACE_HEADER:
-            raise FormatError(f"{path}: expected header {_SURFACE_HEADER!r}, got {header!r}")
-        try:
-            table = np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed surface row: {exc}") from exc
+    table = _read_table(path, _SURFACE_HEADER, "surface")
     if table.size == 0:
         raise FormatError(f"{path}: no surface rows")
     if table.shape[1] != 4:
@@ -183,14 +196,7 @@ def write_displacements(path, disp: DisplacementField) -> None:
 
 
 def read_displacements(path) -> DisplacementField:
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != _DISP_HEADER:
-            raise FormatError(f"{path}: expected header {_DISP_HEADER!r}, got {header!r}")
-        try:
-            table = np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed displacement row: {exc}") from exc
+    table = _read_table(path, _DISP_HEADER, "displacement")
     if table.size == 0 or table.shape[1] != 3:
         raise FormatError(f"{path}: expected rows of b,axial,transverse")
     bs = table[:, 0]

@@ -3,10 +3,14 @@ import pytest
 
 from oct_align import align, pipeline
 from oct_align.align import (
+    VARIANCE_EPS,
     AlignConfig,
+    _box_buffers,
     _box_sum,
     _ncc_from_stats,
+    _ncc_buffers,
     _ncc_map,
+    _ncc_sum_bound,
     _shift_table,
     _template_chain,
     _window_stats,
@@ -112,8 +116,51 @@ class TestLocalNcc:
         assert np.allclose(base, scaled, rtol=1e-8, atol=1e-10)
 
 
+def reference_box_sum(img, n):
+    """The allocating box sum the buffered kernel replaced: doubling partial
+    sums added in the same order, then copied into full-width rows."""
+    def run_sums(x):
+        n_out = x.shape[0] - n + 1
+        acc, offset, part, width = None, 0, x, 1
+        while True:
+            if n & width:
+                piece = part[offset:offset + n_out]
+                acc = piece if acc is None else acc + piece
+                offset += width
+            if 2 * width > n:
+                return acc
+            part = part[:-width] + part[width:]
+            width *= 2
+
+    rows = run_sums(img)
+    flat = run_sums(rows.ravel())
+    out = np.empty(rows.shape)
+    out.ravel()[:flat.size] = flat
+    out[:, img.shape[1] - n + 1:] = 0.0
+    return out
+
+
+def reference_ncc_sum(img_a, img_b, n):
+    """The masked-divide NCC sum the safe-variance kernel replaced."""
+    n2 = float(n * n)
+
+    def stats(img):
+        s = reference_box_sum(img, n)
+        var = reference_box_sum(img * img, n) - s * s / n2
+        return s, var, var >= VARIANCE_EPS * n2
+
+    s_a, var_a, ok_a = stats(img_a)
+    s_b, var_b, ok_b = stats(img_b)
+    cross = reference_box_sum(img_a * img_b, n)
+    cross -= s_a * s_b / n2
+    cross *= cross
+    out = np.zeros(cross.shape)
+    np.divide(cross, var_a * var_b, out=out, where=ok_a & ok_b)
+    return float(out.sum())
+
+
 class TestBoxSum:
-    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_brute_force(self, rng, n):
         img = rng.normal(size=(14, 17))
         got = _box_sum(img, n)
@@ -122,8 +169,13 @@ class TestBoxSum:
         assert got.shape == (14 - n + 1, 17)
         assert np.allclose(got[:, :17 - n + 1], expect, rtol=0, atol=1e-12)
         assert not got[:, 17 - n + 1:].any()
+        # the same sums, bit for bit, as the allocating kernel, also when the
+        # work arrays are reused and hold an earlier image's partial sums
+        bufs = _box_buffers(img.shape, n)
+        for x in (img * 1e3 + 0.1, img):
+            assert np.array_equal(_box_sum(x, n, bufs), reference_box_sum(x, n))
 
-    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("n", range(2, 12))
     def test_slice_of_sums_is_sums_of_slice_bitwise(self, rng, n):
         img = rng.normal(size=(60, 20)) * 1e3 + 0.1
         full = _box_sum(img, n)
@@ -141,19 +193,27 @@ class TestShiftTable:
     def test_every_candidate_equals_direct_evaluation_bitwise(self, seed):
         vol, _ = generate_phantom(PhantomSpec(n_b=3, n_a=32, n_r=48, seed=seed))
         data = vol.data.astype(np.float64)
-        n, radius = 9, 15
-        left = _window_stats(_interp_rows(data[0], 2.5).T, n)
-        right = _window_stats(_interp_rows(data[2], -4.0).T, n)
-        table = _shift_table(data[1], n, radius)
-        for k in range(-radius, radius + 1):
-            direct = _window_stats(_interp_rows(data[1], float(k)).T, n)
-            read = table(k)
-            for a, b in zip(read, direct):
-                assert np.array_equal(a, b)
-            for nb in (left, right):
-                assert np.array_equal(_ncc_map(nb, read, n), _ncc_map(nb, direct, n))
-                assert _ncc_from_stats(nb, read, n) == _ncc_from_stats(nb, direct, n)
-                assert _ncc_from_stats(read, nb, n) == _ncc_from_stats(direct, nb, n)
+        data[1, :, 20:34] = data[1, 0, 20]  # flat rows: windows the mask drops
+        radius = 15
+        for n in range(3, 12):
+            left = _window_stats(_interp_rows(data[0], 2.5).T, n)
+            right = _window_stats(_interp_rows(data[2], -4.0).T, n)
+            table = _shift_table(data[1], n, radius)
+            bufs = _ncc_buffers((48, 32), n)  # reused by every call below
+            masked = 0
+            for k in range(-radius, radius + 1):
+                direct = _window_stats(_interp_rows(data[1], float(k)).T, n)
+                read = table(k)
+                for a, b in zip(read, direct):
+                    assert np.array_equal(a, b)
+                masked += int(np.isinf(read[2][:, :32 - n + 1]).sum())
+                for nb in (left, right):
+                    assert np.array_equal(_ncc_map(nb, read, n), _ncc_map(nb, direct, n))
+                    for a, b in ((nb, read), (read, nb)):
+                        want = reference_ncc_sum(a[0], b[0], n)
+                        assert _ncc_from_stats(a, b, n) == want
+                        assert _ncc_from_stats(a, b, n, bufs) == want
+            assert masked > 0
 
 
 class TestSolveFromSurfaces:
@@ -264,6 +324,179 @@ class TestOptimizeAlignment:
         got = optimize_alignment(cvol, None, cfg, chain=chain)
         assert np.array_equal(chain, keep)  # the caller's chain is not modified
         assert np.array_equal(got.axial, optimize_alignment(cvol, None, cfg).axial)
+
+
+def exhaustive_descent(volume, surfaces, cfg, trace):
+    """The coordinate descent with nothing skipped or carried: every integer
+    candidate and both neighbors resampled directly at every step."""
+    data = volume.data.astype(np.float64)
+    n_b, n, radius = data.shape[0], cfg.ncc_window, cfg.search_radius
+
+    def stats_at(b, x):
+        return _window_stats(_interp_rows(data[b], x).T, n)
+
+    if surfaces is not None:
+        dr = np.diff(np.asarray(surfaces, dtype=np.float64), axis=1)
+        sm_n = float(dr.shape[0] * dr.shape[2])
+        sm_s1, sm_s2 = dr.sum(axis=(0, 2)), (dr * dr).sum(axis=(0, 2))
+        d = np.concatenate([[0.0], np.cumsum(sm_s1 / sm_n)])
+    else:
+        d = _template_chain(data, radius)
+    d -= 0.5 * (d.max() + d.min())
+    np.clip(d, -radius, radius, out=d)
+
+    def smooth_pair(b, e):
+        return sm_s2[b] - 2.0 * e * sm_s1[b] + sm_n * e * e
+
+    def local(b, x, left, right):
+        st = stats_at(b, x)
+        val = 0.0
+        if left is not None:
+            val -= cfg.w_ncc * _ncc_from_stats(left, st, n)
+            if surfaces is not None:
+                val += cfg.w_smooth * smooth_pair(b - 1, x - d[b - 1])
+        if right is not None:
+            val -= cfg.w_ncc * _ncc_from_stats(st, right, n)
+            if surfaces is not None:
+                val += cfg.w_smooth * smooth_pair(b, d[b + 1] - x)
+        return val
+
+    def full_objective():
+        total = 0.0
+        for b in range(n_b - 1):
+            total -= cfg.w_ncc * _ncc_from_stats(stats_at(b, d[b]), stats_at(b + 1, d[b + 1]), n)
+            if surfaces is not None:
+                total += cfg.w_smooth * smooth_pair(b, d[b + 1] - d[b])
+        return total
+
+    obj = full_objective()
+    trace.append(obj)
+    for _ in range(cfg.max_iters):
+        for b in range(n_b):
+            left = stats_at(b - 1, d[b - 1]) if b > 0 else None
+            right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
+            best_x = float(d[b])
+            best_v = local(b, best_x, left, right)
+            grid = {}
+            for k in range(-radius, radius + 1):
+                grid[k] = v = best_v if k == best_x else local(b, float(k), left, right)
+                if v < best_v:
+                    best_v, best_x = v, float(k)
+            if cfg.subpixel_refine and best_x == int(best_x) and abs(best_x) < radius:
+                k0 = int(best_x)
+                f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
+                curv = f_p - 2.0 * f_0 + f_m
+                if curv > 0:
+                    xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
+                    v = local(b, xv, left, right)
+                    if v < best_v:
+                        best_x = xv
+            d[b] = best_x
+        new_obj = full_objective()
+        trace.append(new_obj)
+        decrease, obj = obj - new_obj, new_obj
+        if decrease <= cfg.tol * max(1.0, abs(obj)):
+            break
+    return d - d.mean()
+
+
+@pytest.fixture()
+def table_reads(monkeypatch):
+    """The candidates read from each B-scan's table, one list per table."""
+    reads = []
+
+    def recorded(img, n, radius):
+        at = _shift_table(img, n, radius)
+        seen = []
+        reads.append(seen)
+
+        def read(k):
+            seen.append(k)
+            return at(k)
+
+        return read
+
+    monkeypatch.setattr(align, "_shift_table", recorded)
+    return reads
+
+
+class TestBoundedDescent:
+    """Skipping candidates whose lower bound is above the running best must
+    change no chosen shift: the descent equals the exhaustive one bit for bit."""
+
+    @pytest.mark.parametrize("seed,scale,offset,w_smooth,supervised", [
+        (0, 1.0, 0.0, 1.0, True),
+        (1, 1.0, 0.0, 1.0, True),
+        (2, 1.0, 0.0, 1.0, True),
+        (0, 1.0, 0.0, 1.0, False),
+        (3, 1e3, 500.0, 1.0, True),
+        (4, 1.0, 0.0, 1e-3, True),
+        (4, 1.0, 0.0, 1e3, True),
+    ])
+    def test_equals_exhaustive_descent(self, table_reads, seed, scale, offset, w_smooth,
+                                       supervised):
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
+        cvol, csurf, _ = simulate_motion(vol, surf, seed=seed + 40)
+        cvol = OctVolume(cvol.data * scale + offset)
+        surfaces = csurf.positions if supervised else None
+        cfg = AlignConfig(w_smooth=w_smooth)
+        got_trace, want_trace = [], []
+        got = optimize_alignment(cvol, surfaces, cfg, trace=got_trace).axial
+        want = exhaustive_descent(cvol, surfaces, cfg, want_trace)
+        assert np.array_equal(got, want)
+        assert got_trace == want_trace
+        n_read = sum(len(r) for r in table_reads)
+        if supervised and w_smooth >= 1.0:
+            assert n_read < len(table_reads) * 31  # the bound did skip candidates
+
+    def test_equals_exhaustive_descent_where_ncc_is_near_its_cap(self, rng, table_reads):
+        # B-scans are affine copies of one texture under integer motion, so the
+        # true shift scores close to the cap of the bound; the surfaces put the
+        # warm start 2 px off it, and only a bound that holds there keeps it
+        texture = rng.uniform(size=(24, 64))
+        axial = np.array([0, 4, -3, 7, 2, -5, 3, 1], dtype=float)
+        data = np.stack([(1.0 + 0.2 * b) * _interp_rows(texture, -axial[b]) + 0.1 * b
+                         for b in range(8)])
+        vol = OctVolume(data)
+        base = 10.0 + 8.0 * np.arange(3)[:, None, None] + np.zeros((3, 1, 24))
+        surfaces = base + (axial + 2.0 * (np.arange(8) % 2))[None, :, None]
+        got = optimize_alignment(vol, surfaces).axial
+        want = exhaustive_descent(vol, surfaces, AlignConfig(), [])
+        assert np.array_equal(got, want)
+        assert np.abs(np.diff(want) - np.diff(axial)).max() < 0.5  # the texture won
+
+    def test_ncc_sum_bound_covers_rounding(self, rng):
+        # perfectly correlated pairs score 1 per window in exact arithmetic;
+        # rounding can push the computed sum above the window count
+        n, shape = 9, (64, 32)
+        cap = (64 - n + 1) * (32 - n + 1)
+        over = 0.0
+        for scale, offset in ((1.0, 0.0), (1.0, 100.0), (1e3, 500.0)):
+            for _ in range(10):
+                a = rng.uniform(size=shape) * scale + offset
+                b = a * rng.uniform(0.5, 3.0) + rng.uniform(-2.0, 2.0) * scale
+                m = float(max(np.abs(a).max(), np.abs(b).max()))
+                got = _ncc_from_stats(_window_stats(a, n), _window_stats(b, n), n)
+                assert got <= _ncc_sum_bound(shape, n, m)
+                over = max(over, got - cap)
+        assert over > 0.0
+        assert _ncc_sum_bound(shape, n, 1.0) < cap * (1.0 + 1e-8)
+
+    def test_skipped_parabola_neighbors_are_scored_on_demand(self, table_reads):
+        # integer surface steps give an integer warm start; at w_smooth = 1e3
+        # every other integer costs at least 1e3 * 72 more smoothness than the
+        # two NCC sums can offset (2 * 56 * 16 windows), so the scan skips all
+        # of them and the refinement must score k0 - 1 and k0 + 1 itself
+        axial = np.array([0, 3, -2, 6, 1, -4, 2, 0], dtype=float)  # max + min even
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=5))
+        cvol, _ = apply_motion(vol, surf, MotionSpec(axial, np.zeros(8, np.int64), (0,)))
+        base = 10.0 + 8.0 * np.arange(3)[:, None, None] + np.zeros((3, 1, 24))
+        surfaces = base + axial[None, :, None]
+        cfg = AlignConfig(w_smooth=1e3, max_iters=1)
+        got = optimize_alignment(cvol, surfaces, cfg).axial
+        start = axial - 0.5 * (axial.max() + axial.min())
+        assert [sorted(r) for r in table_reads] == [[k - 1, k + 1] for k in start.astype(int)]
+        assert np.array_equal(got, exhaustive_descent(cvol, surfaces, cfg, []))
 
 
 class TestTemplateMatch:

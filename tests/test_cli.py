@@ -1,11 +1,18 @@
+import contextlib
+import io as text_io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oct_align import io
 from oct_align.cli import main
-from oct_align.core import surfaces_to_labels
+from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
 from oct_align.pipeline import run_pipeline
 
 
@@ -118,6 +125,159 @@ class TestApplyAndAlign:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+def run_quiet(argv):
+    """Exit code and stderr lines of one CLI run, outside pytest's capture."""
+    err = text_io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(text_io.StringIO()):
+        code = run(argv)
+    return code, err.getvalue().splitlines()
+
+
+def assert_one_line_error(code, lines):
+    assert code == 1
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@contextlib.contextmanager
+def input_dir():
+    """A fresh directory with a tiny volume, its displacements and surfaces."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        vol = OctVolume(np.arange(3 * 4 * 8, dtype=np.float32).reshape(3, 4, 8) / 10.0)
+        io.write_volume(root / "vol.bin", vol)
+        io.write_displacements(root / "disp.csv", DisplacementField.zeros(3))
+        io.write_surfaces(root / "surf.csv", SurfaceSet(np.full((1, 3, 4), 4.0)))
+        yield root
+
+
+def apply_argv(root):
+    return ["apply", "--vol", root / "vol.bin", "--disp", root / "disp.csv",
+            "--out", root / "out.bin"]
+
+
+def eval_argv(root):
+    return ["eval", "--pred", root / "surf.csv", "--gt", root / "surf.csv",
+            "--vol", root / "vol.bin", "--report", root / "out" / "report.json"]
+
+
+VOLUME_DIMS = {"n_b": 3, "n_a": 4, "n_r": 8}
+WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+
+
+def _not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _bad_dim(good):
+    return st.one_of(
+        st.integers().filter(lambda v: v != good),
+        st.floats().filter(lambda v: not (math.isfinite(v) and int(v) == good)),
+        st.none(), WORDS, st.lists(st.integers(), max_size=3),
+    )
+
+
+BAD_HEADER_VALUES = {
+    **{k: _bad_dim(v) for k, v in VOLUME_DIMS.items()},
+    "spacing_um": st.one_of(
+        st.none(), st.integers(), WORDS,
+        st.lists(st.floats(0.5, 50.0), max_size=5).filter(lambda v: len(v) != 3),
+        st.tuples(st.floats(0.5, 50.0), st.floats(max_value=0.0), st.floats(0.5, 50.0)),
+    ),
+    "dtype": st.one_of(st.text().filter(lambda v: v != "f32le"), st.integers(), st.none()),
+}
+
+
+class TestMalformedInputFuzz:
+    """Every malformed input exits 1 with one JSON line and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [apply_argv, eval_argv])
+    def test_unmutated_inputs_succeed(self, argv):
+        with input_dir() as root:
+            code, lines = run_quiet(argv(root))
+            assert (code, lines) == (0, [])
+
+    @pytest.mark.parametrize("command,name,header", [
+        ("apply", "disp.csv", "b,axial,transverse"),
+        ("eval", "surf.csv", "surface,b,a,r"),
+    ])
+    def test_header_only_csv(self, command, name, header):
+        with input_dir() as root:
+            (root / name).write_text(header + "\n")
+            argv = apply_argv(root) if command == "apply" else eval_argv(root)
+            assert_one_line_error(*run_quiet(argv))
+            assert not (root / "out.bin").exists() and not (root / "out").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_truncated_volume(self, data):
+        with input_dir() as root:
+            raw = (root / "vol.bin").read_bytes()
+            cut = data.draw(st.integers(0, len(raw) - 1))
+            (root / "vol.bin").write_bytes(raw[:cut])
+            assert_one_line_error(*run_quiet(apply_argv(root)))
+            assert not (root / "out.bin").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(BAD_HEADER_VALUES)), data=st.data())
+    def test_mutated_volume_header(self, key, data):
+        with input_dir() as root:
+            header, payload = (root / "vol.bin").read_bytes().split(b"\n", 1)
+            fields = json.loads(header)
+            if data.draw(st.booleans()):
+                del fields[key]
+            else:
+                fields[key] = data.draw(BAD_HEADER_VALUES[key])
+            (root / "vol.bin").write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+            assert_one_line_error(*run_quiet(apply_argv(root)))
+            assert not (root / "out.bin").exists()
+
+    @settings(max_examples=20, deadline=None)
+    @given(header=st.one_of(
+        st.binary(max_size=40).filter(lambda b: b"\n" not in b),
+        st.one_of(st.integers(), st.lists(st.integers()), st.text()).map(
+            lambda v: json.dumps(v).encode()),
+    ))
+    def test_volume_header_not_an_object(self, header):
+        with input_dir() as root:
+            payload = (root / "vol.bin").read_bytes().split(b"\n", 1)[1]
+            (root / "vol.bin").write_bytes(header + b"\n" + payload)
+            assert_one_line_error(*run_quiet(apply_argv(root)))
+            assert not (root / "out.bin").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["apply", "eval"]), data=st.data())
+    def test_mutated_csv_row(self, command, data):
+        with input_dir() as root:
+            name = "disp.csv" if command == "apply" else "surf.csv"
+            lines = (root / name).read_text().splitlines()
+            i = data.draw(st.integers(1, len(lines) - 1))
+            fields = lines[i].split(",")
+            j = data.draw(st.integers(0, len(fields) - 1))
+            how = data.draw(st.sampled_from(["word", "drop", "extra", "bytes", "header"]))
+            if how == "word":
+                fields[j] = data.draw(WORDS.filter(_not_a_float))
+            elif how == "drop":
+                del fields[j]
+            elif how == "extra":
+                fields.insert(j, "1")
+            lines[i] = ",".join(fields)
+            if how == "header":
+                lines[0] = lines[0][:data.draw(st.integers(0, len(lines[0]) - 1))]
+            body = ("\n".join(lines) + "\n").encode()
+            if how == "bytes":  # a byte that cannot start a UTF-8 character
+                at = body.index(lines[i].encode())
+                body = body[:at] + b"\xff" + body[at:]
+            (root / name).write_bytes(body)
+            argv = apply_argv(root) if command == "apply" else eval_argv(root)
+            assert_one_line_error(*run_quiet(argv))
+            assert not (root / "out.bin").exists() and not (root / "out").exists()
 
 
 class TestTransverseCommand:

@@ -39,6 +39,16 @@ an NCC sum (Cauchy-Schwarz), plus a rounding slack tau derived from the
 volume's largest magnitude against VARIANCE_EPS (``_ncc_sum_bound``), so
 the smoothness terms minus that cap bound the terms from below, and the
 skipped candidates could not have won.
+
+Both searches then screen the remaining candidates cheaply, with a proven
+error bound, and score exactly (with the float64 code above) only those
+the screen says could still win, so every chosen shift is the one of
+scoring every candidate.  The descent screens each NCC sum in float32
+(``_screened_sum``: the same kernel on float32 copies of the statistics,
+plus a bound E that grows with the windows' conditioning,
+``_screen_slack``); the template chain takes every candidate's mean and
+variance from prefix sums and its cross term from one dot product
+(``_chain_screen``).
 """
 
 from __future__ import annotations
@@ -138,12 +148,12 @@ def _run_sums(x: np.ndarray, n: int, out: np.ndarray, work) -> np.ndarray:
         width *= 2
 
 
-def _box_buffers(shape, n: int):
+def _box_buffers(shape, n: int, dtype=np.float64):
     """Work arrays for ``_box_sum`` of an image of this shape: two doubling
     buffers, the row sums and the output."""
     h, w = shape
-    return (np.empty(shape), np.empty(shape),
-            np.empty((h - n + 1, w)), np.empty((h - n + 1, w)))
+    return (np.empty(shape, dtype), np.empty(shape, dtype),
+            np.empty((h - n + 1, w), dtype), np.empty((h - n + 1, w), dtype))
 
 
 def _box_sum(img: np.ndarray, n: int, bufs=None) -> np.ndarray:
@@ -179,10 +189,10 @@ def _window_stats(img: np.ndarray, n: int):
     return img, s, np.where(var >= VARIANCE_EPS * n2, var, np.inf)
 
 
-def _ncc_buffers(shape, n: int):
+def _ncc_buffers(shape, n: int, dtype=np.float64):
     """Work arrays for ``_ncc_map`` of images of this shape: the product
     image, then the ``_box_buffers``."""
-    return (np.empty(shape),) + _box_buffers(shape, n)
+    return (np.empty(shape, dtype),) + _box_buffers(shape, n, dtype)
 
 
 def _ncc_map(stats_a, stats_b, n: int, bufs=None) -> np.ndarray:
@@ -210,6 +220,12 @@ def _ncc_from_stats(stats_a, stats_b, n: int, bufs=None) -> float:
     return float(_ncc_map(stats_a, stats_b, n, bufs).sum())
 
 
+def _variance_rho(n: int, max_abs: float) -> float:
+    """Relative rounding error of a computed window variance that passes the
+    mask, for |values| <= max_abs (derived in ``_ncc_sum_bound``)."""
+    return (3 * (4 * n.bit_length() + 1) + 4) * 2.0 ** -53 * max_abs * max_abs / VARIANCE_EPS
+
+
 def _ncc_sum_bound(shape, n: int, max_abs: float) -> float:
     """An upper bound on ``_ncc_from_stats`` for images of this shape.
 
@@ -222,39 +238,129 @@ def _ncc_sum_bound(shape, n: int, max_abs: float) -> float:
     passes and the product), so the computed variance and cross term
     box(a*b) - s_a*s_b/n^2 are each within eps = (3D + 4) u n^2 M^2 of the
     exact ones; that is a relative error rho = eps / (VARIANCE_EPS n^2) of
-    any variance that passes the mask.  Then a window scores at most
-    (1 + 2 rho)^2 (1 + 4u), and summing the map, fewer than N = h * w
-    entries in any order, adds a factor (1 + N u).  tau doubles the
-    first-order total to cover the second-order terms and the rounding of
-    this bound.  A loose tau only means a weaker bound; at intensities near
-    1, n = 9 and clinical B-scans, tau is about 5e-9.
+    any variance that passes the mask (``_variance_rho``).  Then a window
+    scores at most (1 + 2 rho)^2 (1 + 4u), and summing the map, fewer than
+    N = h * w entries in any order, adds a factor (1 + N u).  tau doubles
+    the first-order total to cover the second-order terms and the rounding
+    of this bound.  A loose tau only means a weaker bound; at intensities
+    near 1, n = 9 and clinical B-scans, tau is about 5e-9.
     """
     h, w = shape
-    u = 2.0 ** -53
-    rho = (3 * (4 * n.bit_length() + 1) + 4) * u * max_abs * max_abs / VARIANCE_EPS
-    tau = 2.0 * (4.0 * rho * (1.0 + rho) + (h * w + 4) * u)
+    rho = _variance_rho(n, max_abs)
+    tau = 2.0 * (4.0 * rho * (1.0 + rho) + (h * w + 4) * 2.0 ** -53)
     return (h - n + 1) * (w - n + 1) * (1.0 + tau)
+
+
+def _screen_slack(n: int, max_abs: float) -> float:
+    """E per unit of window conditioning, for the float32 screen of an NCC sum.
+
+    The screen (``_screened_sum``) runs ``_ncc_map`` on float32 copies of
+    two ``_window_stats`` (the +inf of a masked variance survives the cast,
+    so the mask is the float64 one) and sums the map in float64.  Its
+    result S32 is an upper bound on the float64 sum S64 once E is added:
+    S64 <= S32 + E with E = slack * (K_a + K_b), where K = sum of kappa_w =
+    box(x^2)_w / var_w over the image's unmasked windows (``_conditioning``).
+
+    Derivation, per window scored in both images (any other window is
+    exactly 0 in both maps), with u = 2**-24 and D = 4 * bit_length(n) + 1
+    as in ``_ncc_sum_bound``.  Let C be the cross term box(a*b) -
+    s_a*s_b/n^2 in exact arithmetic on the float64 images and sums, m* =
+    C^2 / (var_a var_b) on the float64 variances, and r = |C| /
+    sqrt(var_a var_b), at most R = 1 + 2 rho (rho = ``_variance_rho``, as
+    m* <= (1 + 2 rho)^2 there).  The float32 box sum of the products
+    rounds each term at most D times (the casts of a and b, the product
+    and the doubling passes), within D u sum|a b| <= D u sqrt(Q_a Q_b),
+    Q = box(x^2); s_a*s_b/n^2 takes 4 roundings (two casts, product,
+    division) of a value at most sqrt(Q_a Q_b) (s^2 <= n^2 Q); the
+    subtraction one more, relative to C.  So the float32 cross term is
+    within e sqrt(var_a var_b) of C, e = (D + 5) u sqrt(kappa_a kappa_b) +
+    u r.  Squaring, the variance casts, product and division lose at most
+    a factor (1 - 6u), so the float32 entry m32 >= max(0, r - e)^2 (1 -
+    6u), and m* - m32 <= 2 r e + 6 u r^2 whether or not e exceeds r: no
+    e^2 term, so the bound stays linear in kappa however ill-conditioned
+    the window.  With sqrt(kappa_a kappa_b) <= (kappa_a + kappa_b) / 2 and
+    kappa >= 1 on scored windows, m* - m32 <= R^2 (D + 9) u (kappa_a +
+    kappa_b).  kappa is computed from the float64 sums and variances,
+    within a factor R of box(x^2) / var.  The float64 entry exceeds m* by
+    the same expression in 2**-53 instead of u, 2**-29 of it, and the
+    factor 2 in slack = 2 R^3 (D + 9) u covers that and every second-order
+    term.  The two float64 map sums and the evaluation of S32 + E round by
+    less than 2**-40 relative, which ``_screened_sum`` adds as a factor.
+    Float32 underflow moves a window by less than 2**-120 of a passing
+    variance, far inside the u terms.  A float32 overflow of var_a * var_b
+    (each at most n^2 M^2) would score a window 0, so the slack is inf
+    once n^2 M^2 reaches 2**63, and the screen then never prunes.  A loose
+    E only screens less.
+    """
+    if n * n * max_abs * max_abs >= 2.0 ** 63:
+        return np.inf
+    big_r = 1.0 + 2.0 * _variance_rho(n, max_abs)
+    return 2.0 * big_r ** 3 * (4 * n.bit_length() + 10) * 2.0 ** -24
+
+
+def _conditioning(s: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
+    """kappa_w = box(x^2)_w / var_w = 1 + s_w^2 / (n^2 var_w) of every
+    window from its sums and safe variances; 0 where the window is masked."""
+    kappa = s * s
+    kappa /= float(n * n) * var
+    kappa += np.isfinite(var)
+    return kappa
+
+
+def _screen_stats(stats, n: int):
+    """A ``_window_stats`` as the screen reads it: its float32 copy and the
+    summed conditioning of its windows."""
+    return tuple(a.astype(np.float32) for a in stats), float(_conditioning(stats[1], stats[2], n).sum())
+
+
+def _screened_sum(screen_a, screen_b, n: int, slack: float, bufs=None) -> float:
+    """An upper bound on ``_ncc_from_stats`` of two window statistics, from
+    their ``_screen_stats``: the float32 NCC sum plus E (``_screen_slack``).
+
+    ``bufs`` are float32 ``_ncc_buffers``.  The result is nan or inf when
+    the slack is inf; callers take the smaller of it and the cap bound.
+    """
+    (stats_a, kappa_a), (stats_b, kappa_b) = screen_a, screen_b
+    total = float(_ncc_map(stats_a, stats_b, n, bufs).sum(dtype=np.float64))
+    return (total + slack * (kappa_a + kappa_b)) * (1.0 + 2.0 ** -40)
 
 
 def _shift_table(img: np.ndarray, n: int, radius: int):
     """Window statistics of ``img`` shifted by each integer in [-radius, radius].
 
-    Returns ``at(k)``, the ``_window_stats`` of ``_interp_rows(img, k).T``
-    read as row blocks of one edge-padded copy: an integer shift is a pure
-    replicate-fill gather, so candidate k is rows radius+k ... of the
-    padded, transposed B-scan, and the position-independent box sums make
-    the sliced statistics equal the direct ones bit for bit.
+    Returns ``(at, screen_at)``.  ``at(k)`` is the ``_window_stats`` of
+    ``_interp_rows(img, k).T`` read as row blocks of one edge-padded copy:
+    an integer shift is a pure replicate-fill gather, so candidate k is
+    rows radius+k ... of the padded, transposed B-scan, and the
+    position-independent box sums make the sliced statistics equal the
+    direct ones bit for bit.  ``screen_at(k)`` is the ``_screen_stats`` of
+    the same candidate: row blocks of a float32 copy of the table, and the
+    conditioning summed by prefix sums over the table's rows.  That copy
+    is made on the first call.
     """
     n_r = img.shape[1]
     height = n_r - n + 1
     padded = np.ascontiguousarray(np.pad(img.T, ((radius, radius), (0, 0)), mode="edge"))
-    pad_img, s, var = _window_stats(padded, n)
+    stats = _window_stats(padded, n)
+    screen = []
+
+    def block(table, k):
+        lo = radius + k
+        return table[0][lo:lo + n_r], table[1][lo:lo + height], table[2][lo:lo + height]
 
     def at(k: int):
-        lo = radius + k
-        return pad_img[lo:lo + n_r], s[lo:lo + height], var[lo:lo + height]
+        return block(stats, k)
 
-    return at
+    def screen_at(k: int):
+        if not screen:
+            rows = _conditioning(stats[1], stats[2], n).sum(axis=1)
+            screen.extend((tuple(a.astype(np.float32) for a in stats),
+                           np.concatenate(([0.0], np.cumsum(rows)))))
+        table, prefix = screen
+        lo = radius + k
+        return block(table, k), float(prefix[lo + height] - prefix[lo])
+
+    return at, screen_at
 
 
 def local_ncc_map(img_a: np.ndarray, img_b: np.ndarray, window: int = 9) -> np.ndarray:
@@ -305,6 +411,72 @@ def solve_from_surfaces(surfaces) -> DisplacementField:
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 
 
+def _chain_screen(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
+    """Screened global NCC of every candidate of one template-chain step.
+
+    ``t`` is the centred template, ``vt`` its variance, and candidate j is
+    columns j ... j + n_r - 1 of the Fortran-ordered ``padded`` (the
+    chain's shift j - 2 * radius).  Returns ``(v, var, err, slack)``: the
+    screened score and variance of every candidate, a bound err on |v -
+    exact score| for every candidate whose screened variance is not within
+    slack of VARIANCE_EPS, and that slack.  The exact score is the
+    per-candidate formula of ``_template_chain``.
+
+    Means and variances come from prefix sums of the column sums and
+    squared column sums of ``padded``; sum(t * c) is one dot product on the
+    contiguous block, and sum(t * (c - mean c)) = dot - mean c * sum(t).
+
+    Slack and err, with u = 2**-53, N = N_A * n_r values per candidate,
+    N' = N_A * width for the padded copy and q = mean(c^2).  Any sum of m
+    terms, in any order, is within (m - 1) u sum|terms|.  The column sums
+    and prefix sums add each term of a candidate's sums through at most
+    K = N_A + width + 3 roundings, relative to the whole padded copy; by
+    Cauchy-Schwarz that puts the screened mean within K u r sqrt(q') and
+    the screened mean square within K u r q' of the exact ones, r = N' / N,
+    q' = mean square of ``padded``.  The screened variance q - mean^2 is
+    then within (3 K r + 3) u q^ (q^ = the largest q and q') and the exact
+    formula's mean((c - mean c)^2) within (N + 2) u q of the exact value;
+    doubling their sum for the second-order terms gives slack = 2 (3 K r +
+    N + 5) u q^.  A candidate whose screened variance is at least slack
+    from VARIANCE_EPS is therefore masked (scored 0) by both or by neither.
+    For one that both score, the dot product and mean c * sum(t) are each
+    within N u N sqrt(vt q) of exact, so the screened covariance is within
+    (2N + 4) u sqrt(vt q) and, relative to sqrt(vt var), within (2N + 4) u
+    sqrt(kappa), kappa = q / var; the variance error moves the score by at
+    most |v| slack / (2 var), and the exact formula is within (1.5 N + 8) u
+    (its own centring, products, means and the final division).  With var
+    >= (screened variance - slack) and 3u for the screened division, err =
+    2 ((2N + 4) u sqrt(kappa_max) + (1.5 N + 11) u) + slack / var_min over
+    the candidates both score; candidates both mask differ by 0.  A loose
+    err or slack only confirms more candidates.
+    """
+    n_a, width = padded.shape
+    size = n_a * n_r
+    u = 2.0 ** -53
+    flat = padded.ravel(order="F")
+    t_flat = t.ravel(order="F")
+    n_cand = width - n_r + 1
+    dots = np.array([np.dot(t_flat, flat[j * n_a:(j + n_r) * n_a]) for j in range(n_cand)])
+    col_sums = np.concatenate(([0.0], np.cumsum(padded.sum(axis=0))))
+    col_squares = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->j", padded, padded))))
+    mean = (col_sums[n_r:] - col_sums[:n_cand]) / size
+    q = (col_squares[n_r:] - col_squares[:n_cand]) / size
+    var = q - mean * mean
+    scored = var >= VARIANCE_EPS
+    v = np.zeros(n_cand)
+    v[scored] = (dots[scored] - mean[scored] * t.sum()) / size / np.sqrt(vt * var[scored])
+
+    q_hat = max(float(q.max()), float(col_squares[-1]) / (n_a * width))
+    slack = 2.0 * (3.0 * (n_a + width + 3) * width / n_r + size + 5) * u * q_hat
+    live = var >= VARIANCE_EPS + slack
+    err = 0.0
+    if live.any():
+        low = var[live] - slack
+        err = (2.0 * ((2 * size + 4) * u * float(np.sqrt((q[live] / low).max()))
+                      + (1.5 * size + 11) * u) + slack / float(low.min()))
+    return v, var, err, slack
+
+
 def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     """Sequential integer registration of each B-scan to its corrected predecessor.
 
@@ -318,6 +490,15 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     Fortran-ordered, like ``_interp_rows``'s output, so every candidate is
     a contiguous block in the same memory order and numpy's pairwise means
     round exactly as they do on the resampled B-scan.
+
+    All candidates are first screened at once (``_chain_screen``), within a
+    proven err of their exact scores.  Only the candidates that can still
+    win are scored exactly, in search order with the strict ``>``: those
+    within 2 err of the best screened score, and those whose screened
+    variance lies within the slack of VARIANCE_EPS (their mask is not
+    decided; they do not set the best).  The exact winner, and every
+    candidate that ties it, is among them, so the chosen shift is the one
+    of scoring every candidate.
     """
     n_b, _, n_r = data.shape
     span = 2 * radius
@@ -329,8 +510,14 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
         padded = np.asfortranarray(np.pad(data[b], ((0, 0), (span, span)), mode="edge"))
+        screened, var, err, slack = _chain_screen(t, vt, padded, n_r)
+        undecided = np.abs(var - VARIANCE_EPS) < slack
+        top = screened[~undecided].max(initial=-np.inf)
+        confirm = undecided | (screened >= top - 2.0 * err)
         best_s, best_v = 0, -np.inf
         for s in search_order(span):
+            if not confirm[span + s]:
+                continue
             c = padded[:, span + s:span + s + n_r]
             c = c - c.mean()
             vc = (c * c).mean()
@@ -373,14 +560,26 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     correlation at most 1, tau the rounding slack derived there from the
     volume's largest magnitude against VARIANCE_EPS), so the terms are at
     least the smoothness terms minus w_ncc * cap * (1 + tau) per neighbor.
-    The bound is evaluated by the same float operations as the terms, with
-    the NCC sums replaced by their larger bound; rounding is monotone, so
-    the computed bound never exceeds the computed terms, and a skipped
-    candidate could not have passed the strict ``<`` test.  Candidates are
-    still visited from -R to R, so the chosen shift is bit for bit the one
-    of scoring every candidate; a parabola neighbor that was skipped is
-    scored when the refinement needs it.  Without surfaces the bound never
-    rises above the best, and nothing is skipped.
+    That check is free; a candidate that survives it is screened: its two
+    NCC sums are computed in float32 (``_screened_sum``, float32 work
+    arrays allocated once per call), and the bound becomes the smoothness
+    terms minus w_ncc * min(cap * (1 + tau), S32 + E) per neighbor, with E
+    derived in ``_screen_slack`` from each window's conditioning.  Only a
+    candidate that passes both is scored exactly.  The bounds are
+    evaluated by the same float operations as the terms, with the NCC sums
+    replaced by larger values; rounding is monotone, so a computed bound
+    never exceeds the computed terms, and a skipped candidate could not
+    have passed the strict ``<`` test.  Candidates are still visited from
+    -R to R, so the chosen shift is bit for bit the one of scoring every
+    candidate; a parabola neighbor that was skipped is scored when the
+    refinement needs it.  Without surfaces the cap bound never rises above
+    the best, and only the screen skips.
+
+    The objective evaluated before a sweep keeps its N_B - 1 pair NCC sums
+    (floats only): at step b, ncc(current value, right neighbor) is its
+    term b, and ncc(left neighbor, current value) is the right-hand sum of
+    the value chosen at step b - 1, so the current value costs no cross
+    term.  The objective after a sweep is still recomputed from scratch.
 
     The descent is warm-started (the closed-form surface solution when
     surfaces are given, a sequential template chain otherwise): relative
@@ -405,7 +604,10 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     radius = cfg.search_radius
     shape = (data.shape[2], data.shape[1])  # a B-scan as scored, (R, N_A)
     bufs = _ncc_buffers(shape, n)
-    ncc_bound = _ncc_sum_bound(shape, n, float(np.abs(data).max()))
+    bufs32 = _ncc_buffers(shape, n, np.float32)
+    max_abs = float(np.abs(data).max())
+    ncc_bound = _ncc_sum_bound(shape, n, max_abs)
+    slack = _screen_slack(n, max_abs)
 
     sm_s1 = sm_s2 = None
     sm_n = 0.0
@@ -428,16 +630,22 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     def ncc(stats_a, stats_b):
         return _ncc_from_stats(stats_a, stats_b, n, bufs)
 
+    def screened(screen_a, screen_b):
+        v = _screened_sum(screen_a, screen_b, n, slack, bufs32)
+        return v if v < ncc_bound else ncc_bound  # also when v is nan
+
     def full_objective(dvec):
-        total = 0.0
+        """The objective at dvec and its N_B - 1 pair NCC sums."""
+        total, pairs = 0.0, []
         stats = stats_at(0, dvec[0])
         for b in range(n_b - 1):
             nxt = stats_at(b + 1, dvec[b + 1])
-            total -= cfg.w_ncc * ncc(stats, nxt)
+            pairs.append(ncc(stats, nxt))
+            total -= cfg.w_ncc * pairs[-1]
             if sm_s1 is not None:
                 total += cfg.w_smooth * smooth_pair(b, dvec[b + 1] - dvec[b])
             stats = nxt
-        return total
+        return total, pairs
 
     if sm_s1 is not None:
         step = sm_s1 / sm_n
@@ -449,7 +657,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     d -= 0.5 * (d.max() + d.min())  # midrange-center into the search box
     np.clip(d, -radius, radius, out=d)
 
-    obj = full_objective(d)
+    obj, pairs = full_objective(d)
     if not np.isfinite(obj):
         raise NumericalError("alignment objective not finite at the start")
     if trace is not None:
@@ -457,37 +665,57 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
 
     for sweep in range(cfg.max_iters):
         left, cur = None, stats_at(0, d[0])
+        left_cur = 0.0  # ncc(left, cur), from the step before
         for b in range(n_b):
             right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
+            neighbors = []  # their _screen_stats, made when first needed
 
-            def local(cand, x):
-                """The terms touching b at d[b] = x; their lower bound for cand None."""
+            def local(x, ncc_left, ncc_right):
+                """The terms touching b at d[b] = x, given its two NCC sums
+                (or upper bounds on them, for a lower bound on the terms)."""
                 val = 0.0
                 if left is not None:
-                    val -= cfg.w_ncc * (ncc_bound if cand is None else ncc(left, cand))
+                    val -= cfg.w_ncc * ncc_left
                     if sm_s1 is not None:
                         val += cfg.w_smooth * smooth_pair(b - 1, x - d[b - 1])
                 if right is not None:
-                    val -= cfg.w_ncc * (ncc_bound if cand is None else ncc(cand, right))
+                    val -= cfg.w_ncc * ncc_right
                     if sm_s1 is not None:
                         val += cfg.w_smooth * smooth_pair(b, d[b + 1] - x)
                 return val
 
-            table = _shift_table(data[b], n, radius)
+            def exact(cand):
+                return (0.0 if left is None else ncc(left, cand),
+                        0.0 if right is None else ncc(cand, right))
+
+            def screen(k):
+                if not neighbors:
+                    neighbors.extend(None if nb is None else _screen_stats(nb, n)
+                                     for nb in (left, right))
+                cand = screen_at(k)
+                return (0.0 if left is None else screened(neighbors[0], cand),
+                        0.0 if right is None else screened(cand, neighbors[1]))
+
+            table, screen_at = _shift_table(data[b], n, radius)
             best_x, best = float(d[b]), cur
-            best_v = local(best, best_x)
+            # ncc(cur, right) is term b of the objective that preceded the sweep
+            best_sums = (left_cur, 0.0 if right is None else pairs[b])
+            best_v = local(best_x, *best_sums)
             grid = {}
             for k in range(-radius, radius + 1):
                 x = float(k)
                 if x == best_x:
                     grid[k] = best_v
                     continue
-                if local(None, x) > best_v:
+                if local(x, ncc_bound, ncc_bound) > best_v:
                     continue  # even its lower bound loses to the best so far
+                if local(x, *screen(k)) > best_v:
+                    continue  # so does the tighter one of the float32 screen
                 cand = table(k)
-                grid[k] = v = local(cand, x)
+                sums = exact(cand)
+                grid[k] = v = local(x, *sums)
                 if v < best_v:
-                    best_v, best_x, best = v, x, cand
+                    best_v, best_x, best, best_sums = v, x, cand, sums
             if (
                 cfg.subpixel_refine
                 and best_x == int(best_x)
@@ -496,19 +724,20 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                 k0 = int(best_x)
                 for k in (k0 - 1, k0 + 1):
                     if k not in grid:
-                        grid[k] = local(table(k), float(k))
+                        grid[k] = local(float(k), *exact(table(k)))
                 f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
                 curv = f_p - 2.0 * f_0 + f_m
                 if curv > 0:
                     xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
                     cand = stats_at(b, xv)
-                    v = local(cand, xv)
+                    sums = exact(cand)
+                    v = local(xv, *sums)
                     if v < best_v:
-                        best_v, best_x, best = v, xv, cand
+                        best_v, best_x, best, best_sums = v, xv, cand, sums
             d[b] = best_x
-            left, cur = best, right
+            left, cur, left_cur = best, right, best_sums[1]
 
-        new_obj = full_objective(d)
+        new_obj, pairs = full_objective(d)
         if not np.isfinite(new_obj):
             raise NumericalError(f"alignment objective not finite after sweep {sweep}")
         if new_obj > obj + 1e-9 * (1.0 + abs(obj)):

@@ -14,6 +14,7 @@ their own header keys; they exist so the loss CLI can read its inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -78,11 +79,14 @@ def _read_header_payload(path, required_keys) -> tuple[dict, bytes]:
 
 
 def _header_ints(path, header: dict, keys) -> tuple[int, ...]:
-    """The header's dimension fields as nonnegative ints, or FormatError."""
-    try:
-        values = tuple(int(header[k]) for k in keys)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: header fields {list(keys)} must be integers: {exc}") from exc
+    """The header's dimension fields as nonnegative ints, or FormatError.
+
+    Only JSON integers are dimensions: a float (4.0 or 4.9), a string
+    (" 4 ") or a boolean is rejected, not converted.
+    """
+    values = tuple(header[k] for k in keys)
+    if any(type(v) is not int for v in values):  # bool is a subclass of int
+        raise FormatError(f"{path}: header fields {list(keys)} must be integers, got {values!r}")
     if min(values) < 0:
         raise FormatError(f"{path}: header fields {list(keys)} must be nonnegative, got {values}")
     return values
@@ -142,6 +146,21 @@ def _read_table(path, header: str, what: str) -> np.ndarray:
         raise FormatError(f"{path}: malformed {what} row: {exc}") from exc
 
 
+def _write_table(path, header: str, row_format: str, table: np.ndarray) -> None:
+    """The header line, then one ``row_format`` line per row of ``table``.
+
+    One %-format per block of rows writes the bytes np.savetxt writes with
+    the same per-column formats and a "," delimiter, without its per-row
+    loop; blocks of 1024 rows keep the Python floats and the formatted
+    text small.
+    """
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        f.write(header + "\n")
+        for lo in range(0, table.shape[0], 1024):
+            block = table[lo:lo + 1024]
+            f.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 _SURFACE_HEADER = "surface,b,a,r"
 
 
@@ -153,9 +172,7 @@ def write_surfaces(path, surfaces: SurfaceSet) -> None:
         indexing="ij",
     )
     table = np.column_stack([ls.ravel(), bs.ravel(), aa.ravel(), pos.ravel()])
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        f.write(_SURFACE_HEADER + "\n")
-        np.savetxt(f, table, fmt=["%d", "%d", "%d", "%.17g"], delimiter=",", comments="")
+    _write_table(path, _SURFACE_HEADER, "%d,%d,%d,%.17g\n", table)
 
 
 def read_surfaces(path) -> SurfaceSet:
@@ -190,9 +207,7 @@ def write_displacements(path, disp: DisplacementField) -> None:
         disp.axial,
         disp.transverse.astype(np.float64),
     ])
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        f.write(_DISP_HEADER + "\n")
-        np.savetxt(f, table, fmt=["%d", "%.17g", "%d"], delimiter=",", comments="")
+    _write_table(path, _DISP_HEADER, "%d,%.17g,%d\n", table)
 
 
 def read_displacements(path) -> DisplacementField:
@@ -226,7 +241,7 @@ def read_distributions(path) -> np.ndarray:
     if header["dtype"] != "f64le":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
     dims = _header_ints(path, header, ("n_l", "n_b", "n_a", "n_r"))
-    flat = _payload_array(path, payload, "<f8", int(np.prod(dims)))
+    flat = _payload_array(path, payload, "<f8", math.prod(dims))  # exact: no int64 wrap
     return flat.reshape(dims).copy()
 
 

@@ -7,10 +7,14 @@ from oct_align.align import (
     AlignConfig,
     _box_buffers,
     _box_sum,
+    _chain_screen,
     _ncc_from_stats,
     _ncc_buffers,
     _ncc_map,
     _ncc_sum_bound,
+    _screen_slack,
+    _screen_stats,
+    _screened_sum,
     _shift_table,
     _template_chain,
     _window_stats,
@@ -198,7 +202,7 @@ class TestShiftTable:
         for n in range(3, 12):
             left = _window_stats(_interp_rows(data[0], 2.5).T, n)
             right = _window_stats(_interp_rows(data[2], -4.0).T, n)
-            table = _shift_table(data[1], n, radius)
+            table, screen_at = _shift_table(data[1], n, radius)
             bufs = _ncc_buffers((48, 32), n)  # reused by every call below
             masked = 0
             for k in range(-radius, radius + 1):
@@ -206,6 +210,12 @@ class TestShiftTable:
                 read = table(k)
                 for a, b in zip(read, direct):
                     assert np.array_equal(a, b)
+                # the screen reads float32 copies and prefix-summed conditioning
+                read32, kappa = screen_at(k)
+                want32, want_kappa = _screen_stats(direct, n)
+                for a, b in zip(read32, want32):
+                    assert a.dtype == np.float32 and np.array_equal(a, b)
+                assert kappa == pytest.approx(want_kappa, rel=1e-12)
                 masked += int(np.isinf(read[2][:, :32 - n + 1]).sum())
                 for nb in (left, right):
                     assert np.array_equal(_ncc_map(nb, read, n), _ncc_map(nb, direct, n))
@@ -406,7 +416,7 @@ def table_reads(monkeypatch):
     reads = []
 
     def recorded(img, n, radius):
-        at = _shift_table(img, n, radius)
+        at, screen_at = _shift_table(img, n, radius)
         seen = []
         reads.append(seen)
 
@@ -414,7 +424,7 @@ def table_reads(monkeypatch):
             seen.append(k)
             return at(k)
 
-        return read
+        return read, screen_at
 
     monkeypatch.setattr(align, "_shift_table", recorded)
     return reads
@@ -432,6 +442,9 @@ class TestBoundedDescent:
         (3, 1e3, 500.0, 1.0, True),
         (4, 1.0, 0.0, 1e-3, True),
         (4, 1.0, 0.0, 1e3, True),
+        (1, 1.0, 0.0, 1.0, False),
+        (3, 1e3, 500.0, 1.0, False),
+        (5, 1.0, 0.0, 0.0, True),
     ])
     def test_equals_exhaustive_descent(self, table_reads, seed, scale, offset, w_smooth,
                                        supervised):
@@ -446,8 +459,9 @@ class TestBoundedDescent:
         assert np.array_equal(got, want)
         assert got_trace == want_trace
         n_read = sum(len(r) for r in table_reads)
-        if supervised and w_smooth >= 1.0:
-            assert n_read < len(table_reads) * 31  # the bound did skip candidates
+        if scale == 1.0:
+            # the cap or the float32 screen did skip candidates, in both modes
+            assert n_read < len(table_reads) * 31 // 2
 
     def test_equals_exhaustive_descent_where_ncc_is_near_its_cap(self, rng, table_reads):
         # B-scans are affine copies of one texture under integer motion, so the
@@ -482,6 +496,65 @@ class TestBoundedDescent:
         assert over > 0.0
         assert _ncc_sum_bound(shape, n, 1.0) < cap * (1.0 + 1e-8)
 
+    @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
+    def test_screen_bounds_every_candidate(self, rng, case):
+        # S64 <= S32 + E for every table candidate against both neighbors: on
+        # a phantom, on the phantom x1e3 + 500, and on low-contrast B-scans
+        # whose windows sit just above VARIANCE_EPS (conditioning near 1e4)
+        vol, _ = generate_phantom(PhantomSpec(n_b=3, n_a=32, n_r=48, seed=7))
+        data = vol.data.astype(np.float64)
+        if case == "scaled":
+            data = data * 1e3 + 500.0
+        elif case == "near_eps":
+            noise = rng.normal(size=(32, 48))
+            data = 0.5 + np.sqrt(VARIANCE_EPS) * np.stack(
+                [1.1 * noise, 1.1 * noise + 0.3 * rng.normal(size=noise.shape),
+                 1.05 * rng.normal(size=noise.shape)])
+        max_abs = float(np.abs(data).max())
+        radius, over, near = 15, 0.0, 0
+        for n in (3, 9):
+            slack = _screen_slack(n, max_abs)
+            table, screen_at = _shift_table(data[1], n, radius)
+            bufs32 = _ncc_buffers((48, 32), n, np.float32)
+            nbs = [_window_stats(_interp_rows(data[0], 2.5).T, n),
+                   _window_stats(_interp_rows(data[2], -4.0).T, n)]
+            for nb in nbs:
+                var = nb[2][:, :32 - n + 1] / (n * n)
+                near += int(((var >= VARIANCE_EPS) & (var < 1.3 * VARIANCE_EPS)).sum())
+            screens = [_screen_stats(nb, n) for nb in nbs]
+            for k in range(-radius, radius + 1):
+                cand, cand32 = table(k), screen_at(k)
+                for (a, b), (a32, b32) in (((nbs[0], cand), (screens[0], cand32)),
+                                           ((cand, nbs[1]), (cand32, screens[1]))):
+                    exact = _ncc_from_stats(a, b, n)
+                    bound = _screened_sum(a32, b32, n, slack, bufs32)
+                    assert exact <= bound
+                    # without E the float32 sum alone would not bound it
+                    over = max(over, exact - _screened_sum(a32, b32, n, 0.0, bufs32))
+        assert over > 0.0
+        if case == "near_eps":
+            assert near > 100  # the windows the test is about do occur
+
+    def test_ties_go_to_the_first_candidate_in_search_order(self):
+        # B-scan 1 is depth-periodic (blips every 10 rows, 20 ... 50) and
+        # B-scan 0 has one blip at row 35: its shifts -15, -5, 5, 15 each put
+        # the blip on one of B-scan 1's, where every scored window is
+        # identical (score exactly 1.0) and every other window is masked, so
+        # the four NCC sums tie exactly in float64; -R..R picks -15
+        data = np.zeros((2, 16, 64))
+        data[0][:, 35] = 1.0
+        data[1][:, 20:51:10] = 1.0
+        vol = OctVolume(data)
+        surfaces = np.full((1, 2, 16), 10.0)  # a flat warm start, d = 0
+        cfg = AlignConfig(w_smooth=0.0, subpixel_refine=False, max_iters=1)
+        table, _ = _shift_table(data[0], 9, 15)
+        right = _window_stats(data[1].T, 9)
+        sums = {k: _ncc_from_stats(table(k), right, 9) for k in (-15, -5, 5, 15)}
+        assert set(sums.values()) == {72.0}
+        got = optimize_alignment(vol, surfaces, cfg).axial
+        assert np.array_equal(got, exhaustive_descent(vol, surfaces, cfg, []))
+        assert got[1] - got[0] == 15.0
+
     def test_skipped_parabola_neighbors_are_scored_on_demand(self, table_reads):
         # integer surface steps give an integer warm start; at w_smooth = 1e3
         # every other integer costs at least 1e3 * 72 more smoothness than the
@@ -497,6 +570,20 @@ class TestBoundedDescent:
         start = axial - 0.5 * (axial.max() + axial.min())
         assert [sorted(r) for r in table_reads] == [[k - 1, k + 1] for k in start.astype(int)]
         assert np.array_equal(got, exhaustive_descent(cvol, surfaces, cfg, []))
+
+
+def exhaustive_chain(data, radius):
+    """The template chain with every candidate scored by global_ncc on a
+    directly resampled B-scan, first strict maximum in search order."""
+    chain = np.zeros(data.shape[0])
+    for b in range(1, data.shape[0]):
+        template = _interp_rows(data[b - 1], chain[b - 1])
+        best_v = -np.inf
+        for s in search_order(2 * radius):
+            v = global_ncc(template, _interp_rows(data[b], float(s)))
+            if v > best_v:
+                best_v, chain[b] = v, s
+    return chain
 
 
 class TestTemplateMatch:
@@ -519,20 +606,91 @@ class TestTemplateMatch:
 
     def test_matches_exhaustive_shift_grid(self):
         # every step of the chain must pick the argmax of global NCC over the
-        # shift grid (2x the radius), scored on directly resampled B-scans
-        vol, _ = generate_phantom(PhantomSpec(seed=9))
-        cfg = AlignConfig(search_radius=6)
-        d = template_match_align(vol, cfg)
+        # shift grid (2x the radius), scored on directly resampled B-scans,
+        # also on a volume x1e3 + 500
+        phantom, _ = generate_phantom(PhantomSpec(seed=9))
+        for scale, offset in ((1.0, 0.0), (1e3, 500.0)):
+            vol = OctVolume(phantom.data * scale + offset)
+            d = template_match_align(vol, AlignConfig(search_radius=6))
+            chain = exhaustive_chain(vol.data.astype(np.float64), 6)
+            assert np.array_equal(d.axial, chain - chain.mean())
+
+    @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
+    def test_screen_error_bound_holds_for_every_candidate(self, rng, case):
+        vol, _ = generate_phantom(PhantomSpec(n_b=6, n_a=32, n_r=64, seed=3))
         data = vol.data.astype(np.float64)
-        chain = np.zeros(vol.n_b)
-        for b in range(1, vol.n_b):
-            template = _interp_rows(data[b - 1], chain[b - 1])
-            best_v = -np.inf
-            for s in search_order(12):
-                v = global_ncc(template, _interp_rows(data[b], float(s)))
-                if v > best_v:
-                    best_v, chain[b] = v, s
-        assert np.array_equal(d.axial, chain - chain.mean())
+        if case == "scaled":
+            data = data * 1e3 + 500.0
+        elif case == "near_eps":  # candidate variances within a few % of VARIANCE_EPS
+            data = 0.5 + np.sqrt(VARIANCE_EPS) * 1.01 * rng.normal(size=data.shape)
+            data[::2] = rng.normal(size=data[::2].shape)  # templates of unit variance
+        radius, n_r, checked = 6, 64, 0
+        for b in range(1, data.shape[0], 2):
+            t = _interp_rows(data[b - 1], 0.0)
+            t = t - t.mean()
+            vt = (t * t).mean()
+            padded = np.asfortranarray(np.pad(data[b], ((0, 0), (12, 12)), mode="edge"))
+            screened, var, err, slack = _chain_screen(t, vt, padded, n_r)
+            assert err > 0.0 and slack > 0.0
+            for j in range(screened.size):
+                c = padded[:, j:j + n_r]
+                c = c - c.mean()
+                vc = (c * c).mean()
+                exact = 0.0 if vc < VARIANCE_EPS else float((t * c).mean() / np.sqrt(vt * vc))
+                if abs(var[j] - VARIANCE_EPS) >= slack:
+                    assert abs(screened[j] - exact) <= err
+                    checked += 1
+        assert checked > 0
+
+    def test_undecided_variance_is_scored_exactly(self):
+        # candidate 2 of B-scan 1 has a variance within rounding of
+        # VARIANCE_EPS, while its neighbors' differ by far more (edge
+        # replication); the template is that candidate, so it scores about 1
+        # when unmasked.  Scale B-scan 1 until the screen and the exact
+        # formula disagree on its mask, each way round: only the
+        # variance-slack confirmation keeps the chain equal to the exhaustive
+        # one there (the exact winner is masked in the screen, or the
+        # screen's winner is masked in the exact formula)
+        rng = np.random.default_rng(5)
+        n_a, n_r, radius, s0 = 16, 64, 3, 2
+        noise = rng.normal(size=(n_a, n_r))
+        template = 10.0 * _interp_rows(noise, float(s0))
+        base = _interp_rows(noise, float(s0))
+        alpha0 = np.sqrt(VARIANCE_EPS / (base - base.mean()).var())
+        t = template - template.mean()
+        vt = (t * t).mean()
+        flips = {}
+        for j in range(-400, 401):
+            if len(flips) == 2:
+                break
+            data = np.stack([template, 1.0 + alpha0 * (1.0 + j * 1e-11) * noise])
+            padded = np.asfortranarray(np.pad(data[1], ((0, 0), (6, 6)), mode="edge"))
+            _, var, _, slack = _chain_screen(t, vt, padded, n_r)
+            c = _interp_rows(data[1], float(s0))
+            c = c - c.mean()
+            exact_masked = bool((c * c).mean() < VARIANCE_EPS)
+            if exact_masked != (var[6 + s0] < VARIANCE_EPS):
+                assert abs(var[6 + s0] - VARIANCE_EPS) < slack
+                assert np.sum(np.abs(var - VARIANCE_EPS) < slack) == 1
+                flips.setdefault(exact_masked, data)
+        assert sorted(flips) == [False, True]
+        for data in flips.values():
+            assert np.array_equal(_template_chain(data, radius), exhaustive_chain(data, radius))
+
+    def test_ties_go_to_the_first_candidate_in_search_order(self):
+        # B-scan 1 is depth-periodic (blips every 10 rows, 20 ... 50); the
+        # template has one blip at row 35.  Every shift in +/-10 keeps all
+        # four blips in the frame, and -5 and 5 put one on the template's;
+        # with 0/1 values on 16 x 64 = 2**10 pixels every mean, product and
+        # sum is exact, so the two scores tie exactly in float64
+        data = np.zeros((2, 16, 64))
+        data[0][:, 35] = 1.0
+        data[1][:, 20:51:10] = 1.0
+        scores = [global_ncc(data[0], _interp_rows(data[1], float(s))) for s in (-5, 5)]
+        assert scores[0] == scores[1] > 0.4
+        chain = _template_chain(data, 5)
+        assert chain[1] == -5.0
+        assert np.array_equal(chain, exhaustive_chain(data, 5))
 
     def test_flat_template_keeps_shift_zero(self, rng):
         img = rng.normal(size=(12, 20))

@@ -1,4 +1,5 @@
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -93,13 +94,22 @@ class TestDisplacementCsv:
     (io.read_distributions, {"n_l": 1, "n_b": 2, "n_a": 2, "n_r": 3, "dtype": "f64le"}),
     (io.read_labels, {"n_b": 2, "n_a": 2, "n_r": 3, "n_surfaces": 1, "dtype": "u8"}),
 ])
-@pytest.mark.parametrize("bad", ["x", None, [2], -1])
+@pytest.mark.parametrize("bad", ["x", None, [2], -1, 4.9, 4.0, " 4 ", True])
 def test_non_integer_or_negative_header_dims_rejected(tmp_path, reader, keys, bad):
     path = tmp_path / "bad.bin"
     path.write_bytes(json.dumps({**keys, "n_b": bad}).encode() + b"\n" + b"\x00" * 96)
     with pytest.raises(FormatError, match="header fields"):
         reader(path)
 
+
+
+def test_distribution_dims_whose_product_overflows_int64_rejected(tmp_path):
+    # 2**40 * 2**40 wraps to 0 in int64, which an empty payload would match
+    path = tmp_path / "q.bin"
+    header = {"n_l": 2 ** 40, "n_b": 2 ** 40, "n_a": 1, "n_r": 1, "dtype": "f64le"}
+    path.write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(FormatError, match="payload"):
+        io.read_distributions(path)
 
 
 @pytest.mark.parametrize("bad", ["x", 3.0, ["a", 1, 1]])
@@ -109,6 +119,54 @@ def test_non_numeric_spacing_rejected(tmp_path, bad):
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 48)
     with pytest.raises(FormatError, match="spacing_um"):
         io.read_volume(path)
+
+
+def savetxt_reference(header, rows, fmt):
+    """The bytes the CSV writers produced with np.savetxt."""
+    buf = StringIO()
+    np.savetxt(buf, np.array(rows, dtype=np.float64), fmt=fmt, delimiter=",", comments="")
+    return (header + "\n" + buf.getvalue()).encode()
+
+
+# finite extremes the writers accept, and values the validators reject
+FINITE_EXTREMES = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0 / 3.0, 2.0 ** 53 + 2.0]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestTableWriters:
+    """One %-format over the whole table writes np.savetxt's bytes."""
+
+    def test_surfaces_match_savetxt(self, tmp_path, rng):
+        # 2400 rows: more than one block of the writer
+        pos = np.concatenate([[1.0, 1.0 + 2.0 ** -52, 1e308, 5e300, 7.25, 2.0 ** 60],
+                              rng.uniform(1.0, 500.0, 2394)]).reshape(2, 3, 400)
+        path = tmp_path / "s.csv"
+        io.write_surfaces(path, SurfaceSet(pos))
+        rows = [(k + 1, b + 1, a + 1, pos[k, b, a])
+                for k in range(2) for b in range(3) for a in range(400)]
+        want = savetxt_reference("surface,b,a,r", rows, ["%d", "%d", "%d", "%.17g"])
+        assert path.read_bytes() == want
+
+    def test_displacements_match_savetxt(self, tmp_path, rng):
+        axial = np.array(FINITE_EXTREMES + list(rng.normal(0.0, 10.0, 4)))
+        transverse = rng.integers(-15, 16, axial.size)
+        path = tmp_path / "d.csv"
+        io.write_displacements(path, DisplacementField(axial=axial, transverse=transverse))
+        rows = [(b + 1, axial[b], transverse[b]) for b in range(axial.size)]
+        want = savetxt_reference("b,axial,transverse", rows, ["%d", "%.17g", "%d"])
+        assert path.read_bytes() == want
+
+    def test_non_finite_values_match_savetxt(self, tmp_path):
+        values = FINITE_EXTREMES + NON_FINITE
+        rows = [(i + 1, v, -i) for i, v in enumerate(values)]
+        path = tmp_path / "t.csv"
+        io._write_table(path, "i,v,j", "%d,%.17g,%d\n", np.array(rows, dtype=np.float64))
+        assert path.read_bytes() == savetxt_reference("i,v,j", rows, ["%d", "%.17g", "%d"])
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "e.csv"
+        io._write_table(path, "i,v", "%d,%.17g\n", np.zeros((0, 2)))
+        assert path.read_bytes() == b"i,v\n"
 
 
 class TestDistributionAndLabelFiles:

@@ -48,7 +48,7 @@ scoring every candidate.  The descent screens each NCC sum in float32
 plus a bound E that grows with the windows' conditioning,
 ``_screen_slack``); the template chain takes every candidate's mean and
 variance from prefix sums and its cross term from one dot product
-(``_chain_screen``).
+(``_chain_bounds``).
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def _screen_stats(stats, n: int):
     return tuple(a.astype(np.float32) for a in stats), float(_conditioning(stats[1], stats[2], n).sum())
 
 
-def _screened_sum(screen_a, screen_b, n: int, slack: float, bufs=None) -> float:
+def _screened_sum(screen_a, screen_b, n: int, slack: float, bufs) -> float:
     """An upper bound on ``_ncc_from_stats`` of two window statistics, from
     their ``_screen_stats``: the float32 NCC sum plus E (``_screen_slack``).
 
@@ -411,16 +411,17 @@ def solve_from_surfaces(surfaces) -> DisplacementField:
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 
 
-def _chain_screen(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
+def _chain_bounds(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
     """Screened global NCC of every candidate of one template-chain step.
 
     ``t`` is the centred template, ``vt`` its variance, and candidate j is
     columns j ... j + n_r - 1 of the Fortran-ordered ``padded`` (the
-    chain's shift j - 2 * radius).  Returns ``(v, var, err, slack)``: the
-    screened score and variance of every candidate, a bound err on |v -
-    exact score| for every candidate whose screened variance is not within
-    slack of VARIANCE_EPS, and that slack.  The exact score is the
-    per-candidate formula of ``_template_chain``.
+    chain's shift j - 2 * radius).  Returns ``(v, var, undecided, err)``:
+    the screened score and variance of every candidate, the mask of those
+    whose screened variance lies within slack of VARIANCE_EPS (their mask
+    is not decided), and a bound err on |v - exact score| for every other
+    candidate.  The exact score is the per-candidate formula of
+    ``_template_chain``.
 
     Means and variances come from prefix sums of the column sums and
     squared column sums of ``padded``; sum(t * c) is one dot product on the
@@ -468,13 +469,29 @@ def _chain_screen(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
 
     q_hat = max(float(q.max()), float(col_squares[-1]) / (n_a * width))
     slack = 2.0 * (3.0 * (n_a + width + 3) * width / n_r + size + 5) * u * q_hat
-    live = var >= VARIANCE_EPS + slack
+    undecided = np.abs(var - VARIANCE_EPS) < slack
+    live = scored & ~undecided
     err = 0.0
     if live.any():
         low = var[live] - slack
         err = (2.0 * ((2 * size + 4) * u * float(np.sqrt((q[live] / low).max()))
                       + (1.5 * size + 11) * u) + slack / float(low.min()))
-    return v, var, err, slack
+    return v, var, undecided, err
+
+
+def _chain_screen(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int) -> np.ndarray:
+    """The candidates of one template-chain step that can still win, as a
+    mask over the candidates of ``_chain_bounds``.
+
+    Every candidate whose mask is decided scores within err of its
+    screened score, so one more than 2 err below the best screened score
+    of such a candidate is beaten by that candidate's exact score.  The
+    rest are those within 2 err of it, and the undecided ones, which do
+    not set the best.
+    """
+    v, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
+    top = v[~undecided].max(initial=-np.inf)
+    return undecided | (v >= top - 2.0 * err)
 
 
 def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
@@ -491,14 +508,14 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     a contiguous block in the same memory order and numpy's pairwise means
     round exactly as they do on the resampled B-scan.
 
-    All candidates are first screened at once (``_chain_screen``), within a
+    All candidates are first screened at once (``_chain_bounds``), within a
     proven err of their exact scores.  Only the candidates that can still
-    win are scored exactly, in search order with the strict ``>``: those
-    within 2 err of the best screened score, and those whose screened
-    variance lies within the slack of VARIANCE_EPS (their mask is not
-    decided; they do not set the best).  The exact winner, and every
-    candidate that ties it, is among them, so the chosen shift is the one
-    of scoring every candidate.
+    win (``_chain_screen``) are scored exactly, in search order with the
+    strict ``>``: those within 2 err of the best screened score, and those
+    whose screened variance lies within a derived slack of VARIANCE_EPS
+    (their mask is not decided; they do not set the best).  The exact
+    winner, and every candidate that ties it, is among them, so the chosen
+    shift is the one of scoring every candidate.
     """
     n_b, _, n_r = data.shape
     span = 2 * radius
@@ -510,10 +527,7 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
         padded = np.asfortranarray(np.pad(data[b], ((0, 0), (span, span)), mode="edge"))
-        screened, var, err, slack = _chain_screen(t, vt, padded, n_r)
-        undecided = np.abs(var - VARIANCE_EPS) < slack
-        top = screened[~undecided].max(initial=-np.inf)
-        confirm = undecided | (screened >= top - 2.0 * err)
+        confirm = _chain_screen(t, vt, padded, n_r)
         best_s, best_v = 0, -np.inf
         for s in search_order(span):
             if not confirm[span + s]:

@@ -1,20 +1,23 @@
-"""Axial motion correction by direct minimization of the alignment objective.
+"""Axial motion correction by direct minimization of an alignment objective.
 
-The objective combines two terms over adjacent B-scans:
+Two objectives over adjacent B-scans are minimized:
 
-* a windowed squared normalized cross-correlation similarity (higher is
-  better, entered negated), and
-* when ground-truth surfaces are available, a supervised mismatch
-  sum((r_b - d_b) - (r_{b+1} - d_{b+1}))^2 over all A-scans and surfaces.
+* with ground-truth surfaces, the supervised mismatch
+  sum((r_b - d_b) - (r_{b+1} - d_{b+1}))^2 over all A-scans and surfaces,
+  whose exact minimizer is the closed form ``solve_from_surfaces``; and
+* without them, a windowed squared normalized cross-correlation similarity
+  (higher is better, entered negated), the sum of the per-pixel map that
+  ``local_ncc_map`` returns.
 
-Both terms are invariant to a constant added to all displacements, so
-every solver mean-centers its result (the gauge convention used throughout
-the package).  The similarity term is the sum of the per-pixel map that
-``local_ncc_map`` returns.
+Both are invariant to a constant added to all displacements, so every
+solver mean-centers its result (the gauge convention used throughout the
+package).  The paper's hybrid of the two for sparse annotation (surfaces
+on some B-scans, the similarity bridging the rest) has no solver here;
+``losses.alignment_loss_semi`` models its supervised part.
 
-Three solvers are provided: a closed form that minimizes the supervised
-term exactly, a coordinate-descent optimizer over the full objective
-(integer grid plus parabolic subpixel refinement), and a sequential
+Three solvers are provided: the closed form, which ``optimize_alignment``
+returns when given surfaces; a coordinate descent on the similarity
+(integer grid plus parabolic subpixel refinement); and a sequential
 template-matching baseline that registers each B-scan to its corrected
 predecessor by global NCC.
 
@@ -33,17 +36,11 @@ once per call: the doubling passes of the box sum alternate between two
 of them, and the map is written into a third.  Windows of constant
 background are dropped by dividing by a "safe" variance, +inf where the
 variance is below VARIANCE_EPS, so they score exactly 0 without a mask.
-The descent also skips a candidate when a lower bound on its terms is
-above the best value found so far: every scored window adds at most 1 to
-an NCC sum (Cauchy-Schwarz), plus a rounding slack tau derived from the
-volume's largest magnitude against VARIANCE_EPS (``_ncc_sum_bound``), so
-the smoothness terms minus that cap bound the terms from below, and the
-skipped candidates could not have won.
 
-Both searches then screen the remaining candidates cheaply, with a proven
-error bound, and score exactly (with the float64 code above) only those
-the screen says could still win, so every chosen shift is the one of
-scoring every candidate.  The descent screens each NCC sum in float32
+Both searches screen their candidates cheaply, with a proven error bound,
+and score exactly (with the float64 code above) only those the screen
+says could still win, so every chosen shift is the one of scoring every
+candidate.  The descent screens each NCC sum in float32
 (``_screened_sum``: the same kernel on float32 copies of the statistics,
 plus a bound E that grows with the windows' conditioning,
 ``_screen_slack``); the template chain takes every candidate's mean and
@@ -73,7 +70,6 @@ class AlignConfig:
     max_iters: int = 10
     tol: float = 1e-6          # relative objective decrease that stops the sweeps
     w_ncc: float = 1.0
-    w_smooth: float = 1.0
 
     def __post_init__(self):
         if self.ncc_window < 3 or self.ncc_window % 2 == 0:
@@ -82,7 +78,7 @@ class AlignConfig:
             raise ValidationError(f"search_radius must be >= 1, got {self.search_radius}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        for name in ("tol", "w_ncc", "w_smooth"):
+        for name in ("tol", "w_ncc"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
@@ -222,33 +218,19 @@ def _ncc_from_stats(stats_a, stats_b, n: int, bufs=None) -> float:
 
 def _variance_rho(n: int, max_abs: float) -> float:
     """Relative rounding error of a computed window variance that passes the
-    mask, for |values| <= max_abs (derived in ``_ncc_sum_bound``)."""
-    return (3 * (4 * n.bit_length() + 1) + 4) * 2.0 ** -53 * max_abs * max_abs / VARIANCE_EPS
+    mask, for |values| <= max_abs.
 
-
-def _ncc_sum_bound(shape, n: int, max_abs: float) -> float:
-    """An upper bound on ``_ncc_from_stats`` for images of this shape.
-
-    Each of the cap = (h - n + 1)(w - n + 1) scored windows is a squared
-    correlation, at most 1 by Cauchy-Schwarz, and the other entries of the
-    map are exactly 0, so the exact sum is at most cap.  The bound is
-    cap * (1 + tau), where tau covers the rounding of the computed sum.
     With u = 2**-53 and |values| <= max_abs = M, every box sum adds each
     term through at most D = 4 * bit_length(n) + 1 roundings (two doubling
     passes and the product), so the computed variance and cross term
     box(a*b) - s_a*s_b/n^2 are each within eps = (3D + 4) u n^2 M^2 of the
-    exact ones; that is a relative error rho = eps / (VARIANCE_EPS n^2) of
-    any variance that passes the mask (``_variance_rho``).  Then a window
-    scores at most (1 + 2 rho)^2 (1 + 4u), and summing the map, fewer than
-    N = h * w entries in any order, adds a factor (1 + N u).  tau doubles
-    the first-order total to cover the second-order terms and the rounding
-    of this bound.  A loose tau only means a weaker bound; at intensities
-    near 1, n = 9 and clinical B-scans, tau is about 5e-9.
+    exact ones.  A variance that passes the mask is at least
+    VARIANCE_EPS n^2, so eps is a relative error rho = eps / (VARIANCE_EPS
+    n^2) of it.  A scored window's exact squared correlation is at most 1
+    (Cauchy-Schwarz), so its cross term squared over the computed
+    variances is at most (1 + 2 rho)^2.
     """
-    h, w = shape
-    rho = _variance_rho(n, max_abs)
-    tau = 2.0 * (4.0 * rho * (1.0 + rho) + (h * w + 4) * 2.0 ** -53)
-    return (h - n + 1) * (w - n + 1) * (1.0 + tau)
+    return (3 * (4 * n.bit_length() + 1) + 4) * 2.0 ** -53 * max_abs * max_abs / VARIANCE_EPS
 
 
 def _screen_slack(n: int, max_abs: float) -> float:
@@ -263,7 +245,7 @@ def _screen_slack(n: int, max_abs: float) -> float:
 
     Derivation, per window scored in both images (any other window is
     exactly 0 in both maps), with u = 2**-24 and D = 4 * bit_length(n) + 1
-    as in ``_ncc_sum_bound``.  Let C be the cross term box(a*b) -
+    as in ``_variance_rho``.  Let C be the cross term box(a*b) -
     s_a*s_b/n^2 in exact arithmetic on the float64 images and sums, m* =
     C^2 / (var_a var_b) on the float64 variances, and r = |C| /
     sqrt(var_a var_b), at most R = 1 + 2 rho (rho = ``_variance_rho``, as
@@ -289,8 +271,8 @@ def _screen_slack(n: int, max_abs: float) -> float:
     Float32 underflow moves a window by less than 2**-120 of a passing
     variance, far inside the u terms.  A float32 overflow of var_a * var_b
     (each at most n^2 M^2) would score a window 0, so the slack is inf
-    once n^2 M^2 reaches 2**63, and the screen then never prunes.  A loose
-    E only screens less.
+    once n^2 M^2 reaches 2**63, and the descent then does not screen.  A
+    loose E only screens less.
     """
     if n * n * max_abs * max_abs >= 2.0 ** 63:
         return np.inf
@@ -317,8 +299,8 @@ def _screened_sum(screen_a, screen_b, n: int, slack: float, bufs) -> float:
     """An upper bound on ``_ncc_from_stats`` of two window statistics, from
     their ``_screen_stats``: the float32 NCC sum plus E (``_screen_slack``).
 
-    ``bufs`` are float32 ``_ncc_buffers``.  The result is nan or inf when
-    the slack is inf; callers take the smaller of it and the cap bound.
+    ``bufs`` are float32 ``_ncc_buffers``.  Only called with a finite
+    slack: where it is inf the float32 map can overflow to nan.
     """
     (stats_a, kappa_a), (stats_b, kappa_b) = screen_a, screen_b
     total = float(_ncc_map(stats_a, stats_b, n, bufs).sum(dtype=np.float64))
@@ -546,14 +528,18 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                        cfg: AlignConfig | None = None,
                        trace: list | None = None, *,
                        chain: np.ndarray | None = None) -> DisplacementField:
-    """Estimate axial displacements by coordinate descent on the objective.
+    """Estimate axial displacements, mean-centered.
 
-    Sweeps over B-scans; each d_b is minimized over the integers in
-    [-search_radius, +search_radius] plus its current value, with optional
-    parabolic refinement between the best integer and its neighbors.  Only
-    the terms touching b are evaluated per candidate.  The objective is
-    asserted non-increasing after every sweep; pass ``trace`` (a list) to
-    record it.  The result is mean-centered.
+    With ``surfaces`` the result is ``solve_from_surfaces``, the exact
+    minimizer of the supervised term, and ``trace`` (a list) receives that
+    term's value at the result.
+
+    Without them, a coordinate descent on the similarity sweeps over
+    B-scans; each d_b is minimized over the integers in [-search_radius,
+    +search_radius] plus its current value, with optional parabolic
+    refinement between the best integer and its neighbors.  Only the two
+    NCC sums touching b are evaluated per candidate.  The objective is
+    asserted non-increasing after every sweep; pass ``trace`` to record it.
 
     The integer candidates of B-scan b are blocks of rows of one
     edge-padded, transposed copy of it (``_shift_table``): their window
@@ -568,26 +554,18 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     contiguous block.  The cross terms run in work arrays allocated once
     per call (``_ncc_buffers``).
 
-    A candidate is skipped without scoring when a lower bound on its terms
-    is above the running best: each NCC sum is at most
-    ``_ncc_sum_bound`` = cap * (1 + tau) (cap scored windows of squared
-    correlation at most 1, tau the rounding slack derived there from the
-    volume's largest magnitude against VARIANCE_EPS), so the terms are at
-    least the smoothness terms minus w_ncc * cap * (1 + tau) per neighbor.
-    That check is free; a candidate that survives it is screened: its two
-    NCC sums are computed in float32 (``_screened_sum``, float32 work
-    arrays allocated once per call), and the bound becomes the smoothness
-    terms minus w_ncc * min(cap * (1 + tau), S32 + E) per neighbor, with E
-    derived in ``_screen_slack`` from each window's conditioning.  Only a
-    candidate that passes both is scored exactly.  The bounds are
-    evaluated by the same float operations as the terms, with the NCC sums
-    replaced by larger values; rounding is monotone, so a computed bound
-    never exceeds the computed terms, and a skipped candidate could not
-    have passed the strict ``<`` test.  Candidates are still visited from
-    -R to R, so the chosen shift is bit for bit the one of scoring every
-    candidate; a parabola neighbor that was skipped is scored when the
-    refinement needs it.  Without surfaces the cap bound never rises above
-    the best, and only the screen skips.
+    A candidate is screened before it is scored: its two NCC sums are
+    computed in float32 (``_screened_sum``, float32 work arrays allocated
+    once per call), and S32 + E, with E derived in ``_screen_slack`` from
+    each window's conditioning, bounds each float64 sum from above.  The
+    candidate is skipped when -w_ncc times those bounds is above the
+    running best; the bound is evaluated by the same float operations as
+    the terms, and rounding is monotone, so a skipped candidate could not
+    have passed the strict ``<`` test.  Where the slack is inf (a float32
+    variance product could overflow) nothing is screened.  Candidates are
+    still visited from -R to R, so the chosen shift is bit for bit the one
+    of scoring every candidate; a parabola neighbor that was skipped is
+    scored when the refinement needs it.
 
     The objective evaluated before a sweep keeps its N_B - 1 pair NCC sums
     (floats only): at step b, ncc(current value, right neighbor) is its
@@ -595,8 +573,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     the value chosen at step b - 1, so the current value costs no cross
     term.  The objective after a sweep is still recomputed from scratch.
 
-    The descent is warm-started (the closed-form surface solution when
-    surfaces are given, a sequential template chain otherwise): relative
+    The descent is warm-started from a sequential template chain: relative
     shifts between neighbors can reach twice the per-B-scan amplitude,
     which is outside the NCC capture range, so a cold start can strand
     whole B-scans in flat regions of the similarity.  The start is
@@ -608,45 +585,33 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     cfg = cfg or AlignConfig()
     if not isinstance(volume, OctVolume):
         raise DimensionError("optimize_alignment expects an OctVolume")
-    data = volume.data.astype(np.float64)
-    n_b = data.shape[0]
-    if min(data.shape[1], data.shape[2]) < cfg.ncc_window:
+    n_b = volume.data.shape[0]
+    if min(volume.data.shape[1], volume.data.shape[2]) < cfg.ncc_window:
         raise DimensionError(
-            f"B-scans {data.shape[1:]} smaller than the NCC window {cfg.ncc_window}"
+            f"B-scans {volume.data.shape[1:]} smaller than the NCC window {cfg.ncc_window}"
         )
+    if surfaces is not None:
+        pos = _positions(surfaces)
+        if pos.shape[1] != n_b:
+            raise DimensionError(f"surfaces have N_B={pos.shape[1]}, volume has {n_b}")
+        disp = solve_from_surfaces(pos)
+        if trace is not None:
+            trace.append(surface_alignment_loss(pos, disp.axial))
+        return disp
+
+    data = volume.data.astype(np.float64)
     n = cfg.ncc_window
     radius = cfg.search_radius
     shape = (data.shape[2], data.shape[1])  # a B-scan as scored, (R, N_A)
     bufs = _ncc_buffers(shape, n)
     bufs32 = _ncc_buffers(shape, n, np.float32)
-    max_abs = float(np.abs(data).max())
-    ncc_bound = _ncc_sum_bound(shape, n, max_abs)
-    slack = _screen_slack(n, max_abs)
-
-    sm_s1 = sm_s2 = None
-    sm_n = 0.0
-    if surfaces is not None:
-        pos = _positions(surfaces)
-        if pos.shape[1] != n_b:
-            raise DimensionError(f"surfaces have N_B={pos.shape[1]}, volume has {n_b}")
-        if pos.shape[0]:
-            dr = pos[:, 1:, :] - pos[:, :-1, :]
-            sm_n = float(dr.shape[0] * dr.shape[2])
-            sm_s1 = dr.sum(axis=(0, 2))
-            sm_s2 = (dr * dr).sum(axis=(0, 2))
-
-    def smooth_pair(b, e):
-        return sm_s2[b] - 2.0 * e * sm_s1[b] + sm_n * e * e
+    slack = _screen_slack(n, float(np.abs(data).max()))
 
     def stats_at(b, x):
         return _window_stats(_interp_rows(data[b], x).T, n)
 
     def ncc(stats_a, stats_b):
         return _ncc_from_stats(stats_a, stats_b, n, bufs)
-
-    def screened(screen_a, screen_b):
-        v = _screened_sum(screen_a, screen_b, n, slack, bufs32)
-        return v if v < ncc_bound else ncc_bound  # also when v is nan
 
     def full_objective(dvec):
         """The objective at dvec and its N_B - 1 pair NCC sums."""
@@ -656,18 +621,10 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             nxt = stats_at(b + 1, dvec[b + 1])
             pairs.append(ncc(stats, nxt))
             total -= cfg.w_ncc * pairs[-1]
-            if sm_s1 is not None:
-                total += cfg.w_smooth * smooth_pair(b, dvec[b + 1] - dvec[b])
             stats = nxt
         return total, pairs
 
-    if sm_s1 is not None:
-        step = sm_s1 / sm_n
-        d = np.concatenate([[0.0], np.cumsum(step)])
-    elif chain is not None:
-        d = np.array(chain, dtype=np.float64)
-    else:
-        d = _template_chain(data, radius)
+    d = _template_chain(data, radius) if chain is None else np.array(chain, dtype=np.float64)
     d -= 0.5 * (d.max() + d.min())  # midrange-center into the search box
     np.clip(d, -radius, radius, out=d)
 
@@ -684,18 +641,14 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
             neighbors = []  # their _screen_stats, made when first needed
 
-            def local(x, ncc_left, ncc_right):
-                """The terms touching b at d[b] = x, given its two NCC sums
-                (or upper bounds on them, for a lower bound on the terms)."""
+            def local(ncc_left, ncc_right):
+                """The terms touching b, given its two NCC sums (or upper
+                bounds on them, for a lower bound on the terms)."""
                 val = 0.0
                 if left is not None:
                     val -= cfg.w_ncc * ncc_left
-                    if sm_s1 is not None:
-                        val += cfg.w_smooth * smooth_pair(b - 1, x - d[b - 1])
                 if right is not None:
                     val -= cfg.w_ncc * ncc_right
-                    if sm_s1 is not None:
-                        val += cfg.w_smooth * smooth_pair(b, d[b + 1] - x)
                 return val
 
             def exact(cand):
@@ -707,27 +660,27 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                     neighbors.extend(None if nb is None else _screen_stats(nb, n)
                                      for nb in (left, right))
                 cand = screen_at(k)
-                return (0.0 if left is None else screened(neighbors[0], cand),
-                        0.0 if right is None else screened(cand, neighbors[1]))
+                return (0.0 if left is None else
+                        _screened_sum(neighbors[0], cand, n, slack, bufs32),
+                        0.0 if right is None else
+                        _screened_sum(cand, neighbors[1], n, slack, bufs32))
 
             table, screen_at = _shift_table(data[b], n, radius)
             best_x, best = float(d[b]), cur
             # ncc(cur, right) is term b of the objective that preceded the sweep
             best_sums = (left_cur, 0.0 if right is None else pairs[b])
-            best_v = local(best_x, *best_sums)
+            best_v = local(*best_sums)
             grid = {}
             for k in range(-radius, radius + 1):
                 x = float(k)
                 if x == best_x:
                     grid[k] = best_v
                     continue
-                if local(x, ncc_bound, ncc_bound) > best_v:
+                if slack < np.inf and local(*screen(k)) > best_v:
                     continue  # even its lower bound loses to the best so far
-                if local(x, *screen(k)) > best_v:
-                    continue  # so does the tighter one of the float32 screen
                 cand = table(k)
                 sums = exact(cand)
-                grid[k] = v = local(x, *sums)
+                grid[k] = v = local(*sums)
                 if v < best_v:
                     best_v, best_x, best, best_sums = v, x, cand, sums
             if (
@@ -738,14 +691,14 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                 k0 = int(best_x)
                 for k in (k0 - 1, k0 + 1):
                     if k not in grid:
-                        grid[k] = local(float(k), *exact(table(k)))
+                        grid[k] = local(*exact(table(k)))
                 f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
                 curv = f_p - 2.0 * f_0 + f_m
                 if curv > 0:
                     xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
                     cand = stats_at(b, xv)
                     sums = exact(cand)
-                    v = local(xv, *sums)
+                    v = local(*sums)
                     if v < best_v:
                         best_v, best_x, best, best_sums = v, xv, cand, sums
             d[b] = best_x

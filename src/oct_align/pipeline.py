@@ -6,7 +6,7 @@ integer transverse shifts in the same range), recovers the motion with
 every method, and aggregates mean/std recovery errors into a versioned,
 deterministic JSON report.
 
-Methods reported: supervised and unsupervised direct optimization,
+Methods reported: the supervised closed form, the unsupervised descent,
 template matching (axial); retina-masked and unmasked projection matching
 (transverse, the unmasked run mirrors the no-layer-mask ablation).
 """

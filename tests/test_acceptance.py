@@ -57,6 +57,21 @@ class TestCriterion1AxialRecovery:
         )
 
 
+class TestUnsupervisedAxialQuality:
+    def test_suite_mean_and_paired_comparison_with_template(self, suite):
+        # bounds at the descent's recorded values on this suite (0.48478 px,
+        # 19/20), so a change to its warm start or search cannot lose accuracy
+        report, _ = suite
+        mean = report["axial_recovery_px"]["unsupervised"]["mean_px"]
+        assert mean <= 0.485, f"unsupervised axial residual {mean:.5f} px > 0.485 px"
+        not_worse = sum(
+            1
+            for row in report["per_phantom"]
+            if row["axial_unsupervised_mean_px"] <= row["axial_template_mean_px"]
+        )
+        assert not_worse >= 19, f"unsupervised <= template on {not_worse}/20 phantom seeds"
+
+
 class TestCriterion2TransverseRecovery:
     def test_masked_residual_and_ablation_direction(self, suite):
         report, _ = suite

@@ -11,7 +11,6 @@ from oct_align.align import (
     _ncc_from_stats,
     _ncc_buffers,
     _ncc_map,
-    _ncc_sum_bound,
     _screen_slack,
     _screen_stats,
     _screened_sum,
@@ -275,12 +274,10 @@ class TestOptimizeAlignment:
 
     def test_objective_monotone_across_sweeps(self):
         vol, surf = generate_phantom(PhantomSpec(seed=3))
-        from oct_align.synth import simulate_motion
-
-        cvol, csurf, _ = simulate_motion(vol, surf, seed=21)
+        cvol, _, _ = simulate_motion(vol, surf, seed=26)
         trace = []
-        optimize_alignment(cvol, csurf, trace=trace)
-        assert len(trace) >= 2
+        optimize_alignment(cvol, None, trace=trace)
+        assert len(trace) >= 3 and trace[1] < trace[0]  # the first sweep moved
         diffs = np.diff(trace)
         assert (diffs <= 1e-9 * (1 + np.abs(trace[:-1]))).all()
 
@@ -298,32 +295,42 @@ class TestOptimizeAlignment:
         with pytest.raises(DimensionError):
             optimize_alignment(vol, SurfaceSet(np.full((1, 5, 4), 3.0)))
 
-    # rint(d - d[0]) of the descent on simulate_motion(seed + 100) of
-    # PhantomSpec(seed), recorded before the candidate table replaced direct
-    # resampling; on these seeds no B-scan lies within 2e-3 px of a rounding
-    # boundary, so only a changed integer choice can change a literal
+    def test_supervised_is_the_closed_form(self):
+        vol, surf = generate_phantom(PhantomSpec(n_b=10, n_a=32, n_r=64, seed=6))
+        cvol, csurf, _ = simulate_motion(vol, surf, seed=7)
+        trace = []
+        got = optimize_alignment(cvol, csurf, trace=trace)
+        want = solve_from_surfaces(csurf)
+        assert np.array_equal(got.axial, want.axial)
+        assert np.array_equal(got.transverse, want.transverse)
+        assert trace == [surface_alignment_loss(csurf, want.axial)]  # no sweep ran
+        # the volume checks come before the surfaces' N_B check
+        with pytest.raises(DimensionError, match="OctVolume"):
+            optimize_alignment(cvol.data, csurf.positions[:, :3])
+        with pytest.raises(DimensionError, match="NCC window"):
+            optimize_alignment(OctVolume(cvol.data[:, :4]), csurf.positions[:, :3])
+
+    # rint(d - d[0]) of the unsupervised descent on simulate_motion(seed + 100)
+    # of PhantomSpec(seed), recorded before the candidate table replaced
+    # direct resampling; on these seeds no B-scan lies within 2e-3 px of a
+    # rounding boundary, so only a changed integer choice can change a literal
     GOLDEN = {
-        (11, "supervised"): [0, 0, 11, 15, 18, -1, 19, 24, 3, 1, 6, 17, -2, 8, 7, 24,
-                             5, 14, 18, -2, 21, 11, 22, 9],
-        (11, "unsupervised"): [0, 0, 11, 15, 18, -1, 19, 24, 3, 1, 5, 17, -3, 7, 6, 22,
-                               3, 12, 16, -3, 19, 9, 21, 8],
-        (12, "supervised"): [0, 22, 21, -3, -1, 11, 21, 4, 6, 18, -2, 21, 26, 20, 26, 12,
-                             2, 21, 26, 19, 0, 6, 3, 19],
-        (12, "unsupervised"): [0, 22, 21, -2, 0, 12, 22, 5, 7, 19, -1, 22, 27, 22, 28, 14,
-                               4, 23, 28, 21, 1, 7, 4, 20],
-        (16, "supervised"): [0, 21, 24, 24, 10, 13, 4, 11, 4, 10, 4, 0, 23, 23, -4, 3,
-                             23, 14, 13, -1, 18, 15, 1, 20],
-        (16, "unsupervised"): [0, 21, 24, 24, 11, 14, 5, 12, 5, 11, 5, 1, 25, 24, -3, 5,
-                               25, 16, 15, 1, 20, 17, 3, 22],
+        11: [0, 0, 11, 15, 18, -1, 19, 24, 3, 1, 5, 17, -3, 7, 6, 22,
+             3, 12, 16, -3, 19, 9, 21, 8],
+        12: [0, 22, 21, -2, 0, 12, 22, 5, 7, 19, -1, 22, 27, 22, 28, 14,
+             4, 23, 28, 21, 1, 7, 4, 20],
+        16: [0, 21, 24, 24, 11, 14, 5, 12, 5, 11, 5, 1, 25, 24, -3, 5,
+             25, 16, 15, 1, 20, 17, 3, 22],
     }
 
     @pytest.mark.parametrize("seed", [11, 12, 16])
     def test_golden_integer_shifts(self, seed):
         vol, surf = generate_phantom(PhantomSpec(seed=seed))
         cvol, csurf, _ = simulate_motion(vol, surf, seed=seed + 100)
-        for mode, s in (("supervised", csurf), ("unsupervised", None)):
-            d = optimize_alignment(cvol, s).axial
-            assert np.rint(d - d[0]).astype(int).tolist() == self.GOLDEN[seed, mode]
+        assert np.array_equal(optimize_alignment(cvol, csurf).axial,
+                              solve_from_surfaces(csurf).axial)
+        d = optimize_alignment(cvol, None).axial
+        assert np.rint(d - d[0]).astype(int).tolist() == self.GOLDEN[seed]
 
     def test_given_chain_matches_computed_chain(self):
         vol, surf = generate_phantom(PhantomSpec(n_b=10, n_a=32, n_r=64, seed=5))
@@ -336,7 +343,7 @@ class TestOptimizeAlignment:
         assert np.array_equal(got.axial, optimize_alignment(cvol, None, cfg).axial)
 
 
-def exhaustive_descent(volume, surfaces, cfg, trace):
+def exhaustive_descent(volume, cfg, trace, chain=None):
     """The coordinate descent with nothing skipped or carried: every integer
     candidate and both neighbors resampled directly at every step."""
     data = volume.data.astype(np.float64)
@@ -345,38 +352,23 @@ def exhaustive_descent(volume, surfaces, cfg, trace):
     def stats_at(b, x):
         return _window_stats(_interp_rows(data[b], x).T, n)
 
-    if surfaces is not None:
-        dr = np.diff(np.asarray(surfaces, dtype=np.float64), axis=1)
-        sm_n = float(dr.shape[0] * dr.shape[2])
-        sm_s1, sm_s2 = dr.sum(axis=(0, 2)), (dr * dr).sum(axis=(0, 2))
-        d = np.concatenate([[0.0], np.cumsum(sm_s1 / sm_n)])
-    else:
-        d = _template_chain(data, radius)
+    d = _template_chain(data, radius) if chain is None else np.array(chain, dtype=float)
     d -= 0.5 * (d.max() + d.min())
     np.clip(d, -radius, radius, out=d)
-
-    def smooth_pair(b, e):
-        return sm_s2[b] - 2.0 * e * sm_s1[b] + sm_n * e * e
 
     def local(b, x, left, right):
         st = stats_at(b, x)
         val = 0.0
         if left is not None:
             val -= cfg.w_ncc * _ncc_from_stats(left, st, n)
-            if surfaces is not None:
-                val += cfg.w_smooth * smooth_pair(b - 1, x - d[b - 1])
         if right is not None:
             val -= cfg.w_ncc * _ncc_from_stats(st, right, n)
-            if surfaces is not None:
-                val += cfg.w_smooth * smooth_pair(b, d[b + 1] - x)
         return val
 
     def full_objective():
         total = 0.0
         for b in range(n_b - 1):
             total -= cfg.w_ncc * _ncc_from_stats(stats_at(b, d[b]), stats_at(b + 1, d[b + 1]), n)
-            if surfaces is not None:
-                total += cfg.w_smooth * smooth_pair(b, d[b + 1] - d[b])
         return total
 
     obj = full_objective()
@@ -431,72 +423,48 @@ def table_reads(monkeypatch):
 
 
 class TestBoundedDescent:
-    """Skipping candidates whose lower bound is above the running best must
-    change no chosen shift: the descent equals the exhaustive one bit for bit."""
+    """Skipping candidates whose screened lower bound is above the running
+    best must change no chosen shift: the descent equals the exhaustive one
+    bit for bit."""
 
-    @pytest.mark.parametrize("seed,scale,offset,w_smooth,supervised", [
-        (0, 1.0, 0.0, 1.0, True),
-        (1, 1.0, 0.0, 1.0, True),
-        (2, 1.0, 0.0, 1.0, True),
-        (0, 1.0, 0.0, 1.0, False),
-        (3, 1e3, 500.0, 1.0, True),
-        (4, 1.0, 0.0, 1e-3, True),
-        (4, 1.0, 0.0, 1e3, True),
-        (1, 1.0, 0.0, 1.0, False),
-        (3, 1e3, 500.0, 1.0, False),
-        (5, 1.0, 0.0, 0.0, True),
+    @pytest.mark.parametrize("seed,scale,offset", [
+        (0, 1.0, 0.0),
+        (1, 1.0, 0.0),
+        (3, 1e3, 500.0),
     ])
-    def test_equals_exhaustive_descent(self, table_reads, seed, scale, offset, w_smooth,
-                                       supervised):
+    def test_equals_exhaustive_descent(self, table_reads, seed, scale, offset):
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
-        cvol, csurf, _ = simulate_motion(vol, surf, seed=seed + 40)
+        cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
         cvol = OctVolume(cvol.data * scale + offset)
-        surfaces = csurf.positions if supervised else None
-        cfg = AlignConfig(w_smooth=w_smooth)
+        cfg = AlignConfig()
         got_trace, want_trace = [], []
-        got = optimize_alignment(cvol, surfaces, cfg, trace=got_trace).axial
-        want = exhaustive_descent(cvol, surfaces, cfg, want_trace)
+        got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
+        want = exhaustive_descent(cvol, cfg, want_trace)
         assert np.array_equal(got, want)
         assert got_trace == want_trace
-        n_read = sum(len(r) for r in table_reads)
         if scale == 1.0:
-            # the cap or the float32 screen did skip candidates, in both modes
-            assert n_read < len(table_reads) * 31 // 2
-        elif supervised and w_smooth >= 1.0:
-            assert n_read < len(table_reads) * 31  # the bound did skip candidates
+            # the float32 screen did skip candidates
+            assert sum(len(r) for r in table_reads) < len(table_reads) * 31 // 2
 
-    def test_equals_exhaustive_descent_where_ncc_is_near_its_cap(self, rng, table_reads):
-        # B-scans are affine copies of one texture under integer motion, so the
-        # true shift scores close to the cap of the bound; the surfaces put the
-        # warm start 2 px off it, and only a bound that holds there keeps it
-        texture = rng.uniform(size=(24, 64))
-        axial = np.array([0, 4, -3, 7, 2, -5, 3, 1], dtype=float)
-        data = np.stack([(1.0 + 0.2 * b) * _interp_rows(texture, -axial[b]) + 0.1 * b
-                         for b in range(8)])
-        vol = OctVolume(data)
-        base = 10.0 + 8.0 * np.arange(3)[:, None, None] + np.zeros((3, 1, 24))
-        surfaces = base + (axial + 2.0 * (np.arange(8) % 2))[None, :, None]
-        got = optimize_alignment(vol, surfaces).axial
-        want = exhaustive_descent(vol, surfaces, AlignConfig(), [])
+    @pytest.mark.parametrize("scale", [1e9, 1e10])
+    def test_equals_exhaustive_descent_where_the_screen_is_off(self, table_reads, scale):
+        # at n^2 M^2 >= 2**63 a float32 variance product can overflow, so the
+        # slack is inf and the descent must score every candidate; at x1e10
+        # the float32 screen itself would overflow to nan, with a warning
+        # that the test suite turns into an error, so it must not run
+        vol, surf = generate_phantom(PhantomSpec(n_b=6, n_a=24, n_r=64, seed=2))
+        cvol, _, _ = simulate_motion(vol, surf, seed=42)
+        cvol = OctVolume(cvol.data * scale)
+        cfg = AlignConfig(max_iters=2)
+        assert 81.0 * float(np.abs(cvol.data).max()) ** 2 >= 2.0 ** 63
+        assert _screen_slack(9, float(np.abs(cvol.data).max())) == np.inf
+        got_trace, want_trace = [], []
+        got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
+        want = exhaustive_descent(cvol, cfg, want_trace)
         assert np.array_equal(got, want)
-        assert np.abs(np.diff(want) - np.diff(axial)).max() < 0.5  # the texture won
-
-    def test_ncc_sum_bound_covers_rounding(self, rng):
-        # perfectly correlated pairs score 1 per window in exact arithmetic;
-        # rounding can push the computed sum above the window count
-        n, shape = 9, (64, 32)
-        cap = (64 - n + 1) * (32 - n + 1)
-        over = 0.0
-        for scale, offset in ((1.0, 0.0), (1.0, 100.0), (1e3, 500.0)):
-            for _ in range(10):
-                a = rng.uniform(size=shape) * scale + offset
-                b = a * rng.uniform(0.5, 3.0) + rng.uniform(-2.0, 2.0) * scale
-                m = float(max(np.abs(a).max(), np.abs(b).max()))
-                got = _ncc_from_stats(_window_stats(a, n), _window_stats(b, n), n)
-                assert got <= _ncc_sum_bound(shape, n, m)
-                over = max(over, got - cap)
-        assert over > 0.0
-        assert _ncc_sum_bound(shape, n, 1.0) < cap * (1.0 + 1e-8)
+        assert got_trace == want_trace
+        # every integer but the current value, once per B-scan and sweep
+        assert all(len(set(r)) >= 30 for r in table_reads)
 
     @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
     def test_screen_bounds_every_candidate(self, rng, case):
@@ -547,31 +515,28 @@ class TestBoundedDescent:
         data[0][:, 35] = 1.0
         data[1][:, 20:51:10] = 1.0
         vol = OctVolume(data)
-        surfaces = np.full((1, 2, 16), 10.0)  # a flat warm start, d = 0
-        cfg = AlignConfig(w_smooth=0.0, subpixel_refine=False, max_iters=1)
+        chain = np.zeros(2)  # a flat warm start, d = 0
+        cfg = AlignConfig(subpixel_refine=False, max_iters=1)
         table, _ = _shift_table(data[0], 9, 15)
         right = _window_stats(data[1].T, 9)
         sums = {k: _ncc_from_stats(table(k), right, 9) for k in (-15, -5, 5, 15)}
         assert set(sums.values()) == {72.0}
-        got = optimize_alignment(vol, surfaces, cfg).axial
-        assert np.array_equal(got, exhaustive_descent(vol, surfaces, cfg, []))
+        got = optimize_alignment(vol, None, cfg, chain=chain).axial
+        assert np.array_equal(got, exhaustive_descent(vol, cfg, [], chain))
         assert got[1] - got[0] == 15.0
 
     def test_skipped_parabola_neighbors_are_scored_on_demand(self, table_reads):
-        # integer surface steps give an integer warm start; at w_smooth = 1e3
-        # every other integer costs at least 1e3 * 72 more smoothness than the
-        # two NCC sums can offset (2 * 56 * 16 windows), so the scan skips all
-        # of them and the refinement must score k0 - 1 and k0 + 1 itself
-        axial = np.array([0, 3, -2, 6, 1, -4, 2, 0], dtype=float)  # max + min even
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=5))
-        cvol, _ = apply_motion(vol, surf, MotionSpec(axial, np.zeros(8, np.int64), (0,)))
-        base = 10.0 + 8.0 * np.arange(3)[:, None, None] + np.zeros((3, 1, 24))
-        surfaces = base + axial[None, :, None]
-        cfg = AlignConfig(w_smooth=1e3, max_iters=1)
-        got = optimize_alignment(cvol, surfaces, cfg).axial
-        start = axial - 0.5 * (axial.max() + axial.min())
-        assert [sorted(r) for r in table_reads] == [[k - 1, k + 1] for k in start.astype(int)]
-        assert np.array_equal(got, exhaustive_descent(cvol, surfaces, cfg, []))
+        # on this item the screen skips both neighbors of one B-scan's best
+        # integer k0 during the scan, so the refinement reads k0 - 1 and
+        # k0 + 1 from the table after k0 itself
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=1))
+        cvol, _, _ = simulate_motion(vol, surf, seed=41)
+        cfg = AlignConfig(max_iters=1)
+        got = optimize_alignment(cvol, None, cfg).axial
+        late = [r for r in table_reads if r != sorted(r)]
+        assert late
+        assert all(r[-2:] == [r[-3] - 1, r[-3] + 1] for r in late)
+        assert np.array_equal(got, exhaustive_descent(cvol, cfg, []))
 
 
 def exhaustive_chain(data, radius):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oct_align import io
+from oct_align.align import solve_from_surfaces
 from oct_align.cli import main
 from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
 from oct_align.pipeline import run_pipeline
@@ -85,6 +86,28 @@ class TestApplyAndAlign:
         assert run(argv) == 0
         d = io.read_displacements(out)
         assert d.n_b == io.read_volume(phantom_dir / "volume.bin").n_b
+
+    def test_supervised_writes_the_closed_form(self, phantom_dir, tmp_path, capsys):
+        vol_path = phantom_dir / "volume_corrupt.bin"
+        surf_path = phantom_dir / "surfaces_corrupt.csv"
+        out = tmp_path / "d.csv"
+        assert run(["align", "--vol", vol_path, "--surfaces", surf_path,
+                    "--mode", "supervised", "--out", out]) == 0
+        # %.17g round-trips float64, so the CSV holds the closed form exactly
+        want = solve_from_surfaces(io.read_surfaces(surf_path))
+        assert np.array_equal(io.read_displacements(out).axial, want.axial)
+        capsys.readouterr()
+        # surfaces with fewer B-scans than the volume
+        short = tmp_path / "short.csv"
+        io.write_surfaces(short, SurfaceSet(io.read_surfaces(surf_path).positions[:, :-1]))
+        code = run(["align", "--vol", vol_path, "--surfaces", short,
+                    "--mode", "supervised", "--out", tmp_path / "bad.csv"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+        assert json.loads(lines[0])["error"] == "DimensionError"
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_supervised_requires_surfaces(self, phantom_dir, tmp_path, capsys):
         code = run(["align", "--vol", phantom_dir / "volume.bin",

@@ -567,11 +567,25 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     of scoring every candidate; a parabola neighbor that was skipped is
     scored when the refinement needs it.
 
-    The objective evaluated before a sweep keeps its N_B - 1 pair NCC sums
-    (floats only): at step b, ncc(current value, right neighbor) is its
-    term b, and ncc(left neighbor, current value) is the right-hand sum of
-    the value chosen at step b - 1, so the current value costs no cross
-    term.  The objective after a sweep is still recomputed from scratch.
+    The sweep reuses the NCC sums it holds.  The left-hand sum of the value
+    chosen at step b is the pair term (b - 1, b) at the values the sweep
+    ends with (a table slice scores what direct resampling would), so the
+    objective after a sweep is those chosen sums, added in pair order, and
+    they are the next sweep's pair sums: at step b, ncc(current value,
+    right neighbor) is pair b, and ncc(left neighbor, current value) is
+    the right-hand sum of the value chosen at step b - 1, so the current
+    value costs no cross term.  The first sweep adds up the start
+    objective from the same pair sums, computed from the statistics each
+    step holds; its finiteness is checked when that sweep ends.  Each
+    B-scan keeps, per integer candidate, the left-hand sum it computed, or
+    the screened bound where only the screen ran, (2R + 1) floats, for as
+    long as its left neighbor keeps the value they were computed under: a
+    later sweep reads them instead of scoring again, and a known exact sum
+    stands in for its bound.  It is at most the bound, so it skips every
+    candidate the bound would, and any other it skips would score above
+    the running best exactly as well.  A sweep in which no left neighbor
+    moved computes no left-hand sum of an integer candidate; only a
+    refined value's is computed each time.
 
     The descent is warm-started from a sequential template chain: relative
     shifts between neighbors can reach twice the per-B-scan amplitude,
@@ -613,33 +627,55 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     def ncc(stats_a, stats_b):
         return _ncc_from_stats(stats_a, stats_b, n, bufs)
 
-    def full_objective(dvec):
-        """The objective at dvec and its N_B - 1 pair NCC sums."""
-        total, pairs = 0.0, []
-        stats = stats_at(0, dvec[0])
-        for b in range(n_b - 1):
-            nxt = stats_at(b + 1, dvec[b + 1])
-            pairs.append(ncc(stats, nxt))
-            total -= cfg.w_ncc * pairs[-1]
-            stats = nxt
-        return total, pairs
+    def objective(pair_sums):
+        total = 0.0
+        for s in pair_sums:
+            total -= cfg.w_ncc * s
+        return total
 
     d = _template_chain(data, radius) if chain is None else np.array(chain, dtype=np.float64)
     d -= 0.5 * (d.max() + d.min())  # midrange-center into the search box
     np.clip(d, -radius, radius, out=d)
 
-    obj, pairs = full_objective(d)
-    if not np.isfinite(obj):
-        raise NumericalError("alignment objective not finite at the start")
-    if trace is not None:
-        trace.append(obj)
+    # left_sums[b, radius + k] is the left-hand NCC sum of candidate k of
+    # B-scan b if left_exact[b, radius + k], else the screened bound on it
+    # (nan: neither computed); a row holds while d[b - 1] is still
+    # left_at[b].  Arrays made once: a dict per B-scan, its tables
+    # allocated among the descent's arrays, fragmented the heap and raised
+    # the peak RSS of a 49x256x192 item by up to 10 MiB.
+    left_sums = np.full((n_b, 2 * radius + 1), np.nan)
+    left_exact = np.zeros((n_b, 2 * radius + 1), dtype=bool)
+    left_at = np.full(n_b, np.nan)
+    obj = pairs = None  # the objective before the sweep and its pair NCC sums
 
     for sweep in range(cfg.max_iters):
         left, cur = None, stats_at(0, d[0])
         left_cur = 0.0  # ncc(left, cur), from the step before
+        start, carried = [], []  # pair sums at the start, and after the sweep
         for b in range(n_b):
             right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
-            neighbors = []  # their _screen_stats, made when first needed
+            if right is None:
+                cur_right = 0.0
+            elif pairs is None:  # the first sweep builds the start objective
+                cur_right = ncc(cur, right)
+                start.append(cur_right)
+            else:
+                cur_right = pairs[b]
+            known, known_exact = left_sums[b], left_exact[b]
+            if left is not None:
+                if left_at[b] != d[b - 1]:
+                    known[:] = np.nan
+                    known_exact[:] = False
+                    left_at[b] = d[b - 1]
+                if float(d[b]).is_integer():
+                    i = radius + int(d[b])
+                    known[i], known_exact[i] = left_cur, True
+            neighbors = [None, None]  # their _screen_stats, made when first needed
+
+            def neighbor(i):
+                if neighbors[i] is None:
+                    neighbors[i] = _screen_stats((left, right)[i], n)
+                return neighbors[i]
 
             def local(ncc_left, ncc_right):
                 """The terms touching b, given its two NCC sums (or upper
@@ -651,24 +687,34 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                     val -= cfg.w_ncc * ncc_right
                 return val
 
-            def exact(cand):
-                return (0.0 if left is None else ncc(left, cand),
-                        0.0 if right is None else ncc(cand, right))
+            def exact(x, cand):
+                if left is None:
+                    ncc_left = 0.0
+                elif not x.is_integer():  # a refined value, not kept
+                    ncc_left = ncc(left, cand)
+                else:
+                    i = radius + int(x)
+                    if not known_exact[i]:
+                        known[i], known_exact[i] = ncc(left, cand), True
+                    ncc_left = float(known[i])
+                return ncc_left, 0.0 if right is None else ncc(cand, right)
 
             def screen(k):
-                if not neighbors:
-                    neighbors.extend(None if nb is None else _screen_stats(nb, n)
-                                     for nb in (left, right))
-                cand = screen_at(k)
-                return (0.0 if left is None else
-                        _screened_sum(neighbors[0], cand, n, slack, bufs32),
-                        0.0 if right is None else
-                        _screened_sum(cand, neighbors[1], n, slack, bufs32))
+                """Upper bounds on the two NCC sums of candidate k; a known
+                left-hand sum stands in for its bound."""
+                bound_left = bound_right = 0.0
+                if left is not None:
+                    i = radius + k
+                    if np.isnan(known[i]):
+                        known[i] = _screened_sum(neighbor(0), screen_at(k), n, slack, bufs32)
+                    bound_left = float(known[i])
+                if right is not None:
+                    bound_right = _screened_sum(screen_at(k), neighbor(1), n, slack, bufs32)
+                return bound_left, bound_right
 
             table, screen_at = _shift_table(data[b], n, radius)
             best_x, best = float(d[b]), cur
-            # ncc(cur, right) is term b of the objective that preceded the sweep
-            best_sums = (left_cur, 0.0 if right is None else pairs[b])
+            best_sums = (left_cur, cur_right)
             best_v = local(*best_sums)
             grid = {}
             for k in range(-radius, radius + 1):
@@ -679,7 +725,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                 if slack < np.inf and local(*screen(k)) > best_v:
                     continue  # even its lower bound loses to the best so far
                 cand = table(k)
-                sums = exact(cand)
+                sums = exact(x, cand)
                 grid[k] = v = local(*sums)
                 if v < best_v:
                     best_v, best_x, best, best_sums = v, x, cand, sums
@@ -691,20 +737,28 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                 k0 = int(best_x)
                 for k in (k0 - 1, k0 + 1):
                     if k not in grid:
-                        grid[k] = local(*exact(table(k)))
+                        grid[k] = local(*exact(float(k), table(k)))
                 f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
                 curv = f_p - 2.0 * f_0 + f_m
                 if curv > 0:
                     xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
                     cand = stats_at(b, xv)
-                    sums = exact(cand)
+                    sums = exact(xv, cand)
                     v = local(*sums)
                     if v < best_v:
                         best_v, best_x, best, best_sums = v, xv, cand, sums
             d[b] = best_x
+            if left is not None:
+                carried.append(best_sums[0])  # the pair term (b - 1, b) at the final values
             left, cur, left_cur = best, right, best_sums[1]
 
-        new_obj, pairs = full_objective(d)
+        if pairs is None:
+            obj = objective(start)
+            if not np.isfinite(obj):
+                raise NumericalError("alignment objective not finite at the start")
+            if trace is not None:
+                trace.append(obj)
+        new_obj, pairs = objective(carried), carried
         if not np.isfinite(new_obj):
             raise NumericalError(f"alignment objective not finite after sweep {sweep}")
         if new_obj > obj + 1e-9 * (1.0 + abs(obj)):

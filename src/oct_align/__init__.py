@@ -34,7 +34,6 @@ from .losses import (
     alignment_loss_semi,
     cross_entropy,
     dice_cross_entropy,
-    grad,
     mixed_surfaces,
     segmentation_loss,
     smooth_l1,

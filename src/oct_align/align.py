@@ -60,28 +60,22 @@ from .resample import _interp_rows, resample_axial
 
 # windowed variance below this is treated as constant background (0/0 guard)
 VARIANCE_EPS = 1e-5
+# side of the square windows of the descent's similarity
+NCC_WINDOW = 9
+# relative objective decrease that stops the sweeps
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class AlignConfig:
-    ncc_window: int = 9
     search_radius: int = 15
-    subpixel_refine: bool = True
     max_iters: int = 10
-    tol: float = 1e-6          # relative objective decrease that stops the sweeps
-    w_ncc: float = 1.0
 
     def __post_init__(self):
-        if self.ncc_window < 3 or self.ncc_window % 2 == 0:
-            raise ValidationError(f"ncc_window must be odd and >= 3, got {self.ncc_window}")
         if self.search_radius < 1:
             raise ValidationError(f"search_radius must be >= 1, got {self.search_radius}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        for name in ("tol", "w_ncc"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v}")
 
 
 def _positions(surfaces) -> np.ndarray:
@@ -402,8 +396,8 @@ def _chain_bounds(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
     the screened score and variance of every candidate, the mask of those
     whose screened variance lies within slack of VARIANCE_EPS (their mask
     is not decided), and a bound err on |v - exact score| for every other
-    candidate.  The exact score is the per-candidate formula of
-    ``_template_chain``.
+    candidate.  The exact score is ``global_ncc`` of the template and the
+    candidate.
 
     Means and variances come from prefix sums of the column sums and
     squared column sums of ``padded``; sum(t * c) is one dot product on the
@@ -461,39 +455,25 @@ def _chain_bounds(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
     return v, var, undecided, err
 
 
-def _chain_screen(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int) -> np.ndarray:
-    """The candidates of one template-chain step that can still win, as a
-    mask over the candidates of ``_chain_bounds``.
-
-    Every candidate whose mask is decided scores within err of its
-    screened score, so one more than 2 err below the best screened score
-    of such a candidate is beaten by that candidate's exact score.  The
-    rest are those within 2 err of it, and the undecided ones, which do
-    not set the best.
-    """
-    v, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
-    top = v[~undecided].max(initial=-np.inf)
-    return undecided | (v >= top - 2.0 * err)
-
-
 def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     """Sequential integer registration of each B-scan to its corrected predecessor.
 
     The chain anchors the first B-scan at zero, so absolute estimates can
     span twice the per-B-scan amplitude; the candidate grid covers that.
     Each step scores the 4*radius + 1 integer shifts by ``global_ncc``
-    against the predecessor resampled at its own estimate.  The template's
-    centring and variance are computed once per step, and candidate s is
+    against the predecessor resampled at its own estimate.  Candidate s is
     read as columns 2*radius + s ... of one edge-padded copy of the B-scan
     (an integer shift is a pure replicate-fill gather).  The padded copy is
     Fortran-ordered, like ``_interp_rows``'s output, so every candidate is
     a contiguous block in the same memory order and numpy's pairwise means
     round exactly as they do on the resampled B-scan.
 
-    All candidates are first screened at once (``_chain_bounds``), within a
-    proven err of their exact scores.  Only the candidates that can still
-    win (``_chain_screen``) are scored exactly, in search order with the
-    strict ``>``: those within 2 err of the best screened score, and those
+    All candidates are first screened at once (``_chain_bounds``, from the
+    template centred once per step), within a proven err of their exact
+    scores.  Only the candidates that can still win are scored exactly, in
+    search order with the strict ``>``: those within 2 err of the best
+    screened score of a candidate whose mask is decided (that candidate's
+    exact score beats any candidate more than 2 err below it), and those
     whose screened variance lies within a derived slack of VARIANCE_EPS
     (their mask is not decided; they do not set the best).  The exact
     winner, and every candidate that ties it, is among them, so the chosen
@@ -503,23 +483,20 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     span = 2 * radius
     d = np.zeros(n_b)
     for b in range(1, n_b):
-        t = _interp_rows(data[b - 1], d[b - 1])
-        t = t - t.mean()
+        template = _interp_rows(data[b - 1], d[b - 1])
+        t = template - template.mean()
         vt = (t * t).mean()
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
         padded = np.asfortranarray(np.pad(data[b], ((0, 0), (span, span)), mode="edge"))
-        confirm = _chain_screen(t, vt, padded, n_r)
+        v, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
+        confirm = undecided | (v >= v[~undecided].max(initial=-np.inf) - 2.0 * err)
         best_s, best_v = 0, -np.inf
         for s in search_order(span):
-            if not confirm[span + s]:
-                continue
-            c = padded[:, span + s:span + s + n_r]
-            c = c - c.mean()
-            vc = (c * c).mean()
-            v = 0.0 if vc < VARIANCE_EPS else float((t * c).mean() / np.sqrt(vt * vc))
-            if v > best_v:
-                best_v, best_s = v, s
+            if confirm[span + s]:
+                score = global_ncc(template, padded[:, span + s:span + s + n_r])
+                if score > best_v:
+                    best_v, best_s = score, s
         d[b] = float(best_s)
     return d
 
@@ -536,8 +513,8 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
 
     Without them, a coordinate descent on the similarity sweeps over
     B-scans; each d_b is minimized over the integers in [-search_radius,
-    +search_radius] plus its current value, with optional parabolic
-    refinement between the best integer and its neighbors.  Only the two
+    +search_radius] plus its current value, then refined by a parabola
+    through the best integer and its neighbors.  Only the two
     NCC sums touching b are evaluated per candidate.  The objective is
     asserted non-increasing after every sweep; pass ``trace`` to record it.
 
@@ -558,14 +535,14 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     computed in float32 (``_screened_sum``, float32 work arrays allocated
     once per call), and S32 + E, with E derived in ``_screen_slack`` from
     each window's conditioning, bounds each float64 sum from above.  The
-    candidate is skipped when -w_ncc times those bounds is above the
-    running best; the bound is evaluated by the same float operations as
+    candidate is skipped when minus those bounds is above the running
+    best; the bound is evaluated by the same float operations as
     the terms, and rounding is monotone, so a skipped candidate could not
     have passed the strict ``<`` test.  Where the slack is inf (a float32
     variance product could overflow) nothing is screened.  Candidates are
     still visited from -R to R, so the chosen shift is bit for bit the one
-    of scoring every candidate; a parabola neighbor that was skipped is
-    scored when the refinement needs it.
+    of scoring every candidate.  The parabola's two neighbors are scored
+    after the scan, whether or not the scan scored them.
 
     The sweep reuses the NCC sums it holds.  The left-hand sum of the value
     chosen at step b is the pair term (b - 1, b) at the values the sweep
@@ -600,21 +577,23 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     if not isinstance(volume, OctVolume):
         raise DimensionError("optimize_alignment expects an OctVolume")
     n_b = volume.data.shape[0]
-    if min(volume.data.shape[1], volume.data.shape[2]) < cfg.ncc_window:
+    if min(volume.data.shape[1], volume.data.shape[2]) < NCC_WINDOW:
         raise DimensionError(
-            f"B-scans {volume.data.shape[1:]} smaller than the NCC window {cfg.ncc_window}"
+            f"B-scans {volume.data.shape[1:]} smaller than the NCC window {NCC_WINDOW}"
         )
     if surfaces is not None:
         pos = _positions(surfaces)
-        if pos.shape[1] != n_b:
-            raise DimensionError(f"surfaces have N_B={pos.shape[1]}, volume has {n_b}")
+        if pos.shape[1:] != volume.data.shape[:2]:
+            raise DimensionError(
+                f"surfaces have (N_B, N_A)={pos.shape[1:]}, volume has {volume.data.shape[:2]}"
+            )
         disp = solve_from_surfaces(pos)
         if trace is not None:
             trace.append(surface_alignment_loss(pos, disp.axial))
         return disp
 
     data = volume.data.astype(np.float64)
-    n = cfg.ncc_window
+    n = NCC_WINDOW
     radius = cfg.search_radius
     shape = (data.shape[2], data.shape[1])  # a B-scan as scored, (R, N_A)
     bufs = _ncc_buffers(shape, n)
@@ -630,7 +609,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     def objective(pair_sums):
         total = 0.0
         for s in pair_sums:
-            total -= cfg.w_ncc * s
+            total -= s
         return total
 
     d = _template_chain(data, radius) if chain is None else np.array(chain, dtype=np.float64)
@@ -679,13 +658,9 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
 
             def local(ncc_left, ncc_right):
                 """The terms touching b, given its two NCC sums (or upper
-                bounds on them, for a lower bound on the terms)."""
-                val = 0.0
-                if left is not None:
-                    val -= cfg.w_ncc * ncc_left
-                if right is not None:
-                    val -= cfg.w_ncc * ncc_right
-                return val
+                bounds on them, for a lower bound on the terms); a missing
+                neighbor's sum is 0.0."""
+                return 0.0 - ncc_left - ncc_right
 
             def exact(x, cand):
                 if left is None:
@@ -716,30 +691,22 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             best_x, best = float(d[b]), cur
             best_sums = (left_cur, cur_right)
             best_v = local(*best_sums)
-            grid = {}
             for k in range(-radius, radius + 1):
                 x = float(k)
                 if x == best_x:
-                    grid[k] = best_v
                     continue
                 if slack < np.inf and local(*screen(k)) > best_v:
                     continue  # even its lower bound loses to the best so far
                 cand = table(k)
                 sums = exact(x, cand)
-                grid[k] = v = local(*sums)
+                v = local(*sums)
                 if v < best_v:
                     best_v, best_x, best, best_sums = v, x, cand, sums
-            if (
-                cfg.subpixel_refine
-                and best_x == int(best_x)
-                and abs(int(best_x)) < radius
-            ):
+            if best_x == int(best_x) and abs(int(best_x)) < radius:
                 k0 = int(best_x)
-                for k in (k0 - 1, k0 + 1):
-                    if k not in grid:
-                        grid[k] = local(*exact(float(k), table(k)))
-                f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
-                curv = f_p - 2.0 * f_0 + f_m
+                f_m = local(*exact(float(k0 - 1), table(k0 - 1)))
+                f_p = local(*exact(float(k0 + 1), table(k0 + 1)))
+                curv = f_p - 2.0 * best_v + f_m
                 if curv > 0:
                     xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
                     cand = stats_at(b, xv)
@@ -767,7 +734,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             trace.append(new_obj)
         decrease = obj - new_obj
         obj = new_obj
-        if decrease <= cfg.tol * max(1.0, abs(obj)):
+        if decrease <= TOL * max(1.0, abs(obj)):
             break
 
     d -= d.mean()

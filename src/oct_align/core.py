@@ -156,12 +156,6 @@ class SurfaceSet:
     def n_a(self) -> int:
         return self.positions.shape[2]
 
-    def is_ordered(self) -> bool:
-        """True when surface l never lies below surface l+1 anywhere."""
-        if self.n_surfaces < 2:
-            return True
-        return bool(np.all(self.positions[1:] >= self.positions[:-1]))
-
     def require_ordered(self) -> None:
         """Raise SurfaceOrderError naming the first offending (b, a, l)."""
         if self.n_surfaces < 2:

@@ -2,9 +2,7 @@
 
 All functions accept plain arrays (leading surface dimensions broadcast
 naturally) or the corresponding container types.  Row indices are 1-based
-everywhere.  Gradients are exact derivatives of the implemented formulas;
-``grad`` dispatches them by name for the finite-difference checks and the
-descent demos.
+everywhere.  Gradients are exact derivatives of the implemented formulas.
 """
 
 from __future__ import annotations
@@ -291,22 +289,3 @@ def grad_alignment_semi(gt, pred, axial, annotated):
     g_r[:, mask, :] = 0.0
     return g_d, g_r
 
-
-_GRAD_TABLE = {
-    "cross_entropy": grad_cross_entropy,
-    "smooth_l1": grad_smooth_l1,
-    "smoothness": grad_smoothness,
-    "alignment": grad_alignment,
-    "alignment_semi": grad_alignment_semi,
-}
-
-
-def grad(loss_name: str, *args, **kwargs):
-    """Dispatch an analytic gradient by loss name."""
-    try:
-        fn = _GRAD_TABLE[loss_name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown loss {loss_name!r}; expected one of {sorted(_GRAD_TABLE)}"
-        ) from None
-    return fn(*args, **kwargs)

@@ -128,23 +128,18 @@ def adjacent_ncc(volume: OctVolume) -> float:
     return float(np.mean(vals))
 
 
-def connectivity_histogram(surfaces: SurfaceSet, bins=None):
+def connectivity_histogram(surfaces: SurfaceSet):
     """Histogram of |r_{b+1,a} - r_{b,a}| over all surfaces, pixel units.
 
-    Default bins are unit-width starting at 0 and covering every value, so
-    the total mass is exactly L * (N_B - 1) * N_A.  Returns (counts, edges).
+    Bins are unit-width starting at 0 and covering every value, so the
+    total mass is exactly L * (N_B - 1) * N_A.  Returns (counts, edges).
     """
     pos = as_positions(surfaces)
     if pos.shape[1] < 2:
         raise DimensionError("need at least two B-scans for connectivity")
     vals = np.abs(pos[:, 1:, :] - pos[:, :-1, :]).ravel()
-    if bins is None:
-        top = float(np.floor(vals.max())) + 1.0 if vals.size else 1.0
-        edges = np.arange(0.0, top + 1.0)
-        counts, edges = np.histogram(vals, bins=edges)
-    else:
-        counts, edges = np.histogram(vals, bins=bins, range=(0.0, float(vals.max()) + 1e-9))
-    return counts, edges
+    top = float(np.floor(vals.max())) + 1.0 if vals.size else 1.0
+    return np.histogram(vals, bins=np.arange(0.0, top + 1.0))
 
 
 def write_histogram_csv(path, counts, edges) -> None:

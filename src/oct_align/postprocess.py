@@ -9,6 +9,10 @@ from .core import OctVolume, SurfaceSet
 from .errors import ValidationError
 from .resample import resample_columns
 
+# Gaussian smoothing along rows, and median filter over (b, a), of the BM estimate
+BM_SIGMA = 2.0
+BM_MEDIAN_SIZE = 5
+
 
 def fix_surface_order(surfaces: SurfaceSet) -> SurfaceSet:
     """Swap out-of-order neighboring surfaces until every A-scan is ordered.
@@ -33,7 +37,7 @@ def fix_surface_order(surfaces: SurfaceSet) -> SurfaceSet:
     return surfaces.with_positions(pos)
 
 
-def estimate_bm_rows(volume: OctVolume, sigma: float = 2.0, median_size: int = 5) -> np.ndarray:
+def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
     """Estimate the Bruch's-membrane row per A-scan (1-based, shape (N_B, N_A)).
 
     Each A-scan is Gaussian-smoothed along rows; the BM estimate is the row
@@ -43,28 +47,22 @@ def estimate_bm_rows(volume: OctVolume, sigma: float = 2.0, median_size: int = 5
     """
     data = volume.data.astype(np.float64)
     n_r = volume.n_r
-    smoothed = gaussian_filter1d(data, sigma=sigma, axis=2, mode="nearest")
+    smoothed = gaussian_filter1d(data, sigma=BM_SIGMA, axis=2, mode="nearest")
     grad = np.gradient(smoothed, axis=2)
     half = n_r // 2
     rows0 = half + np.argmin(grad[:, :, half:], axis=2)
-    rows = median_filter(rows0.astype(np.float64), size=median_size, mode="nearest")
+    rows = median_filter(rows0.astype(np.float64), size=BM_MEDIAN_SIZE, mode="nearest")
     return rows + 1.0
 
 
-def flatten_to_bm(volume: OctVolume, sigma: float = 2.0, median_size: int = 5,
-                  target_row: float | None = None):
-    """Shift every A-scan so the estimated BM lands on a fixed target row.
+def flatten_to_bm(volume: OctVolume):
+    """Shift every A-scan so the estimated BM lands on row round(0.75 * R).
 
     Returns the flattened volume and the per-(b, a) shift map that was
     applied; ``unflatten`` with that map inverts the operation up to
-    interpolation error.  The default target is 0.75 * R.
+    interpolation error.
     """
-    n_r = volume.n_r
-    target = float(target_row) if target_row is not None else round(0.75 * n_r)
-    if not 1.0 <= target <= n_r:
-        raise ValidationError(f"target row {target} outside [1, {n_r}]")
-    bm = estimate_bm_rows(volume, sigma=sigma, median_size=median_size)
-    shifts = bm - target
+    shifts = estimate_bm_rows(volume) - round(0.75 * volume.n_r)
     flat = resample_columns(volume.data, shifts)
     return volume.with_data(flat), shifts
 

@@ -314,19 +314,17 @@ def invert_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
     return volume.with_data(data), surfaces.with_positions(unrolled)
 
 
-def sample_motion(rng, n_b: int, max_abs_px: float = MAX_MOTION_PX,
-                  group_range: tuple[int, int] = (3, 5)) -> MotionSpec:
-    """Draw motion per the protocol: uniform axial, grouped integer transverse."""
-    axial = rng.uniform(-max_abs_px, max_abs_px, n_b)
-    lo, hi = group_range
-    n_groups = int(rng.integers(lo, hi + 1))
-    n_groups = min(n_groups, n_b)
+def sample_motion(rng, n_b: int) -> MotionSpec:
+    """Draw motion per the protocol: uniform axial within +-MAX_MOTION_PX,
+    and integer transverse shifts within it, constant over 3 to 5 groups."""
+    axial = rng.uniform(-MAX_MOTION_PX, MAX_MOTION_PX, n_b)
+    n_groups = min(int(rng.integers(3, 6)), n_b)
     if n_groups > 1:
         cuts = np.sort(rng.choice(np.arange(1, n_b), size=n_groups - 1, replace=False))
         starts = (0, *map(int, cuts))
     else:
         starts = (0,)
-    shifts = rng.integers(-int(max_abs_px), int(max_abs_px) + 1, n_groups)
+    shifts = rng.integers(-int(MAX_MOTION_PX), int(MAX_MOTION_PX) + 1, n_groups)
     transverse = np.empty(n_b, dtype=np.int64)
     edges = list(starts) + [n_b]
     for g, (b0, b1) in enumerate(zip(edges, edges[1:])):
@@ -334,11 +332,8 @@ def sample_motion(rng, n_b: int, max_abs_px: float = MAX_MOTION_PX,
     return MotionSpec(axial, transverse, starts)
 
 
-def simulate_motion(volume: OctVolume, surfaces: SurfaceSet, seed: int,
-                    max_abs_px: float = MAX_MOTION_PX,
-                    group_range: tuple[int, int] = (3, 5)):
+def simulate_motion(volume: OctVolume, surfaces: SurfaceSet, seed: int):
     """Sample protocol motion and corrupt the inputs; returns the truth too."""
-    rng = np.random.default_rng(seed)
-    motion = sample_motion(rng, volume.n_b, max_abs_px, group_range)
+    motion = sample_motion(np.random.default_rng(seed), volume.n_b)
     corrupt_vol, corrupt_surf = apply_motion(volume, surfaces, motion)
     return corrupt_vol, corrupt_surf, motion

@@ -1,10 +1,13 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
 from oct_align import align, pipeline
 from oct_align.align import (
+    NCC_WINDOW,
+    TOL,
     VARIANCE_EPS,
     AlignConfig,
     _box_buffers,
@@ -296,6 +299,16 @@ class TestOptimizeAlignment:
         vol, _ = generate_phantom(PhantomSpec(seed=0))
         with pytest.raises(DimensionError):
             optimize_alignment(vol, SurfaceSet(np.full((1, 5, 4), 3.0)))
+        # N_B agrees, N_A does not
+        with pytest.raises(DimensionError, match="N_A"):
+            optimize_alignment(vol, SurfaceSet(np.full((1, vol.n_b, vol.n_a - 5), 3.0)))
+
+    def test_config_has_only_the_set_options(self):
+        assert [f.name for f in dataclasses.fields(AlignConfig)] == ["search_radius", "max_iters"]
+        with pytest.raises(ValidationError, match="search_radius"):
+            AlignConfig(search_radius=0)
+        with pytest.raises(ValidationError, match="max_iters"):
+            AlignConfig(max_iters=0)
 
     def test_supervised_is_the_closed_form(self):
         vol, surf = generate_phantom(PhantomSpec(n_b=10, n_a=32, n_r=64, seed=6))
@@ -371,7 +384,7 @@ def exhaustive_descent(volume, cfg, trace, chain=None):
     candidate and both neighbors resampled directly at every step, and the
     objective recomputed from scratch before the first sweep and after each."""
     data = volume.data.astype(np.float64)
-    n_b, n, radius = data.shape[0], cfg.ncc_window, cfg.search_radius
+    n_b, n, radius = data.shape[0], NCC_WINDOW, cfg.search_radius
 
     def stats_at(b, x):
         return _window_stats(_interp_rows(data[b], x).T, n)
@@ -384,15 +397,15 @@ def exhaustive_descent(volume, cfg, trace, chain=None):
         st = stats_at(b, x)
         val = 0.0
         if left is not None:
-            val -= cfg.w_ncc * _ncc_from_stats(left, st, n)
+            val -= _ncc_from_stats(left, st, n)
         if right is not None:
-            val -= cfg.w_ncc * _ncc_from_stats(st, right, n)
+            val -= _ncc_from_stats(st, right, n)
         return val
 
     def full_objective():
         total = 0.0
         for b in range(n_b - 1):
-            total -= cfg.w_ncc * _ncc_from_stats(stats_at(b, d[b]), stats_at(b + 1, d[b + 1]), n)
+            total -= _ncc_from_stats(stats_at(b, d[b]), stats_at(b + 1, d[b + 1]), n)
         return total
 
     obj = full_objective()
@@ -408,7 +421,7 @@ def exhaustive_descent(volume, cfg, trace, chain=None):
                 grid[k] = v = best_v if k == best_x else local(b, float(k), left, right)
                 if v < best_v:
                     best_v, best_x = v, float(k)
-            if cfg.subpixel_refine and best_x == int(best_x) and abs(best_x) < radius:
+            if best_x == int(best_x) and abs(best_x) < radius:
                 k0 = int(best_x)
                 f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
                 curv = f_p - 2.0 * f_0 + f_m
@@ -421,7 +434,7 @@ def exhaustive_descent(volume, cfg, trace, chain=None):
         new_obj = full_objective()
         trace.append(new_obj)
         decrease, obj = obj - new_obj, new_obj
-        if decrease <= cfg.tol * max(1.0, abs(obj)):
+        if decrease <= TOL * max(1.0, abs(obj)):
             break
     return d - d.mean()
 
@@ -560,7 +573,7 @@ class TestBoundedDescent:
         data[1][:, 20:51:10] = 1.0
         vol = OctVolume(data)
         chain = np.zeros(2)  # a flat warm start, d = 0
-        cfg = AlignConfig(subpixel_refine=False, max_iters=1)
+        cfg = AlignConfig(max_iters=1)
         table, _ = _shift_table(data[0], 9, 15)
         right = _window_stats(data[1].T, 9)
         sums = {k: _ncc_from_stats(table(k), right, 9) for k in (-15, -5, 5, 15)}
@@ -581,6 +594,25 @@ class TestBoundedDescent:
         assert late
         assert all(r[-2:] == [r[-3] - 1, r[-3] + 1] for r in late)
         assert np.array_equal(got, exhaustive_descent(cvol, cfg, []))
+
+    def test_parabola_neighbors_scored_in_the_scan_or_current_are_scored_again(self, table_reads):
+        # the refinement scores both neighbors of the best integer k0 after
+        # the scan: on this item B-scan 4's neighbor -11 was scored in the
+        # scan too, and B-scan 7's neighbor 6 is its current value (the warm
+        # start), which the scan does not read; the parabola must still see
+        # the values of the exhaustive descent, which takes all three from
+        # its own scan
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=13))
+        cvol, _, _ = simulate_motion(vol, surf, seed=53)
+        chain = _template_chain(cvol.data.astype(np.float64), 15)
+        got_trace, want_trace = [], []
+        got = optimize_alignment(cvol, None, trace=got_trace, chain=chain).axial
+        want = exhaustive_descent(cvol, AlignConfig(), want_trace, chain)
+        assert table_reads[4] == [-11, -10, -11, -9]
+        assert chain[7] - 0.5 * (chain.max() + chain.min()) == 6.0
+        assert table_reads[7] == [7, 6, 8]
+        assert np.array_equal(got, want)
+        assert got_trace == want_trace
 
 
 @pytest.fixture()
@@ -654,14 +686,16 @@ class TestCarriedSums:
     across sweeps while its left neighbor stays.  None of it may change a
     shift or a trace value."""
 
-    # seed 1: three sweeps with subpixel refinement; seed 8: four sweeps on
-    # the integer grid, where sweep 2 moves B-scans whose right neighbors
-    # then read left-hand sums under a changed left neighbor
-    @pytest.mark.parametrize("seed,subpixel", [(1, True), (8, False)])
-    def test_equals_exhaustive_descent_over_several_sweeps(self, seed, subpixel):
+    # seed 1: three sweeps; seed 12: four sweeps, where sweep 2 moves
+    # B-scans whose right neighbors then read left-hand sums under a changed
+    # left neighbor (the ids keep the case names from when the test also
+    # ran the descent without subpixel refinement)
+    @pytest.mark.parametrize("seed", [pytest.param(1, id="1-True"),
+                                      pytest.param(12, id="12-True")])
+    def test_equals_exhaustive_descent_over_several_sweeps(self, seed):
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
         cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
-        cfg = AlignConfig(subpixel_refine=subpixel)
+        cfg = AlignConfig()
         got_trace, want_trace = [], []
         got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
         want = exhaustive_descent(cvol, cfg, want_trace)
@@ -680,6 +714,18 @@ class TestCarriedSums:
         assert first["left", "exact"] > 0 and first["left", "screened"] > 0
         assert last["right", "screened"] > 0
         assert last["left", "exact"] == last["left", "screened"] == 0
+
+    def test_a_moved_left_neighbor_drops_the_kept_sums(self, sum_calls):
+        # sweep 1 moves B-scans, so their right neighbors must screen their
+        # integer candidates again against the new left neighbor; sweep 2
+        # moves nothing and screens no left-hand sum
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=12))
+        cvol, _, _ = simulate_motion(vol, surf, seed=52)
+        trace = []
+        optimize_alignment(cvol, None, trace=trace)
+        assert len(trace) == 4 and trace[2] < trace[1] and trace[3] == trace[2]
+        assert sum_calls[1]["left", "screened"] > 0
+        assert sum_calls[2]["left", "screened"] == 0
 
 
 def exhaustive_chain(data, radius):

@@ -97,17 +97,19 @@ class TestApplyAndAlign:
         want = solve_from_surfaces(io.read_surfaces(surf_path))
         assert np.array_equal(io.read_displacements(out).axial, want.axial)
         capsys.readouterr()
-        # surfaces with fewer B-scans than the volume
-        short = tmp_path / "short.csv"
-        io.write_surfaces(short, SurfaceSet(io.read_surfaces(surf_path).positions[:, :-1]))
-        code = run(["align", "--vol", vol_path, "--surfaces", short,
-                    "--mode", "supervised", "--out", tmp_path / "bad.csv"])
-        assert code == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
-        assert json.loads(lines[0])["error"] == "DimensionError"
-        assert not (tmp_path / "bad.csv").exists()
+        # surfaces with fewer B-scans, or fewer A-scans, than the volume
+        positions = io.read_surfaces(surf_path).positions
+        for short in (positions[:, :-1], positions[:, :, :-5]):
+            short_path = tmp_path / "short.csv"
+            io.write_surfaces(short_path, SurfaceSet(short))
+            code = run(["align", "--vol", vol_path, "--surfaces", short_path,
+                        "--mode", "supervised", "--out", tmp_path / "bad.csv"])
+            assert code == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert json.loads(lines[0])["error"] == "DimensionError"
+            assert not (tmp_path / "bad.csv").exists()
 
     def test_supervised_requires_surfaces(self, phantom_dir, tmp_path, capsys):
         code = run(["align", "--vol", phantom_dir / "volume.bin",

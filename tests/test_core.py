@@ -60,13 +60,12 @@ class TestSurfaceSet:
     def test_ordering_predicate(self):
         pos = np.stack([np.full((2, 2), 5.0), np.full((2, 2), 3.0)])
         s = SurfaceSet(pos)
-        assert not s.is_ordered()
         with pytest.raises(SurfaceOrderError, match=r"b=1, a=1.*surface 1"):
             s.require_ordered()
 
     def test_equal_positions_are_ordered(self):
         pos = np.stack([np.full((2, 2), 5.0), np.full((2, 2), 5.0)])
-        assert SurfaceSet(pos).is_ordered()
+        SurfaceSet(pos).require_ordered()
 
     def test_names_default_and_mismatch(self):
         s = flat_surfaces(2.0, n_s=2)
@@ -216,7 +215,7 @@ class TestLabelsToSurfaces:
             assert (expect <= 8).all()
             got = labels_to_surfaces(m)
             assert (got.positions == expect).all()
-            assert got.is_ordered()
+            got.require_ordered()
 
     def test_integer_surfaces_round_trip_exactly(self, rng):
         pos = np.sort(rng.integers(1, 17, size=(3, 4, 5)).astype(float), axis=0)

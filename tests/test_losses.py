@@ -9,7 +9,6 @@ from oct_align.losses import (
     alignment_loss_semi,
     cross_entropy,
     dice_cross_entropy,
-    grad,
     grad_alignment,
     grad_alignment_semi,
     grad_cross_entropy,
@@ -321,12 +320,8 @@ def central_difference(fn, x, h=1e-4):
 
 
 class TestGradients:
-    def test_dispatch_unknown_name(self):
-        with pytest.raises(ValidationError, match="unknown loss"):
-            grad("not_a_loss")
-
     def test_constant_surface_smoothness_gradient_is_zero(self):
-        g = grad("smoothness", np.full((4, 5), 6.0))
+        g = grad_smoothness(np.full((4, 5), 6.0))
         assert (g == 0).all()
 
     def test_cross_entropy_gradient(self, rng):

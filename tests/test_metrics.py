@@ -132,8 +132,6 @@ class TestConnectivityHistogram:
         pos = rng.uniform(1, 30, size=(3, 5, 7))
         counts, _ = connectivity_histogram(surfaces(pos))
         assert counts.sum() == 3 * 4 * 7
-        counts, _ = connectivity_histogram(surfaces(pos), bins=40)
-        assert counts.sum() == 3 * 4 * 7
 
     def test_single_b_scan_rejected(self, rng):
         with pytest.raises(DimensionError):

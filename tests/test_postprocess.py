@@ -30,7 +30,7 @@ class TestFixSurfaceOrder:
         pos = rng.uniform(1, 30, size=(5, 4, 6))
         fixed = fix_surface_order(SurfaceSet(pos))
         assert np.array_equal(fixed.positions, np.sort(pos, axis=0))
-        assert fixed.is_ordered()
+        fixed.require_ordered()
 
     def test_idempotent_and_value_preserving(self, rng):
         pos = rng.uniform(1, 30, size=(5, 3, 4))
@@ -81,9 +81,9 @@ class TestFlatten:
 
     def test_flatten_places_bm_on_target(self):
         vol, _ = two_band_volume(wavy=True)
-        flat, _ = flatten_to_bm(vol, target_row=40)
+        flat, _ = flatten_to_bm(vol)
         est = estimate_bm_rows(flat)
-        assert np.abs(est - 40.0).mean() < 1.5
+        assert np.abs(est - round(0.75 * vol.n_r)).mean() < 1.5
 
     def test_unflatten_restores_within_interpolation_tolerance(self):
         vol, _ = two_band_volume(wavy=True)
@@ -110,11 +110,6 @@ class TestFlatten:
         bm = shifts + round(0.75 * vol.n_r)
         err = np.abs(bm - surf.positions[-1])
         assert np.median(err) <= 2.0
-
-    def test_bad_target_rejected(self):
-        vol, _ = two_band_volume()
-        with pytest.raises(ValidationError):
-            flatten_to_bm(vol, target_row=vol.n_r + 5)
 
 
 class TestCropRows:

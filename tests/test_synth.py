@@ -54,7 +54,7 @@ class TestGeneratePhantom:
 
     def test_surfaces_ordered_and_in_range(self):
         vol, surf = generate_phantom(PhantomSpec(seed=5))
-        assert surf.is_ordered()
+        surf.require_ordered()
         assert surf.positions.min() >= 1.0
         assert surf.positions.max() <= vol.n_r
 

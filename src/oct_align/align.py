@@ -29,7 +29,8 @@ from its own entries, so the statistics of a slice are the slice of the
 statistics bit for bit, and the descent computes the window sums and
 variances of all candidates once per B-scan; only the cross term with each
 neighbor is computed per candidate.  The template chain likewise centres
-its template once per step.
+its template once per step, and the block it chose becomes the next
+step's template.
 
 The cross term runs in work arrays that ``optimize_alignment`` allocates
 once per call: the doubling passes of the box sum alternate between two
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, search_order
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import ConfigError, DimensionError, NumericalError, ValidationError
 from .resample import _interp_rows, resample_axial
 
 # windowed variance below this is treated as constant background (0/0 guard)
@@ -466,7 +467,10 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     (an integer shift is a pure replicate-fill gather).  The padded copy is
     Fortran-ordered, like ``_interp_rows``'s output, so every candidate is
     a contiguous block in the same memory order and numpy's pairwise means
-    round exactly as they do on the resampled B-scan.
+    round exactly as they do on the resampled B-scan.  The block a step
+    chooses is therefore the next step's template as it is, with no
+    resampling; after a flat template the successor keeps shift 0 and its
+    block at 0 is the next template.
 
     All candidates are first screened at once (``_chain_bounds``, from the
     template centred once per step), within a proven err of their exact
@@ -481,14 +485,20 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     """
     n_b, _, n_r = data.shape
     span = 2 * radius
+
+    def padded_copy(img):
+        return np.asfortranarray(np.pad(img, ((0, 0), (span, span)), mode="edge"))
+
     d = np.zeros(n_b)
+    padded = padded_copy(data[0])
     for b in range(1, n_b):
-        template = _interp_rows(data[b - 1], d[b - 1])
+        lo = span + int(d[b - 1])
+        template = padded[:, lo:lo + n_r]  # B-scan b - 1 at its estimate
+        padded = padded_copy(data[b])
         t = template - template.mean()
         vt = (t * t).mean()
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
-        padded = np.asfortranarray(np.pad(data[b], ((0, 0), (span, span)), mode="edge"))
         v, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
         confirm = undecided | (v >= v[~undecided].max(initial=-np.inf) - 2.0 * err)
         best_s, best_v = 0, -np.inf
@@ -499,6 +509,13 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
                     best_v, best_s = score, s
         d[b] = float(best_s)
     return d
+
+
+def _check_radius(volume: OctVolume, cfg: AlignConfig) -> None:
+    """ConfigError unless the axial search radius is below N_R: the searches
+    pad each B-scan by a multiple of it."""
+    if cfg.search_radius >= volume.n_r:
+        raise ConfigError(f"search radius {cfg.search_radius} must be below N_R={volume.n_r}")
 
 
 def optimize_alignment(volume: OctVolume, surfaces=None,
@@ -544,25 +561,26 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     of scoring every candidate.  The parabola's two neighbors are scored
     after the scan, whether or not the scan scored them.
 
-    The sweep reuses the NCC sums it holds.  The left-hand sum of the value
-    chosen at step b is the pair term (b - 1, b) at the values the sweep
-    ends with (a table slice scores what direct resampling would), so the
-    objective after a sweep is those chosen sums, added in pair order, and
-    they are the next sweep's pair sums: at step b, ncc(current value,
-    right neighbor) is pair b, and ncc(left neighbor, current value) is
-    the right-hand sum of the value chosen at step b - 1, so the current
-    value costs no cross term.  The first sweep adds up the start
-    objective from the same pair sums, computed from the statistics each
-    step holds; its finiteness is checked when that sweep ends.  Each
+    The sweep keeps one NCC sum per adjacent pair: ``pair[b]`` is the sum
+    of B-scans b and b + 1 at their current values, so the current value of
+    B-scan b costs no cross term (its sums are pair[b - 1] and pair[b]).
+    Once b has chosen, the chosen value's left- and right-hand sums are
+    written to pair[b - 1] and pair[b] (a table slice scores what direct
+    resampling would), so after the sweep ``pair`` holds the pair terms at
+    the values the sweep ends with, and the objective is minus those sums,
+    subtracted in pair order.  The first sweep fills ``pair`` from the
+    statistics each step holds and subtracts the same way for the start
+    objective; its finiteness is checked when that sweep ends.  Each
     B-scan keeps, per integer candidate, the left-hand sum it computed, or
-    the screened bound where only the screen ran, (2R + 1) floats, for as
-    long as its left neighbor keeps the value they were computed under: a
-    later sweep reads them instead of scoring again, and a known exact sum
-    stands in for its bound.  It is at most the bound, so it skips every
-    candidate the bound would, and any other it skips would score above
-    the running best exactly as well.  A sweep in which no left neighbor
-    moved computes no left-hand sum of an integer candidate; only a
-    refined value's is computed each time.
+    the screened bound where only the screen ran, (2R + 1) floats.  They
+    hold while the left neighbor keeps its value, so the row of B-scan
+    b + 1 is cleared whenever B-scan b moves.  A later sweep reads them
+    instead of scoring again, and a known exact sum stands in for its
+    bound.  It is at most the bound, so it skips every candidate the bound
+    would, and any other it skips would score above the running best
+    exactly as well.  A sweep in which no B-scan moved computes no
+    left-hand sum of an integer candidate; only a refined value's is
+    computed each time.
 
     The descent is warm-started from a sequential template chain: relative
     shifts between neighbors can reach twice the per-B-scan amplitude,
@@ -592,6 +610,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             trace.append(surface_alignment_loss(pos, disp.axial))
         return disp
 
+    _check_radius(volume, cfg)
     data = volume.data.astype(np.float64)
     n = NCC_WINDOW
     radius = cfg.search_radius
@@ -606,63 +625,43 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     def ncc(stats_a, stats_b):
         return _ncc_from_stats(stats_a, stats_b, n, bufs)
 
-    def objective(pair_sums):
-        total = 0.0
-        for s in pair_sums:
-            total -= s
-        return total
-
     d = _template_chain(data, radius) if chain is None else np.array(chain, dtype=np.float64)
     d -= 0.5 * (d.max() + d.min())  # midrange-center into the search box
     np.clip(d, -radius, radius, out=d)
 
     # left_sums[b, radius + k] is the left-hand NCC sum of candidate k of
     # B-scan b if left_exact[b, radius + k], else the screened bound on it
-    # (nan: neither computed); a row holds while d[b - 1] is still
-    # left_at[b].  Arrays made once: a dict per B-scan, its tables
-    # allocated among the descent's arrays, fragmented the heap and raised
-    # the peak RSS of a 49x256x192 item by up to 10 MiB.
+    # (nan: neither computed); row b is cleared when B-scan b - 1 moves.
+    # Arrays made once: a dict per B-scan, its tables allocated among the
+    # descent's arrays, fragmented the heap and raised the peak RSS of a
+    # 49x256x192 item by up to 10 MiB.
     left_sums = np.full((n_b, 2 * radius + 1), np.nan)
     left_exact = np.zeros((n_b, 2 * radius + 1), dtype=bool)
-    left_at = np.full(n_b, np.nan)
-    obj = pairs = None  # the objective before the sweep and its pair NCC sums
+    # pair[b]: the NCC sum of B-scans b and b + 1 at their current values
+    pair = [0.0] * (n_b - 1)
 
     for sweep in range(cfg.max_iters):
         left, cur = None, stats_at(0, d[0])
-        left_cur = 0.0  # ncc(left, cur), from the step before
-        start, carried = [], []  # pair sums at the start, and after the sweep
+        start = 0.0  # the first sweep adds up the start objective
         for b in range(n_b):
             right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
-            if right is None:
-                cur_right = 0.0
-            elif pairs is None:  # the first sweep builds the start objective
-                cur_right = ncc(cur, right)
-                start.append(cur_right)
-            else:
-                cur_right = pairs[b]
+            if right is not None and sweep == 0:
+                pair[b] = ncc(cur, right)
+                start -= pair[b]
+            sum_left = 0.0 if left is None else pair[b - 1]  # the current value's sums
+            sum_right = 0.0 if right is None else pair[b]
             known, known_exact = left_sums[b], left_exact[b]
-            if left is not None:
-                if left_at[b] != d[b - 1]:
-                    known[:] = np.nan
-                    known_exact[:] = False
-                    left_at[b] = d[b - 1]
-                if float(d[b]).is_integer():
-                    i = radius + int(d[b])
-                    known[i], known_exact[i] = left_cur, True
-            neighbors = [None, None]  # their _screen_stats, made when first needed
-
-            def neighbor(i):
-                if neighbors[i] is None:
-                    neighbors[i] = _screen_stats((left, right)[i], n)
-                return neighbors[i]
-
-            def local(ncc_left, ncc_right):
-                """The terms touching b, given its two NCC sums (or upper
-                bounds on them, for a lower bound on the terms); a missing
-                neighbor's sum is 0.0."""
-                return 0.0 - ncc_left - ncc_right
+            if left is not None and float(d[b]).is_integer():
+                i = radius + int(d[b])
+                known[i], known_exact[i] = sum_left, True
+            table, screen_at = _shift_table(data[b], n, radius)
+            screen_left = None  # made when first needed: a confirming sweep needs none
+            if right is not None and slack < np.inf:
+                screen_right = _screen_stats(right, n)
 
             def exact(x, cand):
+                """The terms touching b at value x, its two NCC sums, and its
+                statistics ``cand``; a missing neighbor's sum is 0.0."""
                 if left is None:
                     ncc_left = 0.0
                 elif not x.is_integer():  # a refined value, not kept
@@ -672,60 +671,62 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
                     if not known_exact[i]:
                         known[i], known_exact[i] = ncc(left, cand), True
                     ncc_left = float(known[i])
-                return ncc_left, 0.0 if right is None else ncc(cand, right)
+                ncc_right = 0.0 if right is None else ncc(cand, right)
+                return 0.0 - ncc_left - ncc_right, ncc_left, ncc_right, cand
 
-            def screen(k):
-                """Upper bounds on the two NCC sums of candidate k; a known
-                left-hand sum stands in for its bound."""
-                bound_left = bound_right = 0.0
-                if left is not None:
-                    i = radius + k
-                    if np.isnan(known[i]):
-                        known[i] = _screened_sum(neighbor(0), screen_at(k), n, slack, bufs32)
-                    bound_left = float(known[i])
-                if right is not None:
-                    bound_right = _screened_sum(screen_at(k), neighbor(1), n, slack, bufs32)
-                return bound_left, bound_right
-
-            table, screen_at = _shift_table(data[b], n, radius)
-            best_x, best = float(d[b]), cur
-            best_sums = (left_cur, cur_right)
-            best_v = local(*best_sums)
+            best_x, best = float(d[b]), (0.0 - sum_left - sum_right, sum_left, sum_right, cur)
             for k in range(-radius, radius + 1):
                 x = float(k)
                 if x == best_x:
                     continue
-                if slack < np.inf and local(*screen(k)) > best_v:
-                    continue  # even its lower bound loses to the best so far
-                cand = table(k)
-                sums = exact(x, cand)
-                v = local(*sums)
-                if v < best_v:
-                    best_v, best_x, best, best_sums = v, x, cand, sums
+                if slack < np.inf:
+                    # upper bounds on the two NCC sums, for a lower bound on
+                    # the terms; a known left-hand sum stands in for its bound
+                    bound_left = bound_right = 0.0
+                    if left is not None:
+                        i = radius + k
+                        if np.isnan(known[i]):
+                            if screen_left is None:
+                                screen_left = _screen_stats(left, n)
+                            known[i] = _screened_sum(screen_left, screen_at(k), n, slack, bufs32)
+                        bound_left = float(known[i])
+                    if right is not None:
+                        bound_right = _screened_sum(screen_at(k), screen_right, n, slack, bufs32)
+                    if 0.0 - bound_left - bound_right > best[0]:
+                        continue  # even its lower bound loses to the best so far
+                scored = exact(x, table(k))
+                if scored[0] < best[0]:
+                    best_x, best = x, scored
             if best_x == int(best_x) and abs(int(best_x)) < radius:
                 k0 = int(best_x)
-                f_m = local(*exact(float(k0 - 1), table(k0 - 1)))
-                f_p = local(*exact(float(k0 + 1), table(k0 + 1)))
-                curv = f_p - 2.0 * best_v + f_m
+                f_m = exact(float(k0 - 1), table(k0 - 1))[0]
+                f_p = exact(float(k0 + 1), table(k0 + 1))[0]
+                curv = f_p - 2.0 * best[0] + f_m
                 if curv > 0:
                     xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
-                    cand = stats_at(b, xv)
-                    sums = exact(xv, cand)
-                    v = local(*sums)
-                    if v < best_v:
-                        best_v, best_x, best, best_sums = v, xv, cand, sums
+                    scored = exact(xv, stats_at(b, xv))
+                    if scored[0] < best[0]:
+                        best_x, best = xv, scored
+            if best_x != d[b] and right is not None:  # B-scan b + 1's kept sums are stale
+                left_sums[b + 1] = np.nan
+                left_exact[b + 1] = False
             d[b] = best_x
+            _, sum_left, sum_right, chosen = best
             if left is not None:
-                carried.append(best_sums[0])  # the pair term (b - 1, b) at the final values
-            left, cur, left_cur = best, right, best_sums[1]
+                pair[b - 1] = sum_left
+            if right is not None:
+                pair[b] = sum_right
+            left, cur = chosen, right
 
-        if pairs is None:
-            obj = objective(start)
+        if sweep == 0:
+            obj = start
             if not np.isfinite(obj):
                 raise NumericalError("alignment objective not finite at the start")
             if trace is not None:
                 trace.append(obj)
-        new_obj, pairs = objective(carried), carried
+        new_obj = 0.0
+        for s in pair:
+            new_obj -= s
         if not np.isfinite(new_obj):
             raise NumericalError(f"alignment objective not finite after sweep {sweep}")
         if new_obj > obj + 1e-9 * (1.0 + abs(obj)):
@@ -753,6 +754,7 @@ def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None, *,
     volume.
     """
     cfg = cfg or AlignConfig()
+    _check_radius(volume, cfg)
     if chain is None:
         chain = _template_chain(volume.data.astype(np.float64), cfg.search_radius)
     d = chain - chain.mean()

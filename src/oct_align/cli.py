@@ -19,7 +19,7 @@ from . import io, metrics
 from .align import AlignConfig, optimize_alignment, template_match_align
 from .errors import ConfigError, OctAlignError
 from .losses import LossWeights, segmentation_loss, smoothness_weights
-from .pipeline import default_jobs, run_pipeline
+from .pipeline import run_pipeline
 from .postprocess import crop_rows, flatten_to_bm
 from .resample import resample_axial
 from .synth import PhantomSpec, generate_phantom, simulate_motion
@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--layers", type=int, default=3)
     sp.add_argument("--radius", type=int, default=15)
     sp.add_argument("--transverse-radius", type=int, default=30)
-    sp.add_argument("--jobs", type=int, default=default_jobs(),
-                    help="parallel volume workers (env OCT_ALIGN_JOBS)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel volume workers")
     sp.add_argument("--out", required=True, help="directory for report.json")
     sp.set_defaults(func=cmd_pipeline)
 

@@ -13,7 +13,6 @@ template matching (axial); retina-masked and unmasked projection matching
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -46,14 +45,6 @@ def phantom_seed(seed: int, index: int) -> int:
 
 def motion_seed(seed: int, index: int, repeat: int) -> int:
     return seed * 100003 + index * 1009 + repeat + 1
-
-
-def default_jobs() -> int:
-    env = os.environ.get("OCT_ALIGN_JOBS", "")
-    try:
-        return max(int(env), 1)
-    except ValueError:
-        return 1
 
 
 def run_volume(params: tuple) -> dict:
@@ -134,6 +125,8 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
     for name, value in (("volumes", volumes), ("repeats", repeats), ("jobs", jobs)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if radius >= dims[2]:  # checked here too: run_volume pads by it before aligning
+        raise ConfigError(f"search radius {radius} must be below N_R={dims[2]}")
     work = [
         (seed, i, j, tuple(dims), n_layers, radius, transverse_radius,
          dict(align_overrides or {}))

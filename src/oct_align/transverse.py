@@ -35,9 +35,8 @@ def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarra
     S_first(b,a) <= r <= S_last(b,a); an empty band yields 0 and a warning.
     Without surfaces the whole column is averaged.
     """
-    data = volume.data.astype(np.float64)
     if surfaces is None or surfaces.n_surfaces == 0:
-        return data.mean(axis=2)
+        return volume.data.astype(np.float64).mean(axis=2)
     if surfaces.n_b != volume.n_b or surfaces.n_a != volume.n_a:
         raise DimensionError("surfaces and volume disagree on (N_B, N_A)")
     surfaces.require_ordered()
@@ -47,13 +46,15 @@ def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarra
     lo_c = np.clip(lo, 1, n_r)
     hi_c = np.clip(hi, 0, n_r)
     count = hi_c - lo_c + 1
-    csum = np.concatenate(
-        [np.zeros((*data.shape[:2], 1)), np.cumsum(data, axis=2)], axis=2
-    )
-    sums = (
-        np.take_along_axis(csum, hi_c[..., None], axis=2)
-        - np.take_along_axis(csum, (lo_c - 1)[..., None], axis=2)
-    )[..., 0]
+    # summed in float64 straight from the stored values: no float64 copy
+    csum = np.cumsum(volume.data, axis=2, dtype=np.float64)
+
+    def through(k):
+        """Sum of the first k rows of every A-scan: entry k - 1, or 0.0 at k = 0."""
+        at = np.take_along_axis(csum, np.maximum(k - 1, 0)[..., None], axis=2)[..., 0]
+        return np.where(k > 0, at, 0.0)
+
+    sums = through(hi_c) - through(lo_c - 1)
     empty = count < 1
     if empty.any():
         warnings.warn(

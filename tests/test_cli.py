@@ -117,6 +117,18 @@ class TestApplyAndAlign:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("mode", ["unsupervised", "template"])
+    def test_radius_must_be_below_nr(self, phantom_dir, tmp_path, mode):
+        # the searches pad each B-scan by a multiple of the radius, so an
+        # unbounded one would fail allocating instead of with the JSON line
+        vol_path = phantom_dir / "volume_corrupt.bin"
+        out = tmp_path / "d.csv"
+        code, lines = run_quiet(["align", "--vol", vol_path, "--mode", mode,
+                                 "--radius", io.read_volume(vol_path).n_r, "--out", out])
+        assert_one_line_error(code, lines)
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_missing_file_reports_error_class(self, tmp_path, capsys):
         code = run(["align", "--vol", tmp_path / "nope.bin",
                     "--mode", "unsupervised", "--out", tmp_path / "d.csv"])
@@ -441,6 +453,13 @@ class TestPipelineCommand:
         code = run(["pipeline", flag, 0, "--nb", 8, "--na", 32, "--out", tmp_path])
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_radius_must_be_below_nr(self, tmp_path):
+        code, lines = run_quiet(["pipeline", "--radius", 96, "--nr", 96, "--volumes", 1,
+                                 "--repeats", 1, "--out", tmp_path])
+        assert_one_line_error(code, lines)
+        assert json.loads(lines[0])["error"] == "ConfigError"
         assert not (tmp_path / "report.json").exists()
 
     def test_report_does_not_depend_on_jobs(self):

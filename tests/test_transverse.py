@@ -49,6 +49,27 @@ class TestMeanProjection:
                 expect = np.mean([data[b, a, r - 1] for r in rows])
                 assert np.isclose(proj[b, a], expect, atol=1e-7)
 
+    def test_bands_from_the_first_to_the_last_row_equal_the_padded_cumsum(self, rng):
+        # bands that start at row 1 read the sum through row 0 (0.0) and
+        # bands that end at row R read the sum through the last row; the
+        # reference is the cumulative sum of a float64 copy behind one
+        # leading zero, bit for bit
+        n_b, n_a, n_r = 3, 6, 16
+        vol = OctVolume(rng.uniform(0, 1, size=(n_b, n_a, n_r)))
+        lo = rng.integers(1, 5, size=(n_b, n_a)).astype(float)
+        hi = rng.integers(n_r - 3, n_r + 1, size=(n_b, n_a)).astype(float)
+        lo[0], hi[1] = 1.0, float(n_r)
+        hi[2, :3] = n_r + 0.7  # clipped to R
+        proj = mean_projection(vol, SurfaceSet(np.stack([lo, hi])))
+        data = vol.data.astype(np.float64)
+        csum = np.concatenate([np.zeros((n_b, n_a, 1)), np.cumsum(data, axis=2)], axis=2)
+        lo_c = np.clip(np.ceil(lo).astype(np.int64), 1, n_r)
+        hi_c = np.clip(np.floor(hi).astype(np.int64), 0, n_r)
+        sums = (np.take_along_axis(csum, hi_c[..., None], axis=2)
+                - np.take_along_axis(csum, (lo_c - 1)[..., None], axis=2))[..., 0]
+        assert (lo_c == 1).any() and (hi_c == n_r).any()
+        assert np.array_equal(proj, sums / (hi_c - lo_c + 1))
+
     def test_empty_band_flagged_and_zero(self):
         data = np.full((2, 2, 8), 0.5)
         vol = OctVolume(data)

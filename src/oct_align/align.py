@@ -41,10 +41,12 @@ variance is below VARIANCE_EPS, so they score exactly 0 without a mask.
 Both searches screen their candidates cheaply, with a proven error bound,
 and score exactly (with the float64 code above) only those the screen
 says could still win, so every chosen shift is the one of scoring every
-candidate.  The descent screens each NCC sum in float32
-(``_screened_sum``: the same kernel on float32 copies of the statistics,
-plus a bound E that grows with the windows' conditioning,
-``_screen_slack``); the template chain takes every candidate's mean and
+candidate.  The descent screens each NCC sum in float32 from normalised
+statistics (``_screened_sum``: per window the box sum of the products
+minus s_a s_b / n^2, times the inverse roots of the two safe variances,
+squared and summed in float32), divided by the float32 sum's rounding
+factor, plus a bound E that grows with the windows' conditioning
+(``_screen_slack``); the template chain takes every candidate's mean and
 variance from prefix sums and its cross term from one dot product
 (``_chain_bounds``).
 """
@@ -228,51 +230,72 @@ def _variance_rho(n: int, max_abs: float) -> float:
     return (3 * (4 * n.bit_length() + 1) + 4) * 2.0 ** -53 * max_abs * max_abs / VARIANCE_EPS
 
 
-def _screen_slack(n: int, max_abs: float) -> float:
+def _screen_slack(n: int, max_abs: float, entries: int) -> float:
     """E per unit of window conditioning, for the float32 screen of an NCC sum.
 
-    The screen (``_screened_sum``) runs ``_ncc_map`` on float32 copies of
-    two ``_window_stats`` (the +inf of a masked variance survives the cast,
-    so the mask is the float64 one) and sums the map in float64.  Its
-    result S32 is an upper bound on the float64 sum S64 once E is added:
-    S64 <= S32 + E with E = slack * (K_a + K_b), where K = sum of kappa_w =
-    box(x^2)_w / var_w over the image's unmasked windows (``_conditioning``).
+    The screen (``_screened_sum``) reads the ``_screen_stats`` of two
+    ``_window_stats``: float32 copies of the image, of u = s / n and of inv
+    = 1 / sqrt(var) (0 where the safe variance is +inf, so the mask is the
+    float64 one).  Per window it computes v = (box(a*b) - u_a*u_b) * inv_a
+    * inv_b in float32 and sums v^2 over the map's m = ``entries`` entries
+    in float32, S32.  Then S64 <= S32 / (1 - m 2**-24) + E for the float64
+    sum S64, with E = slack * (K_a + K_b), where K = sum of kappa_w =
+    box(x^2)_w / var_w over the image's unmasked windows
+    (``_conditioning``).
 
-    Derivation, per window scored in both images (any other window is
-    exactly 0 in both maps), with u = 2**-24 and D = 4 * bit_length(n) + 1
-    as in ``_variance_rho``.  Let C be the cross term box(a*b) -
-    s_a*s_b/n^2 in exact arithmetic on the float64 images and sums, m* =
-    C^2 / (var_a var_b) on the float64 variances, and r = |C| /
-    sqrt(var_a var_b), at most R = 1 + 2 rho (rho = ``_variance_rho``, as
-    m* <= (1 + 2 rho)^2 there).  The float32 box sum of the products
-    rounds each term at most D times (the casts of a and b, the product
-    and the doubling passes), within D u sum|a b| <= D u sqrt(Q_a Q_b),
-    Q = box(x^2); s_a*s_b/n^2 takes 4 roundings (two casts, product,
-    division) of a value at most sqrt(Q_a Q_b) (s^2 <= n^2 Q); the
-    subtraction one more, relative to C.  So the float32 cross term is
-    within e sqrt(var_a var_b) of C, e = (D + 5) u sqrt(kappa_a kappa_b) +
-    u r.  Squaring, the variance casts, product and division lose at most
-    a factor (1 - 6u), so the float32 entry m32 >= max(0, r - e)^2 (1 -
-    6u), and m* - m32 <= 2 r e + 6 u r^2 whether or not e exceeds r: no
-    e^2 term, so the bound stays linear in kappa however ill-conditioned
-    the window.  With sqrt(kappa_a kappa_b) <= (kappa_a + kappa_b) / 2 and
-    kappa >= 1 on scored windows, m* - m32 <= R^2 (D + 9) u (kappa_a +
-    kappa_b).  kappa is computed from the float64 sums and variances,
-    within a factor R of box(x^2) / var.  The float64 entry exceeds m* by
-    the same expression in 2**-53 instead of u, 2**-29 of it, and the
-    factor 2 in slack = 2 R^3 (D + 9) u covers that and every second-order
-    term.  The two float64 map sums and the evaluation of S32 + E round by
-    less than 2**-40 relative, which ``_screened_sum`` adds as a factor.
+    Derivation, per window scored in both images (any other window has
+    inv = 0 in one image, so v is exactly 0, as the float64 entry is),
+    with u = 2**-24 and D = 4 * bit_length(n) + 1 as in ``_variance_rho``.
+    Let C be the cross term box(a*b) - s_a*s_b/n^2 in exact arithmetic on
+    the float64 images and sums, m* = C^2 / (var_a var_b) on the float64
+    variances, and r = |C| / sqrt(var_a var_b), at most R = 1 + 2 rho (rho
+    = ``_variance_rho``, as m* <= (1 + 2 rho)^2 there).  The float32 box
+    sum of the products rounds each term at most D times (the casts of a
+    and b, the product and the doubling passes), within D u sum|a b| <= D u
+    sqrt(Q_a Q_b), Q = box(x^2); u_a*u_b takes 5 roundings (for each of u_a
+    and u_b the float64 division and the cast, then the product) of a value
+    at most sqrt(Q_a Q_b) (s^2 <= n^2 Q); the subtraction one more,
+    relative to C.  So the float32 cross term is within e sqrt(var_a
+    var_b) of C, e = (D + 5) u sqrt(kappa_a kappa_b) + u r.  The inverse
+    roots (each one cast, after a float64 root and division) and the two
+    products by them scale it by a factor within 4u of 1, so v^2 >= max(0,
+    r - e)^2 (1 - 8u), and m* - v^2 <= 2 r e + 8 u r^2 whether or not e
+    exceeds r: no e^2 term, so the bound stays linear in kappa however
+    ill-conditioned the window.  With sqrt(kappa_a kappa_b) <= (kappa_a +
+    kappa_b) / 2 and kappa >= 1 on scored windows, m* - v^2 <= R^2 (D + 10)
+    u (kappa_a + kappa_b).  kappa is computed from the float64 sums and
+    variances, within a factor R of box(x^2) / var.  The float64 entry
+    exceeds m* by the same expression in 2**-53 instead of u, 2**-29 of
+    it, the float64 roundings of inv add 2**-29 of the 4u, and the factor
+    2 in slack = 2 R^3 (D + 10) u covers those and every second-order
+    term.
+
+    The square of v is the only rounding not counted above: it and the
+    additions are the sum's.  Each v^2 reaches S32 through at most m
+    roundings (its product, unless fused, and at most m - 1 additions, in
+    whatever order ``np.einsum`` adds), each losing at most a factor (1 -
+    u) of a non-negative value, so S32 >= (1 - m u) sum v^2 for any
+    summation order; the slack is inf from m = 2**24 on, where that factor
+    is not positive.  The float64 sum S64 of the exact score and the
+    evaluation of the bound round by less than 2**-40 relative, which
+    ``_screened_sum`` adds as a factor; for S64 that rests on numpy's
+    pairwise summation, since an order-free (m - 1) 2**-53 bound exceeds
+    2**-40 once m > 8192, and a 256x192 B-scan has 45,632 windows.
+
     Float32 underflow moves a window by less than 2**-120 of a passing
-    variance, far inside the u terms.  A float32 overflow of var_a * var_b
-    (each at most n^2 M^2) would score a window 0, so the slack is inf
-    once n^2 M^2 reaches 2**63, and the descent then does not screen.  A
-    loose E only screens less.
+    variance, far inside the u terms.  While n^2 M^2 < 2**63 no float32
+    step before the square overflows: |box(a*b)| and |u_a*u_b| stay below
+    2**64 and inv about 1 / (n sqrt(VARIANCE_EPS)) at most.  kappa is then below
+    M^2 / VARIANCE_EPS, so at n = 9 every v^2 is below 2**108 and a map of
+    fewer than 2**20 entries cannot overflow; a larger one can only
+    overflow to +inf (the terms are squares, never nan), which bounds
+    anything.  From n^2 M^2 >= 2**63 on the slack is inf, and the descent
+    then does not screen.  A loose E only screens less.
     """
-    if n * n * max_abs * max_abs >= 2.0 ** 63:
+    if n * n * max_abs * max_abs >= 2.0 ** 63 or entries >= 2 ** 24:
         return np.inf
     big_r = 1.0 + 2.0 * _variance_rho(n, max_abs)
-    return 2.0 * big_r ** 3 * (4 * n.bit_length() + 10) * 2.0 ** -24
+    return 2.0 * big_r ** 3 * (4 * n.bit_length() + 11) * 2.0 ** -24
 
 
 def _conditioning(s: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
@@ -284,21 +307,42 @@ def _conditioning(s: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
     return kappa
 
 
+def _float32_stats(stats, n: int):
+    """The float32 statistics the screen reads from a ``_window_stats``:
+    the image, u = s / n and inv = 1 / sqrt(var), which is 0 where the
+    safe variance is +inf (masked windows and the zero columns)."""
+    img, s, var = stats
+    inv = np.sqrt(var)
+    np.divide(1.0, inv, out=inv)
+    return img.astype(np.float32), (s / n).astype(np.float32), inv.astype(np.float32)
+
+
 def _screen_stats(stats, n: int):
-    """A ``_window_stats`` as the screen reads it: its float32 copy and the
-    summed conditioning of its windows."""
-    return tuple(a.astype(np.float32) for a in stats), float(_conditioning(stats[1], stats[2], n).sum())
+    """A ``_window_stats`` as the screen reads it: its ``_float32_stats``
+    and the summed conditioning of its windows."""
+    return _float32_stats(stats, n), float(_conditioning(stats[1], stats[2], n).sum())
 
 
 def _screened_sum(screen_a, screen_b, n: int, slack: float, bufs) -> float:
     """An upper bound on ``_ncc_from_stats`` of two window statistics, from
-    their ``_screen_stats``: the float32 NCC sum plus E (``_screen_slack``).
+    their ``_screen_stats``: the float32 sum of the normalised map over its
+    rounding factor, plus E (``_screen_slack``).
 
-    ``bufs`` are float32 ``_ncc_buffers``.  Only called with a finite
-    slack: where it is inf the float32 map can overflow to nan.
+    Each window's v = (box(a*b) - u_a*u_b) * inv_a * inv_b is its
+    correlation, so the map takes no division and no variance product, and
+    ``np.einsum`` squares and sums it in float32 in one pass: no float64
+    copy of the map, and no BLAS call, which may start threads inside pool
+    workers.  ``bufs`` are float32 ``_ncc_buffers``.  Only called with a
+    finite slack.
     """
-    (stats_a, kappa_a), (stats_b, kappa_b) = screen_a, screen_b
-    total = float(_ncc_map(stats_a, stats_b, n, bufs).sum(dtype=np.float64))
+    ((img_a, u_a, inv_a), kappa_a), ((img_b, u_b, inv_b), kappa_b) = screen_a, screen_b
+    prod, *box = bufs
+    cross = _box_sum(np.multiply(img_a, img_b, out=prod), n, box)
+    cross -= np.multiply(u_a, u_b, out=box[2])  # the row sums, free once the box sum is done
+    cross *= inv_a
+    cross *= inv_b
+    flat = cross.ravel()
+    total = float(np.einsum("i,i->", flat, flat)) / (1.0 - flat.size * 2.0 ** -24)
     return (total + slack * (kappa_a + kappa_b)) * (1.0 + 2.0 ** -40)
 
 
@@ -311,9 +355,11 @@ def _shift_table(img: np.ndarray, n: int, radius: int):
     rows radius+k ... of the padded, transposed B-scan, and the
     position-independent box sums make the sliced statistics equal the
     direct ones bit for bit.  ``screen_at(k)`` is the ``_screen_stats`` of
-    the same candidate: row blocks of a float32 copy of the table, and the
-    conditioning summed by prefix sums over the table's rows.  That copy
-    is made on the first call.
+    the same candidate: row blocks of the table's ``_float32_stats`` (each
+    entry depends only on the same entry of the table, so a block equals
+    the candidate's own bit for bit), and the conditioning summed by
+    prefix sums over the table's rows.  Those arrays are made on the first
+    call.
     """
     n_r = img.shape[1]
     height = n_r - n + 1
@@ -331,8 +377,7 @@ def _shift_table(img: np.ndarray, n: int, radius: int):
     def screen_at(k: int):
         if not screen:
             rows = _conditioning(stats[1], stats[2], n).sum(axis=1)
-            screen.extend((tuple(a.astype(np.float32) for a in stats),
-                           np.concatenate(([0.0], np.cumsum(rows)))))
+            screen.extend((_float32_stats(stats, n), np.concatenate(([0.0], np.cumsum(rows)))))
         table, prefix = screen
         lo = radius + k
         return block(table, k), float(prefix[lo + height] - prefix[lo])
@@ -346,6 +391,8 @@ def local_ncc_map(img_a: np.ndarray, img_b: np.ndarray, window: int = 9) -> np.n
     Only pixels whose window lies fully inside the image are scored; pixels
     where either window has variance below VARIANCE_EPS contribute 0.
     """
+    if window < 1:
+        raise ConfigError(f"NCC window must be >= 1, got {window}")
     a = np.asarray(img_a, dtype=np.float64)
     b = np.asarray(img_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
@@ -360,6 +407,8 @@ def global_ncc(img_a: np.ndarray, img_b: np.ndarray) -> float:
     """Whole-image zero-mean correlation coefficient with a variance guard."""
     a = np.asarray(img_a, dtype=np.float64)
     b = np.asarray(img_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"images must share a shape, got {a.shape} vs {b.shape}")
     a = a - a.mean()
     b = b - b.mean()
     va = (a * a).mean()
@@ -464,7 +513,9 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     Each step scores the 4*radius + 1 integer shifts by ``global_ncc``
     against the predecessor resampled at its own estimate.  Candidate s is
     read as columns 2*radius + s ... of one edge-padded copy of the B-scan
-    (an integer shift is a pure replicate-fill gather).  The padded copy is
+    (an integer shift is a pure replicate-fill gather), cast to float64 as
+    it is padded, so ``data`` can be the stored float32 volume: the cast is
+    exact and the volume is not copied whole.  The padded copy is
     Fortran-ordered, like ``_interp_rows``'s output, so every candidate is
     a contiguous block in the same memory order and numpy's pairwise means
     round exactly as they do on the resampled B-scan.  The block a step
@@ -487,7 +538,7 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     span = 2 * radius
 
     def padded_copy(img):
-        return np.asfortranarray(np.pad(img, ((0, 0), (span, span)), mode="edge"))
+        return np.asfortranarray(np.pad(img, ((0, 0), (span, span)), mode="edge"), np.float64)
 
     d = np.zeros(n_b)
     padded = padded_copy(data[0])
@@ -549,17 +600,20 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     per call (``_ncc_buffers``).
 
     A candidate is screened before it is scored: its two NCC sums are
-    computed in float32 (``_screened_sum``, float32 work arrays allocated
-    once per call), and S32 + E, with E derived in ``_screen_slack`` from
+    computed in float32 from normalised statistics (``_screened_sum``,
+    float32 work arrays allocated once per call; the neighbor's
+    ``_screen_stats`` once per step, the candidates' from the table), and
+    S32 / (1 - m 2**-24) + E, with E derived in ``_screen_slack`` from
     each window's conditioning, bounds each float64 sum from above.  The
     candidate is skipped when minus those bounds is above the running
     best; the bound is evaluated by the same float operations as
     the terms, and rounding is monotone, so a skipped candidate could not
-    have passed the strict ``<`` test.  Where the slack is inf (a float32
-    variance product could overflow) nothing is screened.  Candidates are
-    still visited from -R to R, so the chosen shift is bit for bit the one
-    of scoring every candidate.  The parabola's two neighbors are scored
-    after the scan, whether or not the scan scored them.
+    have passed the strict ``<`` test.  Where the slack is inf (n^2 M^2 >=
+    2**63 or 2**24 map entries, beyond the derivation) nothing is
+    screened.  Candidates are still visited from -R to R, so the chosen
+    shift is bit for bit the one of scoring every candidate.  The
+    parabola's two neighbors are scored after the scan, whether or not the
+    scan scored them.
 
     The sweep keeps one NCC sum per adjacent pair: ``pair[b]`` is the sum
     of B-scans b and b + 1 at their current values, so the current value of
@@ -617,7 +671,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     shape = (data.shape[2], data.shape[1])  # a B-scan as scored, (R, N_A)
     bufs = _ncc_buffers(shape, n)
     bufs32 = _ncc_buffers(shape, n, np.float32)
-    slack = _screen_slack(n, float(np.abs(data).max()))
+    slack = _screen_slack(n, float(np.abs(data).max()), bufs32[-1].size)
 
     def stats_at(b, x):
         return _window_stats(_interp_rows(data[b], x).T, n)
@@ -756,7 +810,7 @@ def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None, *,
     cfg = cfg or AlignConfig()
     _check_radius(volume, cfg)
     if chain is None:
-        chain = _template_chain(volume.data.astype(np.float64), cfg.search_radius)
+        chain = _template_chain(volume.data, cfg.search_radius)
     d = chain - chain.mean()
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 

@@ -65,7 +65,7 @@ def run_volume(params: tuple) -> dict:
     # the template chain is both the template baseline and the unsupervised
     # warm start; it is computed once and timed as the template stage
     t0 = time.perf_counter()
-    chain = _template_chain(cvol.data.astype(np.float64), cfg.search_radius)
+    chain = _template_chain(cvol.data, cfg.search_radius)
     d_tmp = template_match_align(cvol, cfg, chain=chain)
     t["template_align_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()

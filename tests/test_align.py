@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from oct_align.align import (
     template_match_align,
 )
 from oct_align.core import OctVolume, SurfaceSet, search_order
-from oct_align.errors import DimensionError, ValidationError
+from oct_align.errors import ConfigError, DimensionError, ValidationError
 from oct_align.losses import grad_alignment
 from oct_align.metrics import motion_error
 from oct_align.resample import _interp_rows
@@ -115,6 +116,12 @@ class TestLocalNcc:
                     continue
                 expect[i, j] = (ca * cb).sum() ** 2 / (va * vb)
         assert np.allclose(got, expect, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_is_a_config_error(self, rng, window):
+        img = rng.normal(size=(8, 8))
+        with pytest.raises(ConfigError):
+            local_ncc_map(img, img, window=window)
 
     def test_affine_intensity_invariance(self, rng):
         a = rng.normal(size=(16, 16))
@@ -439,6 +446,13 @@ def exhaustive_descent(volume, cfg, trace, chain=None):
     return d - d.mean()
 
 
+def raw_screen_sum(bufs32):
+    """The float32 sum of the normalised map that ``_screened_sum`` leaves
+    in its output buffer, with no E and no rounding factor."""
+    flat = bufs32[-1].ravel()
+    return float(np.einsum("i,i->", flat, flat))
+
+
 @pytest.fixture()
 def table_reads(monkeypatch):
     """The candidates read from each B-scan's table, one list per table."""
@@ -505,16 +519,14 @@ class TestBoundedDescent:
 
     @pytest.mark.parametrize("scale", [1e9, 1e10])
     def test_equals_exhaustive_descent_where_the_screen_is_off(self, table_reads, scale):
-        # at n^2 M^2 >= 2**63 a float32 variance product can overflow, so the
-        # slack is inf and the descent must score every candidate; at x1e10
-        # the float32 screen itself would overflow to nan, with a warning
-        # that the test suite turns into an error, so it must not run
+        # at n^2 M^2 >= 2**63, beyond the screen's derivation, the slack is
+        # inf and the descent must score every candidate without screening
         vol, surf = generate_phantom(PhantomSpec(n_b=6, n_a=24, n_r=64, seed=2))
         cvol, _, _ = simulate_motion(vol, surf, seed=42)
         cvol = OctVolume(cvol.data * scale)
         cfg = AlignConfig(max_iters=2)
         assert 81.0 * float(np.abs(cvol.data).max()) ** 2 >= 2.0 ** 63
-        assert _screen_slack(9, float(np.abs(cvol.data).max())) == np.inf
+        assert _screen_slack(9, float(np.abs(cvol.data).max()), 56 * 24) == np.inf
         got_trace, want_trace = [], []
         got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
         want = exhaustive_descent(cvol, cfg, want_trace)
@@ -525,9 +537,10 @@ class TestBoundedDescent:
 
     @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
     def test_screen_bounds_every_candidate(self, rng, case):
-        # S64 <= S32 + E for every table candidate against both neighbors: on
-        # a phantom, on the phantom x1e3 + 500, and on low-contrast B-scans
-        # whose windows sit just above VARIANCE_EPS (conditioning near 1e4)
+        # S64 <= S32 / (1 - m 2**-24) + E for every table candidate against
+        # both neighbors: on a phantom, on the phantom x1e3 + 500, and on
+        # low-contrast B-scans whose windows sit just above VARIANCE_EPS
+        # (conditioning near 1e4)
         vol, _ = generate_phantom(PhantomSpec(n_b=3, n_a=32, n_r=48, seed=7))
         data = vol.data.astype(np.float64)
         if case == "scaled":
@@ -540,9 +553,9 @@ class TestBoundedDescent:
         max_abs = float(np.abs(data).max())
         radius, over, near = 15, 0.0, 0
         for n in (3, 9):
-            slack = _screen_slack(n, max_abs)
-            table, screen_at = _shift_table(data[1], n, radius)
             bufs32 = _ncc_buffers((48, 32), n, np.float32)
+            slack = _screen_slack(n, max_abs, bufs32[-1].size)
+            table, screen_at = _shift_table(data[1], n, radius)
             nbs = [_window_stats(_interp_rows(data[0], 2.5).T, n),
                    _window_stats(_interp_rows(data[2], -4.0).T, n)]
             for nb in nbs:
@@ -554,13 +567,63 @@ class TestBoundedDescent:
                 for (a, b), (a32, b32) in (((nbs[0], cand), (screens[0], cand32)),
                                            ((cand, nbs[1]), (cand32, screens[1]))):
                     exact = _ncc_from_stats(a, b, n)
-                    bound = _screened_sum(a32, b32, n, slack, bufs32)
-                    assert exact <= bound
-                    # without E the float32 sum alone would not bound it
-                    over = max(over, exact - _screened_sum(a32, b32, n, 0.0, bufs32))
+                    assert exact <= _screened_sum(a32, b32, n, slack, bufs32)
+                    # the raw float32 sum alone (no E, no factor) would not
+                    # bound it
+                    over = max(over, exact - raw_screen_sum(bufs32))
         assert over > 0.0
         if case == "near_eps":
             assert near > 100  # the windows the test is about do occur
+
+    def test_screen_bounds_every_candidate_at_clinical_size(self):
+        # one 256x192 B-scan pair, all 31 candidates on both sides: 45,632
+        # windows per map (47,104 entries with the zero columns), where the
+        # float32 sum's rounding factor 1 / (1 - m 2**-24) is 1.0028
+        vol, surf = generate_phantom(PhantomSpec(n_b=2, n_a=256, n_r=192, seed=5))
+        cvol, _, _ = simulate_motion(vol, surf, seed=45)
+        data = cvol.data.astype(np.float64)
+        n, radius = NCC_WINDOW, 15
+        bufs32 = _ncc_buffers((192, 256), n, np.float32)
+        assert (192 - n + 1) * (256 - n + 1) == 45632
+        slack = _screen_slack(n, float(np.abs(data).max()), bufs32[-1].size)
+        table, screen_at = _shift_table(data[1], n, radius)
+        nb = _window_stats(data[0].T, n)
+        screen_nb = _screen_stats(nb, n)
+        short = 0
+        for k in range(-radius, radius + 1):
+            cand, cand32 = table(k), screen_at(k)
+            for (a, b), (a32, b32) in (((nb, cand), (screen_nb, cand32)),
+                                       ((cand, nb), (cand32, screen_nb))):
+                assert _ncc_from_stats(a, b, n) <= _screened_sum(a32, b32, n, slack, bufs32)
+                # with E = 0 the bound still covers the exact sum of the
+                # squares of the float32 map it leaves: the rounding factor
+                # holds whatever order the float32 sum adds in
+                no_e = _screened_sum(a32, b32, n, 0.0, bufs32)
+                v = bufs32[-1].astype(np.float64).ravel()
+                squares = math.fsum(v * v)
+                assert squares <= no_e
+                short += raw_screen_sum(bufs32) < squares
+        assert short > 0  # the float32 sum alone does fall short of it
+
+    def test_a_constant_neighbor_screens_to_e(self):
+        # every window of a constant B-scan is masked, so its inverse roots
+        # are 0, every entry of the float32 map is exactly 0, and the bound
+        # is E (1 + 2**-40) with the constant B-scan's conditioning 0
+        vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=32, n_r=48, seed=7))
+        n = NCC_WINDOW
+        flat = _window_stats(np.full((48, 32), 0.7), n)
+        cand = _window_stats(vol.data[1].astype(np.float64).T, n)
+        assert np.isinf(flat[2]).all()
+        screen_flat, screen_cand = _screen_stats(flat, n), _screen_stats(cand, n)
+        assert screen_flat[1] == 0.0 and not screen_flat[0][2].any()
+        bufs32 = _ncc_buffers((48, 32), n, np.float32)
+        slack = _screen_slack(n, 1.0, bufs32[-1].size)
+        want = slack * screen_cand[1] * (1.0 + 2.0 ** -40)
+        for (a, b), (a32, b32) in (((flat, cand), (screen_flat, screen_cand)),
+                                   ((cand, flat), (screen_cand, screen_flat))):
+            assert _screened_sum(a32, b32, n, slack, bufs32) == want
+            assert raw_screen_sum(bufs32) == 0.0
+            assert _ncc_from_stats(a, b, n) == 0.0
 
     def test_ties_go_to_the_first_candidate_in_search_order(self):
         # B-scan 1 is depth-periodic (blips every 10 rows, 20 ... 50) and
@@ -925,3 +988,9 @@ def test_global_ncc_basics(rng):
     assert np.isclose(global_ncc(img, img), 1.0)
     assert global_ncc(np.ones((4, 4)), img[:4, :4]) == 0.0
     assert np.isclose(global_ncc(img, 2.5 * img + 1.0), 1.0)
+
+
+def test_global_ncc_rejects_mismatched_shapes(rng):
+    # broadcasting (6, 5) against (6, 1) would return a correlation
+    with pytest.raises(DimensionError):
+        global_ncc(rng.normal(size=(6, 5)), rng.normal(size=(6, 1)))

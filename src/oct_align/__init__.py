@@ -4,7 +4,6 @@ from .align import (
     AlignConfig,
     apply_axial_correction,
     global_ncc,
-    local_ncc_map,
     optimize_alignment,
     solve_from_surfaces,
     surface_alignment_loss,
@@ -14,9 +13,7 @@ from .core import (
     DisplacementField,
     LabelMap,
     OctVolume,
-    SurfaceDistribution,
     SurfaceSet,
-    labels_to_surfaces,
     surfaces_to_labels,
 )
 from .errors import (
@@ -49,16 +46,15 @@ from .metrics import (
     motion_error,
 )
 from .pipeline import run_pipeline
-from .postprocess import crop_rows, fix_surface_order, flatten_to_bm, unflatten, uncrop_rows
+from .postprocess import crop_rows, fix_surface_order, flatten_to_bm
 from .resample import resample_axial, resample_columns
 from .synth import (
     MotionSpec,
     PhantomSpec,
     apply_motion,
     generate_phantom,
-    invert_motion,
     simulate_motion,
 )
-from .transverse import align_transverse, apply_transverse_correction, mean_projection
+from .transverse import align_transverse, mean_projection
 
 __version__ = "0.1.0"

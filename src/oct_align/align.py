@@ -7,7 +7,7 @@ Two objectives over adjacent B-scans are minimized:
   whose exact minimizer is the closed form ``solve_from_surfaces``; and
 * without them, a windowed squared normalized cross-correlation similarity
   (higher is better, entered negated), the sum of the per-pixel map that
-  ``local_ncc_map`` returns.
+  ``_ncc_map`` computes.
 
 Both are invariant to a constant added to all displacements, so every
 solver mean-centers its result (the gauge convention used throughout the
@@ -350,7 +350,8 @@ def _shift_table(img: np.ndarray, n: int, radius: int):
     """Window statistics of ``img`` shifted by each integer in [-radius, radius].
 
     Returns ``(at, screen_at)``.  ``at(k)`` is the ``_window_stats`` of
-    ``_interp_rows(img, k).T`` read as row blocks of one edge-padded copy:
+    ``_interp_rows(img, k).T`` read as row blocks of one edge-padded copy,
+    cast to float64 as it is made (exact, so ``img`` may be float32):
     an integer shift is a pure replicate-fill gather, so candidate k is
     rows radius+k ... of the padded, transposed B-scan, and the
     position-independent box sums make the sliced statistics equal the
@@ -363,7 +364,8 @@ def _shift_table(img: np.ndarray, n: int, radius: int):
     """
     n_r = img.shape[1]
     height = n_r - n + 1
-    padded = np.ascontiguousarray(np.pad(img.T, ((radius, radius), (0, 0)), mode="edge"))
+    padded = np.ascontiguousarray(np.pad(img.T, ((radius, radius), (0, 0)), mode="edge"),
+                                  np.float64)
     stats = _window_stats(padded, n)
     screen = []
 
@@ -385,30 +387,14 @@ def _shift_table(img: np.ndarray, n: int, radius: int):
     return at, screen_at
 
 
-def local_ncc_map(img_a: np.ndarray, img_b: np.ndarray, window: int = 9) -> np.ndarray:
-    """Per-pixel squared NCC between two images over n-by-n windows.
-
-    Only pixels whose window lies fully inside the image are scored; pixels
-    where either window has variance below VARIANCE_EPS contribute 0.
-    """
-    if window < 1:
-        raise ConfigError(f"NCC window must be >= 1, got {window}")
-    a = np.asarray(img_a, dtype=np.float64)
-    b = np.asarray(img_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionError(f"images must share a 2D shape, got {a.shape} vs {b.shape}")
-    if min(a.shape) < window:
-        raise DimensionError(f"image {a.shape} smaller than the {window}x{window} window")
-    m = _ncc_map(_window_stats(a, window), _window_stats(b, window), window)
-    return m[:, :a.shape[1] - window + 1]
-
-
 def global_ncc(img_a: np.ndarray, img_b: np.ndarray) -> float:
     """Whole-image zero-mean correlation coefficient with a variance guard."""
     a = np.asarray(img_a, dtype=np.float64)
     b = np.asarray(img_b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"images must share a shape, got {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DimensionError(f"images of shape {a.shape} are empty")
     a = a - a.mean()
     b = b - b.mean()
     va = (a * a).mean()
@@ -584,7 +570,8 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     +search_radius] plus its current value, then refined by a parabola
     through the best integer and its neighbors.  Only the two
     NCC sums touching b are evaluated per candidate.  The objective is
-    asserted non-increasing after every sweep; pass ``trace`` to record it.
+    asserted non-increasing after every sweep; pass ``trace`` to record it
+    (the benchmark's replay, ``perfbench/replay.py``, reads it).
 
     The integer candidates of B-scan b are blocks of rows of one
     edge-padded, transposed copy of it (``_shift_table``): their window
@@ -597,7 +584,8 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     one B-scan is resampled directly per step (plus a refined value).
     B-scans are scored transposed to (R, N_A), so each candidate is a
     contiguous block.  The cross terms run in work arrays allocated once
-    per call (``_ncc_buffers``).
+    per call (``_ncc_buffers``).  The float32 volume is not copied: each
+    B-scan is cast to float64 (exactly) as it is resampled or padded.
 
     A candidate is screened before it is scored: its two NCC sums are
     computed in float32 from normalised statistics (``_screened_sum``,
@@ -665,13 +653,13 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
         return disp
 
     _check_radius(volume, cfg)
-    data = volume.data.astype(np.float64)
+    data = volume.data
     n = NCC_WINDOW
     radius = cfg.search_radius
     shape = (data.shape[2], data.shape[1])  # a B-scan as scored, (R, N_A)
     bufs = _ncc_buffers(shape, n)
     bufs32 = _ncc_buffers(shape, n, np.float32)
-    slack = _screen_slack(n, float(np.abs(data).max()), bufs32[-1].size)
+    slack = _screen_slack(n, float(max(data.max(), -data.min())), bufs32[-1].size)
 
     def stats_at(b, x):
         return _window_stats(_interp_rows(data[b], x).T, n)

@@ -73,6 +73,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    """Resample the volume by the CSV's axial column only; the transverse
+    column is read (whole pixels) but not applied."""
     vol = io.read_volume(args.vol)
     disp = io.read_displacements(args.disp)
     io.write_volume(args.out, resample_axial(vol, disp.axial))
@@ -213,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_phantom)
 
-    sp = sub.add_parser("apply", help="apply axial displacements to a volume")
+    sp = sub.add_parser("apply", help="apply a displacement CSV to a volume (axial column "
+                                      "only; the transverse column is ignored)")
     sp.add_argument("--vol", required=True)
     sp.add_argument("--disp", required=True)
     sp.add_argument("--out", required=True)

@@ -1,4 +1,4 @@
-"""Shared data model: volumes, surfaces, distributions, labels, displacements.
+"""Shared data model: volumes, surfaces, labels, displacements.
 
 Conventions used package-wide:
 
@@ -15,7 +15,6 @@ are marked read-only), so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,6 @@ from .errors import (
     SurfaceOrderError,
     ValidationError,
 )
-
-
-class SurfaceClampWarning(UserWarning):
-    """A label column never reached a surface; its position was clamped to R."""
 
 
 class EmptyBandWarning(UserWarning):
@@ -182,33 +177,6 @@ def as_positions(surfaces) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SurfaceDistribution:
-    """Per-A-scan probability vector over the R rows for one surface."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if p.ndim != 3:
-            raise DimensionError(f"distribution must be 3D (b, a, r), got {p.shape}")
-        if p.size == 0:
-            raise ValidationError("distribution is empty")
-        if not np.all(np.isfinite(p)) or p.min() < 0:
-            raise ValidationError("probabilities must be finite and nonnegative")
-        sums = p.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > 1e-6:
-            raise ValidationError(
-                "each per-A-scan probability vector must sum to 1 within 1e-6, "
-                f"worst |sum-1| = {np.abs(sums - 1.0).max():.3g}"
-            )
-        object.__setattr__(self, "probs", _freeze(p))
-
-    @property
-    def n_rows(self) -> int:
-        return self.probs.shape[2]
-
-
-@dataclass(frozen=True)
 class DisplacementField:
     """Per-B-scan motion estimate: real axial shift, integer transverse shift."""
 
@@ -237,10 +205,6 @@ class DisplacementField:
     @property
     def n_b(self) -> int:
         return self.axial.shape[0]
-
-    @classmethod
-    def zeros(cls, n_b: int) -> "DisplacementField":
-        return cls(axial=np.zeros(n_b), transverse=np.zeros(n_b, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -292,30 +256,3 @@ def surfaces_to_labels(surfaces: SurfaceSet, n_rows: int) -> LabelMap:
     labels = (pos[..., None] <= rows).sum(axis=0)
     return LabelMap(labels.astype(np.int16), n_surfaces=surfaces.n_surfaces)
 
-
-def labels_to_surfaces(label_map: LabelMap) -> SurfaceSet:
-    """Recover surface positions by counting label pixels per A-scan.
-
-    Surface l sits at 1 + (number of rows with label < l).  An A-scan whose
-    labels never reach l would place the surface at R + 1; it is clamped to
-    R and a SurfaceClampWarning reports how many columns were affected.
-    """
-    lab = label_map.labels
-    n_b, n_a, n_rows = lab.shape
-    n_s = label_map.n_surfaces
-    if n_s == 0:
-        return SurfaceSet(np.zeros((0, n_b, n_a)))
-    ls = np.arange(1, n_s + 1, dtype=np.int16)[:, None, None, None]
-    counts = (lab[None, ...] < ls).sum(axis=3)  # (L, N_B, N_A)
-    positions = 1.0 + counts.astype(np.float64)
-    clamped = positions > n_rows
-    n_clamped = int(clamped.sum())
-    if n_clamped:
-        positions = np.where(clamped, float(n_rows), positions)
-        warnings.warn(
-            f"{n_clamped} surface positions clamped to R={n_rows} "
-            "(label column never reached the surface)",
-            SurfaceClampWarning,
-            stacklevel=2,
-        )
-    return SurfaceSet(positions)

@@ -9,6 +9,7 @@ row positions.  Displacement CSV: header ``b,axial,transverse``.
 
 Surface-distribution and label-map binaries follow the volume layout with
 their own header keys; they exist so the loss CLI can read its inputs.
+Distribution values are checked to be finite and nonnegative on reading.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DisplacementField, LabelMap, OctVolume, SurfaceSet
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 _VOLUME_DTYPE = "f32le"
 
@@ -223,7 +224,8 @@ def read_displacements(path) -> DisplacementField:
 
 
 def write_distributions(path, probs: np.ndarray) -> None:
-    """Store per-surface row distributions, shape (L, N_B, N_A, R), as f64le."""
+    """Store per-surface row distributions, shape (L, N_B, N_A, R), as f64le
+    (the benchmark writes its loss inputs with it; the package only reads)."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 4:
         raise FormatError(f"distributions must be 4D (l, b, a, r), got {probs.shape}")
@@ -237,15 +239,21 @@ def write_distributions(path, probs: np.ndarray) -> None:
 
 
 def read_distributions(path) -> np.ndarray:
+    """Read a distribution file; ValidationError unless every value is finite
+    and nonnegative (one min and one max: a nan fails both, no temporary
+    array).  The losses check that each vector sums to 1 along their axis."""
     header, payload = _read_header_payload(path, ("n_l", "n_b", "n_a", "n_r", "dtype"))
     if header["dtype"] != "f64le":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
     dims = _header_ints(path, header, ("n_l", "n_b", "n_a", "n_r"))
     flat = _payload_array(path, payload, "<f8", math.prod(dims))  # exact: no int64 wrap
+    if flat.size and not (flat.min() >= 0.0 and flat.max() < np.inf):
+        raise ValidationError(f"{path}: probabilities must be finite and nonnegative")
     return flat.reshape(dims).copy()
 
 
 def write_labels(path, label_map: LabelMap) -> None:
+    """Store a label map as u8; the benchmark writes its loss inputs with it."""
     header = {
         "kind": "label_map",
         "n_b": label_map.labels.shape[0],

@@ -48,7 +48,8 @@ def motion_seed(seed: int, index: int, repeat: int) -> int:
 
 
 def run_volume(params: tuple) -> dict:
-    """One phantom/corruption work item; top-level so process pools can pickle it."""
+    """One phantom/corruption work item; top-level so process pools can pickle it.
+    ``params`` is ``run_pipeline``'s 8-tuple, also unpacked by ``perfbench/replay.py``."""
     seed, index, repeat, dims, n_layers, radius, t_radius, cfg_kwargs = params
     t = {}
     spec = PhantomSpec(

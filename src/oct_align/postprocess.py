@@ -19,7 +19,8 @@ def fix_surface_order(surfaces: SurfaceSet) -> SurfaceSet:
 
     Repeated adjacent-pair swap passes (bubble passes) over the surface
     axis; the multiset of values in each A-scan is preserved, and applying
-    the fix twice changes nothing.
+    the fix twice changes nothing.  Public for the benchmark's ``eval_io``
+    workload, which fixes its predictions with it.
     """
     pos = surfaces.positions.copy()
     n_s = pos.shape[0]
@@ -59,17 +60,12 @@ def flatten_to_bm(volume: OctVolume):
     """Shift every A-scan so the estimated BM lands on row round(0.75 * R).
 
     Returns the flattened volume and the per-(b, a) shift map that was
-    applied; ``unflatten`` with that map inverts the operation up to
-    interpolation error.
+    applied.  ``cmd_preprocess`` drops the map; it is returned for the
+    benchmark's replay (``perfbench/replay.py``), which unpacks it.
     """
     shifts = estimate_bm_rows(volume) - round(0.75 * volume.n_r)
     flat = resample_columns(volume.data, shifts)
     return volume.with_data(flat), shifts
-
-
-def unflatten(volume: OctVolume, shift_map: np.ndarray) -> OctVolume:
-    """Invert flatten_to_bm given its returned shift map."""
-    return volume.with_data(resample_columns(volume.data, -np.asarray(shift_map)))
 
 
 def crop_rows(volume: OctVolume, surfaces, row_range: tuple[int, int]):
@@ -98,18 +94,3 @@ def crop_rows(volume: OctVolume, surfaces, row_range: tuple[int, int]):
         return cropped, None
     return cropped, surfaces.with_positions(surfaces.positions - (lo - 1))
 
-
-def uncrop_rows(volume: OctVolume, surfaces, row_range: tuple[int, int],
-                n_rows: int, fill: float = 0.0):
-    """Undo crop_rows: pad the removed rows with ``fill`` and re-base surfaces."""
-    lo, hi = (int(x) for x in row_range)
-    if hi - lo + 1 != volume.n_r or not 1 <= lo <= hi <= n_rows:
-        raise ValidationError(
-            f"range {lo}:{hi} inconsistent with cropped R={volume.n_r} and full R={n_rows}"
-        )
-    data = np.full((volume.n_b, volume.n_a, n_rows), fill, dtype=np.float64)
-    data[:, :, lo - 1:hi] = volume.data
-    restored = volume.with_data(data)
-    if surfaces is None:
-        return restored, None
-    return restored, surfaces.with_positions(surfaces.positions + (lo - 1))

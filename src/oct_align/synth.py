@@ -153,10 +153,6 @@ class MotionSpec:
     def n_b(self) -> int:
         return self.axial_truth.shape[0]
 
-    @classmethod
-    def zero(cls, n_b: int) -> "MotionSpec":
-        return cls(np.zeros(n_b), np.zeros(n_b, dtype=np.int64), (0,))
-
     def as_displacement(self) -> DisplacementField:
         return DisplacementField(axial=self.axial_truth, transverse=self.transverse_truth)
 
@@ -303,15 +299,6 @@ def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
             "small for this motion amplitude"
         )
     return volume.with_data(data), surfaces.with_positions(shifted)
-
-
-def invert_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
-    """Perfect inverse correction using the ground truth (for oracles/tests)."""
-    data = shift_transverse(volume.data.astype(np.float64), -motion.transverse_truth)
-    data = resample_axial(data, motion.axial_truth)
-    pos = surfaces.positions - motion.axial_truth[None, :, None]
-    unrolled = shift_surfaces_transverse(pos, -motion.transverse_truth)
-    return volume.with_data(data), surfaces.with_positions(unrolled)
 
 
 def sample_motion(rng, n_b: int) -> MotionSpec:

@@ -25,7 +25,6 @@ from .core import (
     search_order,
 )
 from .errors import ConfigError, DimensionError
-from .synth import shift_surfaces_transverse, shift_transverse
 
 
 def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarray:
@@ -113,12 +112,3 @@ def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,
     est -= most_frequent_int(est)
     return DisplacementField(axial=np.zeros(volume.n_b), transverse=est)
 
-
-def apply_transverse_correction(volume: OctVolume, surfaces, disp: DisplacementField):
-    """Shift content back by the estimated motion (columns, edge replicate)."""
-    data = shift_transverse(volume.data.astype(np.float64), -disp.transverse)
-    corrected = volume.with_data(data)
-    if surfaces is None:
-        return corrected, None
-    pos = shift_surfaces_transverse(surfaces.positions, -disp.transverse)
-    return corrected, surfaces.with_positions(pos)

@@ -14,6 +14,7 @@ from oct_align.align import solve_from_surfaces
 from oct_align.cli import main
 from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
 from oct_align.pipeline import run_pipeline
+from oct_align.resample import resample_axial
 
 
 def run(argv):
@@ -71,10 +72,23 @@ class TestApplyAndAlign:
         from oct_align.core import DisplacementField
 
         dpath = tmp_path / "zero.csv"
-        io.write_displacements(dpath, DisplacementField.zeros(vol.n_b))
+        io.write_displacements(dpath, DisplacementField(np.zeros(vol.n_b), np.zeros(vol.n_b)))
         out = tmp_path / "applied.bin"
         assert run(["apply", "--vol", vol_path, "--disp", dpath, "--out", out]) == 0
         assert np.array_equal(io.read_volume(out).data, vol.data)
+
+    def test_apply_uses_the_axial_column_only(self, phantom_dir, tmp_path):
+        vol_path = phantom_dir / "volume_corrupt.bin"
+        vol = io.read_volume(vol_path)
+        axial = np.linspace(-3.5, 4.25, vol.n_b)
+        transverse = np.where(np.arange(vol.n_b) < vol.n_b // 2, 0, 7)
+        dpath = tmp_path / "motion.csv"
+        io.write_displacements(dpath, DisplacementField(axial, transverse))
+        out = tmp_path / "applied.bin"
+        assert run(["apply", "--vol", vol_path, "--disp", dpath, "--out", out]) == 0
+        # the nonzero transverse column is read and ignored
+        expected = resample_axial(vol, axial).data
+        assert np.array_equal(io.read_volume(out).data, expected)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "template"])
     def test_align_modes_write_displacements(self, phantom_dir, tmp_path, mode):
@@ -184,7 +198,7 @@ def input_dir():
         root = Path(tmp)
         vol = OctVolume(np.arange(3 * 4 * 8, dtype=np.float32).reshape(3, 4, 8) / 10.0)
         io.write_volume(root / "vol.bin", vol)
-        io.write_displacements(root / "disp.csv", DisplacementField.zeros(3))
+        io.write_displacements(root / "disp.csv", DisplacementField(np.zeros(3), np.zeros(3)))
         io.write_surfaces(root / "surf.csv", SurfaceSet(np.full((1, 3, 4), 4.0)))
         yield root
 
@@ -380,6 +394,36 @@ class TestLossesCommand:
             assert key in out
         assert out["cross_entropy"] == 0.0
         assert out["smooth_l1"] == 0.0
+
+    @pytest.mark.parametrize("flag", ["--q", "--class-probs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_probability_file_reports_validation_error(self, tmp_path, capsys,
+                                                           flag, bad):
+        gt = np.full((1, 2, 3), 4.0)
+        paths = {k: tmp_path / v for k, v in {
+            "--q": "q.bin", "--class-probs": "c.bin", "--surfaces": "s.csv",
+            "--labels": "m.bin", "--weights": "w.json"}.items()}
+        q = np.full((1, 2, 3, 8), 0.125)
+        classes = np.stack([np.arange(8) < 3, np.arange(8) >= 3]).astype(float)
+        classes = np.broadcast_to(classes[:, None, None, :], (2, 2, 3, 8)).copy()
+        (q if flag == "--q" else classes)[0, 1, 2, 5] = bad
+        io.write_distributions(paths["--q"], q)
+        io.write_distributions(paths["--class-probs"], classes)
+        io.write_surfaces(paths["--surfaces"], SurfaceSet(gt))
+        io.write_labels(paths["--labels"], surfaces_to_labels(SurfaceSet(gt), 8))
+        paths["--weights"].write_text(json.dumps({"lambda_l": [0.1]}))
+        argv = ["losses"]
+        for key, path in paths.items():
+            argv += [key, path]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "ValidationError"
+        assert str(paths[flag]) in err["message"]
 
     @pytest.mark.parametrize("text", [
         '{"lambda_base": 0.1',            # truncated: not valid JSON

@@ -5,10 +5,7 @@ from oct_align.core import (
     DisplacementField,
     LabelMap,
     OctVolume,
-    SurfaceClampWarning,
-    SurfaceDistribution,
     SurfaceSet,
-    labels_to_surfaces,
     most_frequent_int,
     surfaces_to_labels,
 )
@@ -74,24 +71,6 @@ class TestSurfaceSet:
             SurfaceSet(np.full((2, 2, 2), 2.0), names=("only_one",))
 
 
-class TestSurfaceDistribution:
-    def test_normalized_ok(self):
-        q = np.full((2, 2, 4), 0.25)
-        assert SurfaceDistribution(q).n_rows == 4
-
-    def test_unnormalized_rejected(self):
-        q = np.full((2, 2, 4), 0.25)
-        q[0, 0, 0] += 1e-4
-        with pytest.raises(ValidationError):
-            SurfaceDistribution(q)
-
-    def test_negative_rejected(self):
-        q = np.full((1, 1, 2), 0.5)
-        q[0, 0] = [1.5, -0.5]
-        with pytest.raises(ValidationError):
-            SurfaceDistribution(q)
-
-
 class TestDisplacementField:
     def test_fractional_transverse_rejected(self):
         with pytest.raises(ValidationError):
@@ -100,11 +79,6 @@ class TestDisplacementField:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             DisplacementField(np.zeros(3), np.zeros(4, dtype=np.int64))
-
-    def test_zeros_helper(self):
-        d = DisplacementField.zeros(5)
-        assert d.n_b == 5
-        assert d.transverse.dtype == np.int64
 
 
 class TestLabelMap:
@@ -164,72 +138,52 @@ def brute_force_surfaces(labels, n_surfaces):
 
 
 class TestLabelsToSurfaces:
+    """Surfaces read back from the labels ``surfaces_to_labels`` gives them,
+    by the ``brute_force_surfaces`` oracle."""
+
     def test_flat_round_trip(self):
         m = surfaces_to_labels(flat_surfaces(5.0), 10)
-        back = labels_to_surfaces(m)
-        assert (back.positions == 5.0).all()
-
-    def test_all_zero_labels_clamped_and_flagged(self):
-        m = LabelMap(np.zeros((2, 2, 6), dtype=np.int16), n_surfaces=1)
-        with pytest.warns(SurfaceClampWarning):
-            s = labels_to_surfaces(m)
-        assert (s.positions == 6.0).all()
+        assert (brute_force_surfaces(m.labels, 1) == 5.0).all()
 
     def test_exhaustive_single_column_small_instances(self):
-        # every monotone label column with R <= 8, L <= 2
+        # every ordered integer placement of L <= 2 surfaces with R <= 8
         for n_r in range(2, 9):
             for n_s in (1, 2):
-                # monotone columns are fixed by their jump rows
                 cuts = [
                     (i, j)
-                    for i in range(n_r + 1)
+                    for i in range(1, n_r + 1)
                     for j in range(i, n_r + 1)
-                ] if n_s == 2 else [(i, i) for i in range(n_r + 1)]
-                for i, j in cuts:
-                    col = np.zeros(n_r, dtype=np.int16)
-                    col[i:] += 1
-                    if n_s == 2:
-                        col[j:] += 1
-                    lab = np.tile(col, (2, 1, 1))
-                    m = LabelMap(lab, n_surfaces=n_s)
-                    expect = brute_force_surfaces(lab, n_s)
-                    clamp = expect > n_r
-                    expect = np.where(clamp, n_r, expect)
-                    if clamp.any():
-                        with pytest.warns(SurfaceClampWarning):
-                            got = labels_to_surfaces(m)
-                    else:
-                        got = labels_to_surfaces(m)
-                    assert (got.positions == expect).all()
+                ] if n_s == 2 else [(i, i) for i in range(1, n_r + 1)]
+                for cut in cuts:
+                    pos = np.array(cut[:n_s], dtype=np.float64)[:, None, None]
+                    s = SurfaceSet(np.broadcast_to(pos, (n_s, 2, 1)))
+                    m = surfaces_to_labels(s, n_r)
+                    assert (brute_force_surfaces(m.labels, n_s) == s.positions).all()
 
     def test_random_monotone_columns_match_brute_force(self, rng):
         for _ in range(25):
-            # cuts < R so every surface is reached (clamping covered above)
+            # cuts < R so every surface lies on a row
             cuts = np.sort(rng.integers(0, 8, size=(2, 3, 2)), axis=-1)
             lab = np.zeros((2, 3, 8), dtype=np.int16)
             rows = np.arange(8)
             lab += (rows >= cuts[..., :1]).astype(np.int16)
             lab += (rows >= cuts[..., 1:]).astype(np.int16)
-            m = LabelMap(lab, n_surfaces=2)
             expect = brute_force_surfaces(lab, 2)
             assert (expect <= 8).all()
-            got = labels_to_surfaces(m)
-            assert (got.positions == expect).all()
-            got.require_ordered()
+            m = surfaces_to_labels(SurfaceSet(expect), 8)
+            assert (m.labels == lab).all()
 
     def test_integer_surfaces_round_trip_exactly(self, rng):
         pos = np.sort(rng.integers(1, 17, size=(3, 4, 5)).astype(float), axis=0)
-        s = SurfaceSet(pos)
-        back = labels_to_surfaces(surfaces_to_labels(s, 16))
-        assert (back.positions == pos).all()
+        m = surfaces_to_labels(SurfaceSet(pos), 16)
+        assert (brute_force_surfaces(m.labels, 3) == pos).all()
 
     def test_fractional_surfaces_round_trip_to_ceil(self, rng):
         # 100 random ordered triples over R=32
         for _ in range(100):
             pos = np.sort(rng.uniform(1.0, 32.0, size=(3, 2, 3)), axis=0)
-            s = SurfaceSet(pos)
-            back = labels_to_surfaces(surfaces_to_labels(s, 32))
-            assert (back.positions == np.ceil(pos)).all()
+            m = surfaces_to_labels(SurfaceSet(pos), 32)
+            assert (brute_force_surfaces(m.labels, 3) == np.ceil(pos)).all()
 
 
 class TestMostFrequentInt:

@@ -6,7 +6,7 @@ import pytest
 
 from oct_align import io
 from oct_align.core import DisplacementField, LabelMap, OctVolume, SurfaceSet
-from oct_align.errors import FormatError
+from oct_align.errors import FormatError, ValidationError
 from oct_align.synth import PhantomSpec, generate_phantom
 
 
@@ -178,6 +178,23 @@ class TestDistributionAndLabelFiles:
         back = io.read_distributions(path)
         assert np.array_equal(back, q)  # f64 payload: exact
 
+    def test_negative_rejected(self, tmp_path):
+        q = np.full((1, 1, 1, 2), 0.5)
+        q[0, 0, 0] = [1.5, -0.5]
+        path = tmp_path / "q.bin"
+        io.write_distributions(path, q)
+        with pytest.raises(ValidationError, match="q.bin: probabilities"):
+            io.read_distributions(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, tmp_path, bad):
+        q = np.full((2, 1, 3, 4), 0.25)
+        q[1, 0, 2, 1] = bad
+        path = tmp_path / "q.bin"
+        io.write_distributions(path, q)
+        with pytest.raises(ValidationError, match="q.bin: probabilities"):
+            io.read_distributions(path)
+
     def test_label_round_trip(self, tmp_path):
         lab = np.zeros((2, 3, 6), dtype=np.int16)
         lab[..., 3:] = 1
@@ -226,7 +243,8 @@ def _writers():
         "distributions": (io, lambda p: io.write_distributions(p, np.full((1, 2, 3, 4), 0.25))),
         "labels": (io, lambda p: io.write_labels(p, LabelMap(np.zeros((2, 3, 4), np.int16), 1))),
         "surfaces": (io, lambda p: io.write_surfaces(p, SurfaceSet(np.full((1, 2, 3), 2.5)))),
-        "displacements": (io, lambda p: io.write_displacements(p, DisplacementField.zeros(3))),
+        "displacements": (io, lambda p: io.write_displacements(
+            p, DisplacementField(np.zeros(3), np.zeros(3)))),
         "histogram": (metrics, lambda p: metrics.write_histogram_csv(
             p, np.array([3, 1]), np.array([0.0, 1.0, 2.0]))),
         "json": (io, lambda p: io.write_json(p, {"a": 1})),

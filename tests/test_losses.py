@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oct_align.align import surface_alignment_loss
-from oct_align.core import LabelMap, SurfaceDistribution, SurfaceSet, surfaces_to_labels
+from oct_align.core import LabelMap, SurfaceSet, surfaces_to_labels
 from oct_align.errors import DimensionError, ValidationError
 from oct_align.losses import (
     LossWeights,
@@ -62,9 +62,12 @@ class TestSoftArgmax:
         q = random_distribution(rng, (2, 3, 12))
         assert np.allclose(soft_argmax(q[..., ::-1]), 13.0 - soft_argmax(q), atol=1e-9)
 
-    def test_accepts_distribution_type(self, rng):
-        q = SurfaceDistribution(random_distribution(rng, (2, 2, 6)))
-        assert soft_argmax(q).shape == (2, 2)
+    def test_nan_rejected(self, rng):
+        # a nan sum compares false with any bound, so it must fail the check
+        q = random_distribution(rng, (2, 2, 8))
+        q[1, 0, 3] = np.nan
+        with pytest.raises(ValidationError):
+            soft_argmax(q)
 
 
 class TestCrossEntropy:
@@ -176,6 +179,14 @@ class TestDiceCrossEntropy:
             dice += (2 * (p[c] * y).sum() + 1e-6) / (p[c].sum() + y.sum() + 1e-6)
         expect = ce + (1 - dice / 3)
         assert np.isclose(got, expect, rtol=1e-10)
+
+    def test_nan_rejected(self):
+        lab = np.zeros((2, 2, 4), dtype=np.int16)
+        lab[..., 2:] = 1
+        p = np.full((2, 2, 2, 4), 0.5)
+        p[0, 1, 1, 2] = np.nan
+        with pytest.raises(ValidationError):
+            dice_cross_entropy(p, LabelMap(lab, n_surfaces=1))
 
     def test_class_count_mismatch_rejected(self, rng):
         lab = np.zeros((1, 1, 4), dtype=np.int16)

@@ -170,8 +170,8 @@ class TestMotionError:
     def test_length_mismatch(self):
         truth = MotionSpec(np.zeros(4), np.zeros(4, np.int64), (0,))
         with pytest.raises(DimensionError):
-            motion_error(DisplacementField.zeros(5), truth)
+            motion_error(DisplacementField(np.zeros(5), np.zeros(5)), truth)
 
     def test_truth_type_guard(self):
         with pytest.raises(ValidationError):
-            motion_error(DisplacementField.zeros(3), np.zeros(3))
+            motion_error(DisplacementField(np.zeros(3), np.zeros(3)), np.zeros(3))

@@ -9,12 +9,21 @@ from oct_align.synth import (
     PhantomSpec,
     apply_motion,
     generate_phantom,
-    invert_motion,
     sample_motion,
     shift_surfaces_transverse,
     shift_transverse,
     simulate_motion,
 )
+
+
+def invert_motion(volume, surfaces, motion):
+    """Perfect inverse correction using the ground truth: undo the
+    transverse roll, then resample by the axial truth."""
+    data = shift_transverse(volume.data.astype(np.float64), -motion.transverse_truth)
+    data = resample_axial(data, motion.axial_truth)
+    pos = surfaces.positions - motion.axial_truth[None, :, None]
+    unrolled = shift_surfaces_transverse(pos, -motion.transverse_truth)
+    return volume.with_data(data), surfaces.with_positions(unrolled)
 
 
 class TestPhantomSpec:
@@ -101,16 +110,12 @@ class TestMotionSpec:
         with pytest.raises(ValidationError):
             MotionSpec(np.array([0.0, 16.0]), np.zeros(2, dtype=np.int64), (0,))
 
-    def test_zero_helper(self):
-        m = MotionSpec.zero(6)
-        assert m.n_b == 6
-        assert (m.axial_truth == 0).all()
-
 
 class TestApplyMotion:
     def test_zero_motion_is_identity(self):
         vol, surf = generate_phantom(PhantomSpec(seed=0))
-        v2, s2 = apply_motion(vol, surf, MotionSpec.zero(vol.n_b))
+        zero = MotionSpec(np.zeros(vol.n_b), np.zeros(vol.n_b, dtype=np.int64), (0,))
+        v2, s2 = apply_motion(vol, surf, zero)
         assert np.array_equal(v2.data, vol.data)
         assert np.array_equal(s2.positions, surf.positions)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oct_align import io
 from oct_align.core import (
     DisplacementField,
     LabelMap,
@@ -15,6 +16,7 @@ from oct_align.errors import (
     SurfaceOrderError,
     ValidationError,
 )
+from oct_align.losses import soft_argmax
 
 
 def flat_surfaces(value, n_b=2, n_a=3, n_s=1):
@@ -69,6 +71,26 @@ class TestSurfaceSet:
         assert s.names == ("surface_1", "surface_2")
         with pytest.raises(DimensionError):
             SurfaceSet(np.full((2, 2, 2), 2.0), names=("only_one",))
+
+
+class TestSurfaceDistribution:
+    """A per-A-scan row distribution, checked where the package takes one in:
+    read_distributions (finite, nonnegative) and the losses (sum to 1)."""
+
+    def test_normalized_ok(self, tmp_path):
+        path = tmp_path / "q.bin"
+        io.write_distributions(path, np.full((1, 2, 2, 4), 0.25))
+        q = io.read_distributions(path)
+        assert q.shape[-1] == 4
+        assert np.allclose(soft_argmax(q[0]), 2.5)
+
+    def test_unnormalized_rejected(self, tmp_path):
+        q = np.full((1, 2, 2, 4), 0.25)
+        q[0, 0, 0, 0] += 1e-4
+        path = tmp_path / "q.bin"
+        io.write_distributions(path, q)
+        with pytest.raises(ValidationError):
+            soft_argmax(io.read_distributions(path)[0])
 
 
 class TestDisplacementField:

@@ -512,11 +512,11 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
     All candidates are first screened at once (``_chain_bounds``, from the
     template centred once per step), within a proven err of their exact
     scores.  Only the candidates that can still win are scored exactly, in
-    search order with the strict ``>``: those within 2 err of the best
-    screened score of a candidate whose mask is decided (that candidate's
-    exact score beats any candidate more than 2 err below it), and those
-    whose screened variance lies within a derived slack of VARIANCE_EPS
-    (their mask is not decided; they do not set the best).  The exact
+    search order, and ``max`` keeps the first best: those within 2 err of
+    the best screened score of a candidate whose mask is decided (that
+    candidate's exact score beats any candidate more than 2 err below it),
+    and those whose screened variance lies within a derived slack of
+    VARIANCE_EPS (their mask is not decided; they do not set the best).  The exact
     winner, and every candidate that ties it, is among them, so the chosen
     shift is the one of scoring every candidate.
     """
@@ -538,13 +538,8 @@ def _template_chain(data: np.ndarray, radius: int) -> np.ndarray:
             continue  # every candidate scores 0 and the search keeps shift 0
         v, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
         confirm = undecided | (v >= v[~undecided].max(initial=-np.inf) - 2.0 * err)
-        best_s, best_v = 0, -np.inf
-        for s in search_order(span):
-            if confirm[span + s]:
-                score = global_ncc(template, padded[:, span + s:span + s + n_r])
-                if score > best_v:
-                    best_v, best_s = score, s
-        d[b] = float(best_s)
+        d[b] = max((s for s in search_order(span) if confirm[span + s]),
+                   key=lambda s: global_ncc(template, padded[:, span + s:span + s + n_r]))
     return d
 
 
@@ -803,12 +798,7 @@ def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None, *,
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 
 
-def apply_axial_correction(volume: OctVolume, surfaces, disp: DisplacementField):
+def apply_axial_correction(volume: OctVolume, surfaces: SurfaceSet, disp: DisplacementField):
     """Resample the volume by the estimate and subtract it from the surfaces."""
     corrected = resample_axial(volume, disp.axial)
-    if surfaces is None:
-        return corrected, None
-    pos = _positions(surfaces) - disp.axial[None, :, None]
-    if isinstance(surfaces, SurfaceSet):
-        return corrected, surfaces.with_positions(pos)
-    return corrected, pos
+    return corrected, surfaces.with_positions(surfaces.positions - disp.axial[None, :, None])

@@ -131,6 +131,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_losses(args) -> int:
+    """Print the segmentation loss breakdown as JSON.  Without
+    ``--class-probs`` the labels are scored against themselves, so the
+    Dice+CE term is 0.0."""
     probs = io.read_distributions(args.q)
     surf = io.read_surfaces(args.surfaces)
     labels = io.read_labels(args.labels)
@@ -146,14 +149,7 @@ def cmd_losses(args) -> int:
         weights = LossWeights(lambda_base=base, lambda_l=lam)
     else:
         weights = smoothness_weights(surf, base)
-    if args.class_probs:
-        class_probs = io.read_distributions(args.class_probs)
-    else:
-        # fall back to one-hot probabilities of the stored labels
-        n_classes = labels.n_surfaces + 1
-        class_probs = np.zeros((n_classes, *labels.labels.shape))
-        for c in range(n_classes):
-            class_probs[c] = labels.labels == c
+    class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
     breakdown = segmentation_loss(probs, class_probs, surf, labels, weights)
     breakdown["lambda_l"] = weights.lambda_l.tolist()
     print(json.dumps(breakdown, sort_keys=True, indent=2))
@@ -255,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--labels", required=True, help="label map file")
     sp.add_argument("--weights", required=True, help="JSON with lambda_base or lambda_l")
     sp.add_argument("--class-probs", default=None,
-                    help="per-class probability file; one-hot labels when omitted")
+                    help="per-class probability file; when omitted the labels are "
+                         "scored against themselves and the Dice+CE term is 0.0")
     sp.set_defaults(func=cmd_losses)
 
     sp = sub.add_parser("eval", help="surface metrics against ground truth")

@@ -55,7 +55,8 @@ def most_frequent_int(values) -> int:
 def search_order(radius: int):
     """Integer candidates 0, -1, 1, -2, 2, ... up to +/-radius.
 
-    Searches that keep the first strict improvement therefore resolve ties
+    Searches that keep the first best candidate (``min``/``max`` over this
+    order, or the first strict improvement) therefore resolve ties
     toward the smaller |shift|, and toward the negative one at equal |shift|.
     """
     yield 0
@@ -121,7 +122,6 @@ class SurfaceSet:
     """
 
     positions: np.ndarray
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         pos = np.ascontiguousarray(self.positions, dtype=np.float64)
@@ -129,15 +129,7 @@ class SurfaceSet:
             raise DimensionError(f"surface positions must be 3D (l, b, a), got {pos.shape}")
         if pos.size and (not np.all(np.isfinite(pos)) or pos.min() < 1.0):
             raise ValidationError("surface positions must be finite and >= 1 (rows are 1-based)")
-        names = tuple(self.names) if self.names else tuple(
-            f"surface_{i + 1}" for i in range(pos.shape[0])
-        )
-        if len(names) != pos.shape[0]:
-            raise DimensionError(
-                f"{len(names)} names for {pos.shape[0]} surfaces"
-            )
         object.__setattr__(self, "positions", _freeze(pos))
-        object.__setattr__(self, "names", names)
 
     @property
     def n_surfaces(self) -> int:
@@ -166,7 +158,7 @@ class SurfaceSet:
         )
 
     def with_positions(self, positions: np.ndarray) -> "SurfaceSet":
-        return SurfaceSet(positions=positions, names=self.names)
+        return SurfaceSet(positions=positions)
 
 
 def as_positions(surfaces) -> np.ndarray:

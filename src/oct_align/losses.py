@@ -204,6 +204,9 @@ def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeigh
     """Total segmentation objective and its per-term breakdown.
 
     total = dice_ce + cross_entropy + smooth_l1 + sum_l lambda_l * smoothness.
+    With ``class_probs`` None the labels are scored against themselves:
+    ``dice_ce`` is 0.0, what ``dice_cross_entropy`` gives their one-hot
+    probabilities, and nothing is built.
     """
     p = np.asarray(q, dtype=np.float64)
     gt = as_positions(gt_surfaces)
@@ -216,7 +219,7 @@ def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeigh
     pred = soft_argmax(p)
     ce = cross_entropy(p, gt)
     l1 = smooth_l1(pred, gt)
-    dce = dice_cross_entropy(class_probs, gt_labels)
+    dce = 0.0 if class_probs is None else dice_cross_entropy(class_probs, gt_labels)
     smooth = float(
         sum(weights.lambda_l[l] * smoothness_energy(pred[l]) for l in range(gt.shape[0]))
     )

@@ -20,17 +20,15 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _summary(gts, per_surface, overall) -> dict:
+def _summary(per_surface, overall) -> dict:
     """Volume-wise values with their mean/std, per surface and overall.
 
-    ``per_surface`` is (V, L) and ``overall`` (V,); surface names come from
-    the first SurfaceSet among ``gts``.
+    ``per_surface`` is (V, L) and ``overall`` (V,).
     """
     per_surface = np.asarray(per_surface, dtype=np.float64)
     overall = np.asarray(overall, dtype=np.float64)
-    names = next((list(g.names) for g in gts if isinstance(g, SurfaceSet)), None)
     return {
-        "surfaces": names or [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
+        "surfaces": [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
         "per_surface": {
             "volume_values_um": per_surface.tolist(),
             "mean_um": per_surface.mean(axis=0).tolist(),
@@ -75,7 +73,7 @@ def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
         else:
             per_surface.append(err.mean(axis=(1, 2)).tolist())
             overall.append(float(err.mean()))
-    return _summary(gts, per_surface, overall)
+    return _summary(per_surface, overall)
 
 
 def _curve_distances(pred_rows, gt_rows, dz, dx):
@@ -118,12 +116,12 @@ def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
             vals[l] = float(np.mean(per_b))
         per_surface.append(vals)
     per_surface = np.asarray(per_surface)
-    return _summary(gts, per_surface, per_surface.mean(axis=1))
+    return _summary(per_surface, per_surface.mean(axis=1))
 
 
 def adjacent_ncc(volume: OctVolume) -> float:
     """Mean global NCC between consecutive B-scans (1 for identical stacks)."""
-    data = volume.data.astype(np.float64)
+    data = volume.data
     vals = [global_ncc(data[b], data[b + 1]) for b in range(volume.n_b - 1)]
     return float(np.mean(vals))
 

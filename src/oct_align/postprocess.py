@@ -15,27 +15,13 @@ BM_MEDIAN_SIZE = 5
 
 
 def fix_surface_order(surfaces: SurfaceSet) -> SurfaceSet:
-    """Swap out-of-order neighboring surfaces until every A-scan is ordered.
+    """Sort each A-scan's surface positions so every A-scan is ordered.
 
-    Repeated adjacent-pair swap passes (bubble passes) over the surface
-    axis; the multiset of values in each A-scan is preserved, and applying
-    the fix twice changes nothing.  Public for the benchmark's ``eval_io``
+    The multiset of values in each A-scan is preserved, and applying the
+    fix twice changes nothing.  Public for the benchmark's ``eval_io``
     workload, which fixes its predictions with it.
     """
-    pos = surfaces.positions.copy()
-    n_s = pos.shape[0]
-    for _ in range(max(n_s - 1, 0)):
-        swapped = False
-        for l in range(n_s - 1):
-            bad = pos[l] > pos[l + 1]
-            if bad.any():
-                upper = np.where(bad, pos[l + 1], pos[l])
-                lower = np.where(bad, pos[l], pos[l + 1])
-                pos[l], pos[l + 1] = upper, lower
-                swapped = True
-        if not swapped:
-            break
-    return surfaces.with_positions(pos)
+    return surfaces.with_positions(np.sort(surfaces.positions, axis=0))
 
 
 def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
@@ -46,9 +32,9 @@ def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
     bright-to-dark transition), median-filtered over (b, a) to knock out
     vessel-shadow outliers.
     """
-    data = volume.data.astype(np.float64)
     n_r = volume.n_r
-    smoothed = gaussian_filter1d(data, sigma=BM_SIGMA, axis=2, mode="nearest")
+    smoothed = gaussian_filter1d(volume.data, sigma=BM_SIGMA, axis=2, mode="nearest",
+                                 output=np.float64)
     grad = np.gradient(smoothed, axis=2)
     half = n_r // 2
     rows0 = half + np.argmin(grad[:, :, half:], axis=2)

@@ -64,16 +64,22 @@ def resample_axial(volume, axial):
 
 
 def resample_columns(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Per-A-scan variant: ``shifts`` has shape (N_B, N_A), one offset per column."""
-    data = np.asarray(data, dtype=np.float64)
+    """Per-A-scan variant: ``shifts`` has shape (N_B, N_A), one offset per column.
+
+    Returns a float64 array.  Each B-scan is gathered from the stored values
+    and only then widened, which is exact, so the volume is not copied whole.
+    """
+    data = np.asarray(data)
     shifts = np.asarray(shifts, dtype=np.float64)
     if data.ndim != 3 or shifts.shape != data.shape[:2]:
         raise DimensionError(
             f"shift map {shifts.shape} does not match volume columns {data.shape[:2]}"
         )
     n_r = data.shape[2]
-    lo, hi, w = _lerp_index(np.arange(n_r, dtype=np.float64) + shifts[..., None], n_r)
-    return (
-        np.take_along_axis(data, lo, axis=2) * (1.0 - w)
-        + np.take_along_axis(data, hi, axis=2) * w
-    )
+    rows = np.arange(n_r, dtype=np.float64)
+    out = np.empty(data.shape)
+    for b, img in enumerate(data):
+        lo, hi, w = _lerp_index(rows + shifts[b, :, None], n_r)
+        out[b] = (np.take_along_axis(img, lo, axis=1) * (1.0 - w)
+                  + np.take_along_axis(img, hi, axis=1) * w)
+    return out

@@ -35,7 +35,7 @@ def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarra
     Without surfaces the whole column is averaged.
     """
     if surfaces is None or surfaces.n_surfaces == 0:
-        return volume.data.astype(np.float64).mean(axis=2)
+        return volume.data.mean(axis=2, dtype=np.float64)
     if surfaces.n_b != volume.n_b or surfaces.n_a != volume.n_a:
         raise DimensionError("surfaces and volume disagree on (N_B, N_A)")
     surfaces.require_ordered()
@@ -81,12 +81,7 @@ def projection_mse(proj_a: np.ndarray, proj_b: np.ndarray, t: int) -> float:
 
 def best_shift(proj_a: np.ndarray, proj_b: np.ndarray, radius: int) -> int:
     """Integer shift of strip b that best matches strip a; ties prefer small |t|."""
-    best_t, best_v = 0, np.inf
-    for t in search_order(radius):
-        v = projection_mse(proj_a, proj_b, t)
-        if v < best_v:
-            best_v, best_t = v, t
-    return best_t
+    return min(search_order(radius), key=lambda t: projection_mse(proj_a, proj_b, t))
 
 
 def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,

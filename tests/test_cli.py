@@ -395,6 +395,31 @@ class TestLossesCommand:
         assert out["cross_entropy"] == 0.0
         assert out["smooth_l1"] == 0.0
 
+    def test_no_class_probs_prints_what_the_labels_one_hot_file_prints(self, tmp_path,
+                                                                        capsys, rng):
+        n_s, n_b, n_a, n_r = 3, 4, 5, 20
+        gt = np.sort(rng.integers(3, 18, size=(n_s, n_b, n_a)), axis=0).astype(float)
+        q = rng.uniform(1e-3, 1.0, size=(n_s, n_b, n_a, n_r))
+        labels = surfaces_to_labels(SurfaceSet(gt), n_r)
+        one_hot = np.stack([labels.labels == c for c in range(n_s + 1)]).astype(float)
+        paths = {k: tmp_path / v for k, v in {
+            "--q": "q.bin", "--surfaces": "s.csv", "--labels": "m.bin",
+            "--weights": "w.json", "--class-probs": "c.bin"}.items()}
+        io.write_distributions(paths["--q"], q / q.sum(axis=-1, keepdims=True))
+        io.write_surfaces(paths["--surfaces"], SurfaceSet(gt))
+        io.write_labels(paths["--labels"], labels)
+        paths["--weights"].write_text(json.dumps({"lambda_base": 0.1}))
+        io.write_distributions(paths["--class-probs"], one_hot)
+        argv = ["losses"]
+        for key, path in paths.items():
+            argv += [key, path]
+        printed = []
+        for args in (argv[:-2], argv):
+            assert run(args) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["dice_ce"] == 0.0
+
     @pytest.mark.parametrize("flag", ["--q", "--class-probs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_probability_file_reports_validation_error(self, tmp_path, capsys,

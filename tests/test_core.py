@@ -66,12 +66,6 @@ class TestSurfaceSet:
         pos = np.stack([np.full((2, 2), 5.0), np.full((2, 2), 5.0)])
         SurfaceSet(pos).require_ordered()
 
-    def test_names_default_and_mismatch(self):
-        s = flat_surfaces(2.0, n_s=2)
-        assert s.names == ("surface_1", "surface_2")
-        with pytest.raises(DimensionError):
-            SurfaceSet(np.full((2, 2, 2), 2.0), names=("only_one",))
-
 
 class TestSurfaceDistribution:
     """A per-A-scan row distribution, checked where the package takes one in:

@@ -152,6 +152,17 @@ class TestDiceCrossEntropy:
         p = np.stack([(lab == c).astype(float) for c in range(3)])
         assert dice_cross_entropy(p, m) < 1e-5
 
+    def test_one_hot_of_the_labels_is_exactly_zero(self, rng):
+        # every picked probability is 1 (CE -0.0) and every class's Dice is
+        # (2c + s) / (2c + s) = 1.0, absent classes included: this is why
+        # segmentation_loss skips the term when no class probabilities are given
+        for _ in range(20):
+            n_s = int(rng.integers(1, 5))
+            pos = np.sort(rng.integers(1, 13, size=(n_s, 3, 4)), axis=0).astype(float)
+            m = surfaces_to_labels(SurfaceSet(pos), 12)
+            p = np.stack([(m.labels == c).astype(float) for c in range(n_s + 1)])
+            assert dice_cross_entropy(p, m) == 0.0
+
     def test_uniform_two_class_ce_is_log_two(self):
         lab = np.zeros((2, 2, 4), dtype=np.int16)
         lab[..., 2:] = 1
@@ -270,6 +281,14 @@ class TestSegmentationLoss:
             rtol=1e-12,
         )
         assert out["smoothness_weighted"] == 0.0
+
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_no_class_probs_equals_the_labels_one_hot(self, rng, perfect):
+        q, p, gt, m = self._case(rng, perfect=perfect)
+        weights = LossWeights(0.1, np.array([0.02, 0.03]))
+        out = segmentation_loss(q, None, gt, m, weights)
+        assert out == segmentation_loss(q, p, gt, m, weights)
+        assert out["dice_ce"] == 0.0
 
     def test_total_is_sum_of_independently_computed_terms(self, rng):
         q, p, gt, m = self._case(rng)

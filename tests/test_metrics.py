@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oct_align.align import global_ncc
 from oct_align.core import DisplacementField, OctVolume, SurfaceSet
 from oct_align.errors import DimensionError, ValidationError
 from oct_align.metrics import (
@@ -11,7 +12,7 @@ from oct_align.metrics import (
     motion_error,
     write_histogram_csv,
 )
-from oct_align.synth import MotionSpec
+from oct_align.synth import MotionSpec, PhantomSpec, generate_phantom
 
 
 def surfaces(pos):
@@ -111,6 +112,14 @@ class TestAdjacentNcc:
         vol = OctVolume(data - data.min())
         bound = 3.0 / np.sqrt(40 * 50)
         assert abs(adjacent_ncc(vol)) <= bound
+
+    @pytest.mark.parametrize("dims", [(24, 64, 96), (5, 40, 192)])
+    def test_equals_the_float64_copy_version(self, dims):
+        n_b, n_a, n_r = dims
+        vol, _ = generate_phantom(PhantomSpec(n_b=n_b, n_a=n_a, n_r=n_r, seed=5))
+        data = vol.data.astype(np.float64)
+        want = float(np.mean([global_ncc(data[b], data[b + 1]) for b in range(n_b - 1)]))
+        assert adjacent_ncc(vol) == want
 
 
 class TestConnectivityHistogram:

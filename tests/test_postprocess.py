@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d, median_filter
 
 from oct_align.core import OctVolume, SurfaceSet
 from oct_align.errors import ValidationError
 from oct_align.postprocess import (
+    BM_MEDIAN_SIZE,
+    BM_SIGMA,
     crop_rows,
     estimate_bm_rows,
     fix_surface_order,
@@ -11,6 +14,35 @@ from oct_align.postprocess import (
 )
 from oct_align.resample import resample_columns
 from oct_align.synth import PhantomSpec, generate_phantom
+
+
+def bubble_passes(pos):
+    """Reference ordering fix: adjacent-pair swap passes over the surface
+    axis until a pass swaps nothing (at most L - 1 passes)."""
+    pos = pos.copy()
+    n_s = pos.shape[0]
+    for _ in range(max(n_s - 1, 0)):
+        swapped = False
+        for l in range(n_s - 1):
+            bad = pos[l] > pos[l + 1]
+            if bad.any():
+                upper = np.where(bad, pos[l + 1], pos[l])
+                lower = np.where(bad, pos[l], pos[l + 1])
+                pos[l], pos[l + 1] = upper, lower
+                swapped = True
+        if not swapped:
+            break
+    return pos
+
+
+def bm_rows_from_float64_copy(volume):
+    """Reference BM estimate that smooths a whole float64 copy of the volume."""
+    smoothed = gaussian_filter1d(volume.data.astype(np.float64), sigma=BM_SIGMA, axis=2,
+                                 mode="nearest")
+    grad = np.gradient(smoothed, axis=2)
+    half = volume.n_r // 2
+    rows0 = half + np.argmin(grad[:, :, half:], axis=2)
+    return median_filter(rows0.astype(np.float64), size=BM_MEDIAN_SIZE, mode="nearest") + 1.0
 
 
 class TestFixSurfaceOrder:
@@ -30,6 +62,14 @@ class TestFixSurfaceOrder:
         fixed = fix_surface_order(SurfaceSet(pos))
         assert np.array_equal(fixed.positions, np.sort(pos, axis=0))
         fixed.require_ordered()
+
+    def test_matches_bubble_passes_with_ties(self, rng):
+        for _ in range(200):
+            shape = tuple(int(rng.integers(1, n)) for n in (7, 4, 5))
+            # few distinct values, so most A-scans hold ties
+            pos = rng.integers(1, 5, size=shape) + rng.choice([0.0, 0.5], size=shape)
+            fixed = fix_surface_order(SurfaceSet(pos))
+            assert np.array_equal(fixed.positions, bubble_passes(pos))
 
     def test_idempotent_and_value_preserving(self, rng):
         pos = rng.uniform(1, 30, size=(5, 3, 4))
@@ -72,6 +112,12 @@ class TestFlatten:
         est = estimate_bm_rows(vol)
         frac_close = (np.abs(est - bottom) <= 2.0).mean()
         assert frac_close >= 0.95
+
+    @pytest.mark.parametrize("dims", [(24, 64, 96), (5, 40, 192)])
+    def test_bm_estimate_equals_the_float64_copy_version(self, dims):
+        n_b, n_a, n_r = dims
+        vol, _ = generate_phantom(PhantomSpec(n_b=n_b, n_a=n_a, n_r=n_r, seed=4))
+        assert np.array_equal(estimate_bm_rows(vol), bm_rows_from_float64_copy(vol))
 
     def test_already_flat_phantom_constant_shift_map(self):
         vol, bottom = two_band_volume()

@@ -112,6 +112,29 @@ def test_resample_columns_matches_per_column_loop(rng):
             assert np.allclose(out[b, a], single[0, 0], atol=1e-12)
 
 
+def resample_columns_whole_volume(data, shifts):
+    """Reference: one float64 copy of the volume and whole-volume index and
+    weight arrays, gathered in one step."""
+    data = np.asarray(data, dtype=np.float64)
+    n_r = data.shape[2]
+    pos = np.arange(n_r, dtype=np.float64) + np.asarray(shifts, dtype=np.float64)[..., None]
+    lo = np.floor(pos).astype(np.int64)
+    w = pos - lo
+    lo, hi = np.clip(lo, 0, n_r - 1), np.clip(lo + 1, 0, n_r - 1)
+    return (np.take_along_axis(data, lo, axis=2) * (1.0 - w)
+            + np.take_along_axis(data, hi, axis=2) * w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resample_columns_equals_the_whole_volume_formula(rng, dtype):
+    data = rng.normal(50.0, 20.0, size=(5, 40, 192)).astype(dtype)
+    shifts = rng.uniform(-30, 30, size=(5, 40))
+    shifts[0] = np.round(shifts[0])  # integer shifts gather without interpolating
+    out = resample_columns(data, shifts)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, resample_columns_whole_volume(data, shifts))
+
+
 def test_resample_columns_shape_guard(rng):
     with pytest.raises(DimensionError):
         resample_columns(rng.normal(size=(2, 3, 4)), np.zeros((2, 4)))

@@ -89,6 +89,12 @@ class TestMeanProjection:
         vol = OctVolume(data)
         assert np.allclose(mean_projection(vol, None), data.mean(axis=2))
 
+    @pytest.mark.parametrize("dims", [(24, 64, 96), (5, 40, 192), (2, 3, 9000)])
+    def test_without_surfaces_equals_the_float64_copy_mean(self, rng, dims):
+        vol = OctVolume(rng.normal(50.0, 20.0, size=dims))
+        want = vol.data.astype(np.float64).mean(axis=2)
+        assert np.array_equal(mean_projection(vol, None), want)
+
 
 class TestBestShift:
     def test_single_bright_column_recovered_exactly(self):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io, metrics
 from .align import AlignConfig, optimize_alignment, template_match_align
-from .errors import ConfigError, OctAlignError
+from .errors import ConfigError, DimensionError, OctAlignError
 from .losses import LossWeights, segmentation_loss, smoothness_weights
 from .pipeline import run_pipeline
 from .postprocess import crop_rows, flatten_to_bm
@@ -157,18 +157,23 @@ def cmd_losses(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Write report.json and the two connectivity CSVs beside it; every
+    metric is computed before the first file is written."""
     pred = io.read_surfaces(args.pred)
     gt = io.read_surfaces(args.gt)
     vol = io.read_volume(args.vol)
+    for flag, surf in (("--pred", pred), ("--gt", gt)):
+        if (surf.n_b, surf.n_a) != (vol.n_b, vol.n_a):
+            raise DimensionError(
+                f"{flag} surfaces are on a {surf.n_b}x{surf.n_a} (N_B x N_A) grid, "
+                f"the volume is {vol.n_b}x{vol.n_a}"
+            )
     dz, dx = vol.spacing[0], vol.spacing[1]
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     hist_pred = report_path.with_name(report_path.stem + "_connectivity_pred.csv")
     hist_gt = report_path.with_name(report_path.stem + "_connectivity_gt.csv")
     counts_p, edges_p = metrics.connectivity_histogram(pred)
     counts_g, edges_g = metrics.connectivity_histogram(gt)
-    metrics.write_histogram_csv(hist_pred, counts_p, edges_p)
-    metrics.write_histogram_csv(hist_gt, counts_g, edges_g)
     report = {
         "schema": 1,
         "mad_um": metrics.mean_abs_distance(pred, gt, dz_um=dz),
@@ -176,6 +181,9 @@ def cmd_eval(args) -> int:
         "ncc_adjacent": metrics.adjacent_ncc(vol),
         "connectivity_csv": {"pred": str(hist_pred), "gt": str(hist_gt)},
     }
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    metrics.write_histogram_csv(hist_pred, counts_p, edges_p)
+    metrics.write_histogram_csv(hist_gt, counts_g, edges_g)
     io.write_json(report_path, report)
     print(str(report_path))
     return 0

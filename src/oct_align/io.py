@@ -9,7 +9,10 @@ row positions.  Displacement CSV: header ``b,axial,transverse``.
 
 Surface-distribution and label-map binaries follow the volume layout with
 their own header keys; they exist so the loss CLI can read its inputs.
-Distribution values are checked to be finite and nonnegative on reading.
+Every binary reader checks the payload size the header implies against
+the file's size before it reads (or allocates) the payload, then reads the
+payload straight into its array.  Distribution values are checked to be
+finite and nonnegative on reading.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -61,22 +65,21 @@ def _write_header_payload(path, header: dict, payload: bytes) -> None:
         f.write(payload)
 
 
-def _read_header_payload(path, required_keys) -> tuple[dict, bytes]:
-    with open(path, "rb") as f:
-        line = f.readline()
-        if not line.endswith(b"\n"):
-            raise FormatError(f"{path}: missing header line")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: header must be a JSON object")
-        missing = [k for k in required_keys if k not in header]
-        if missing:
-            raise FormatError(f"{path}: header missing keys {missing}")
-        payload = f.read()
-    return header, payload
+def _read_header(path, f, required_keys) -> dict:
+    """The JSON header line at the start of the open binary file ``f``."""
+    line = f.readline()
+    if not line.endswith(b"\n"):
+        raise FormatError(f"{path}: missing header line")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header must be a JSON object")
+    missing = [k for k in required_keys if k not in header]
+    if missing:
+        raise FormatError(f"{path}: header missing keys {missing}")
+    return header
 
 
 def _header_ints(path, header: dict, keys) -> tuple[int, ...]:
@@ -93,13 +96,28 @@ def _header_ints(path, header: dict, keys) -> tuple[int, ...]:
     return values
 
 
-def _payload_array(path, payload, np_dtype, count):
-    itemsize = np.dtype(np_dtype).itemsize
-    if len(payload) != count * itemsize:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {count * itemsize}"
-        )
-    return np.frombuffer(payload, dtype=np_dtype, count=count)
+def _read_payload(path, f, np_dtype, shape) -> np.ndarray:
+    """The rest of ``f``, read straight into a new array of ``shape``.
+
+    The byte count the header implies is compared with what the file holds
+    after the header before anything is allocated, so a header that claims
+    more than the file holds is a FormatError, never a MemoryError.  A pipe
+    has no size until it is read, so it is read first and then copied.
+    """
+    dtype = np.dtype(np_dtype)
+    expected = math.prod(shape) * dtype.itemsize  # Python ints: no int64 wrap
+    st = os.fstat(f.fileno())
+    piped = None if stat.S_ISREG(st.st_mode) else f.read()
+    size = st.st_size - f.tell() if piped is None else len(piped)
+    if size != expected:
+        raise FormatError(f"{path}: payload is {size} bytes, expected {expected}")
+    if piped is not None:
+        return np.frombuffer(piped, dtype).reshape(shape).copy()
+    out = np.empty(shape, dtype)
+    got = f.readinto(out)
+    if got != expected:  # the file shrank after the size check
+        raise FormatError(f"{path}: payload is {got} bytes, expected {expected}")
+    return out
 
 
 def write_volume(path, volume: OctVolume) -> None:
@@ -114,18 +132,17 @@ def write_volume(path, volume: OctVolume) -> None:
 
 
 def read_volume(path) -> OctVolume:
-    header, payload = _read_header_payload(
-        path, ("n_b", "n_a", "n_r", "spacing_um", "dtype")
-    )
-    if header["dtype"] != _VOLUME_DTYPE:
-        raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    n_b, n_a, n_r = _header_ints(path, header, ("n_b", "n_a", "n_r"))
-    try:
-        spacing = tuple(float(x) for x in header["spacing_um"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: spacing_um must be a list of numbers: {exc}") from exc
-    flat = _payload_array(path, payload, "<f4", n_b * n_a * n_r)
-    return OctVolume(data=flat.reshape(n_b, n_a, n_r), spacing=spacing)
+    with open(path, "rb") as f:
+        header = _read_header(path, f, ("n_b", "n_a", "n_r", "spacing_um", "dtype"))
+        if header["dtype"] != _VOLUME_DTYPE:
+            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
+        dims = _header_ints(path, header, ("n_b", "n_a", "n_r"))
+        try:
+            spacing = tuple(float(x) for x in header["spacing_um"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: spacing_um must be a list of numbers: {exc}") from exc
+        data = _read_payload(path, f, "<f4", dims)
+    return OctVolume(data=data, spacing=spacing)
 
 
 def _read_table(path, header: str, what: str) -> np.ndarray:
@@ -242,14 +259,15 @@ def read_distributions(path) -> np.ndarray:
     """Read a distribution file; ValidationError unless every value is finite
     and nonnegative (one min and one max: a nan fails both, no temporary
     array).  The losses check that each vector sums to 1 along their axis."""
-    header, payload = _read_header_payload(path, ("n_l", "n_b", "n_a", "n_r", "dtype"))
-    if header["dtype"] != "f64le":
-        raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    dims = _header_ints(path, header, ("n_l", "n_b", "n_a", "n_r"))
-    flat = _payload_array(path, payload, "<f8", math.prod(dims))  # exact: no int64 wrap
-    if flat.size and not (flat.min() >= 0.0 and flat.max() < np.inf):
+    with open(path, "rb") as f:
+        header = _read_header(path, f, ("n_l", "n_b", "n_a", "n_r", "dtype"))
+        if header["dtype"] != "f64le":
+            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
+        dims = _header_ints(path, header, ("n_l", "n_b", "n_a", "n_r"))
+        probs = _read_payload(path, f, "<f8", dims)
+    if probs.size and not (probs.min() >= 0.0 and probs.max() < np.inf):
         raise ValidationError(f"{path}: probabilities must be finite and nonnegative")
-    return flat.reshape(dims).copy()
+    return probs
 
 
 def write_labels(path, label_map: LabelMap) -> None:
@@ -268,16 +286,15 @@ def write_labels(path, label_map: LabelMap) -> None:
 
 
 def read_labels(path) -> LabelMap:
-    header, payload = _read_header_payload(
-        path, ("n_b", "n_a", "n_r", "n_surfaces", "dtype")
-    )
-    if header["dtype"] != "u8":
-        raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    n_b, n_a, n_r, n_surfaces = _header_ints(
-        path, header, ("n_b", "n_a", "n_r", "n_surfaces")
-    )
-    flat = _payload_array(path, payload, np.uint8, n_b * n_a * n_r)
-    return LabelMap(labels=flat.reshape(n_b, n_a, n_r).astype(np.int16), n_surfaces=n_surfaces)
+    with open(path, "rb") as f:
+        header = _read_header(path, f, ("n_b", "n_a", "n_r", "n_surfaces", "dtype"))
+        if header["dtype"] != "u8":
+            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
+        n_b, n_a, n_r, n_surfaces = _header_ints(
+            path, header, ("n_b", "n_a", "n_r", "n_surfaces")
+        )
+        labels = _read_payload(path, f, np.uint8, (n_b, n_a, n_r))
+    return LabelMap(labels=labels.astype(np.int16), n_surfaces=n_surfaces)
 
 
 def write_json(path, obj) -> None:

@@ -76,16 +76,17 @@ def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
     return _summary(per_surface, overall)
 
 
-def _curve_distances(pred_rows, gt_rows, dz, dx):
-    """Symmetric nearest-neighbor distances between two 2D surface curves."""
-    n_a = pred_rows.shape[0]
+def _diagonal_dxx(n_a: int, dx: float):
+    """The squared A-scan distances of an n_a x n_a grid, one row per diagonal.
+
+    Row k holds offset s = k - (n_a - 1): entry i is (xs[i] - xs[i + s])**2,
+    the (i, i + s) entry of the full matrix ``(xs[:, None] - xs[None, :])**2``
+    bit for bit, and +inf where i + s falls off the grid.
+    """
     xs = np.arange(1, n_a + 1, dtype=np.float64) * dx
-    dxx = (xs[:, None] - xs[None, :]) ** 2
-    dzz = (pred_rows[:, None] * dz - gt_rows[None, :] * dz) ** 2
-    d2 = dxx + dzz
-    fwd = np.sqrt(d2.min(axis=1))
-    bwd = np.sqrt(d2.min(axis=0))
-    return np.concatenate([fwd, bwd])
+    cols = np.arange(n_a) + np.arange(1 - n_a, n_a)[:, None]
+    inside = (cols >= 0) & (cols < n_a)
+    return np.where(inside, (xs - xs[np.clip(cols, 0, n_a - 1)]) ** 2, np.inf)
 
 
 def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
@@ -95,6 +96,17 @@ def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
     95th percentile of the pooled directed nearest-neighbor distances gives
     the per-B-scan value, B-scans average to the volume value, and volumes
     aggregate like mean_abs_distance.  ``spacing`` is (dz, dx).
+
+    The nearest points are searched only on the diagonals j - i that can
+    hold one.  With d2(i, j) = dxx[i, j] + (p_i*dz - g_j*dz)**2, the
+    rounded sum is never below dxx[i, j] (the added square is >= 0 and
+    rounding is monotone), and each directed minimum, of row i or of
+    column i, is at most d2(i, i).  So with U the largest d2(i, i) of a
+    surface over its B-scans, a diagonal whose every dxx entry exceeds U
+    holds no minimum.  The kept diagonals are computed with the same float
+    operations as the full matrix, so every minimum, and so every distance
+    and percentile, is bit-identical to the full search; a NaN bound keeps
+    every diagonal.
     """
     dz, dx = (float(x) for x in spacing)
     preds, gts = _as_list(preds), _as_list(gts)
@@ -105,15 +117,26 @@ def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
         pp, gg = as_positions(p), as_positions(g)
         if pp.shape != gg.shape:
             raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
-        if pp.shape[2] == 0:
+        n_l, n_b, n_a = pp.shape
+        if n_a == 0:
             raise ValidationError("cannot compute hd95 of an empty surface")
-        vals = np.empty(pp.shape[0])
-        for l in range(pp.shape[0]):
-            per_b = [
-                np.percentile(_curve_distances(pp[l, b], gg[l, b], dz, dx), 95)
-                for b in range(pp.shape[1])
-            ]
-            vals[l] = float(np.mean(per_b))
+        dxx = _diagonal_dxx(n_a, dx)
+        dxx_min = dxx.min(axis=1)
+        vals = np.empty(n_l)
+        for l in range(n_l):
+            pz, gz = pp[l] * dz, gg[l] * dz
+            # U: the largest d2(i, i), as dxx is 0 there (-inf without B-scans)
+            bound = np.max((pz - gz) ** 2, initial=-np.inf)
+            fwd = np.full((n_b, n_a), np.inf)
+            bwd = np.full((n_b, n_a), np.inf)
+            for k in np.flatnonzero(~(dxx_min > bound)):
+                s = int(k) + 1 - n_a
+                lo, hi = max(0, -s), min(n_a, n_a - s)
+                d2 = dxx[k, lo:hi] + (pz[:, lo:hi] - gz[:, lo + s:hi + s]) ** 2
+                np.minimum(fwd[:, lo:hi], d2, out=fwd[:, lo:hi])
+                np.minimum(bwd[:, lo + s:hi + s], d2, out=bwd[:, lo + s:hi + s])
+            dist = np.sqrt(np.concatenate([fwd, bwd], axis=1))
+            vals[l] = float(np.mean(np.percentile(dist, 95, axis=1)))
         per_surface.append(vals)
     per_surface = np.asarray(per_surface)
     return _summary(per_surface, per_surface.mean(axis=1))

@@ -493,6 +493,28 @@ class TestEvalCommand:
         assert (tmp_path / "report_connectivity_gt.csv").exists()
 
 
+    @pytest.mark.parametrize("which", ["--pred", "--gt"])
+    def test_surfaces_off_the_volume_grid_rejected(self, which):
+        with input_dir() as root:  # the volume is 3x4 (N_B x N_A)
+            io.write_surfaces(root / "small.csv", SurfaceSet(np.full((1, 2, 2), 4.0)))
+            argv = eval_argv(root)
+            argv[argv.index(which) + 1] = root / "small.csv"
+            code, lines = run_quiet(argv)
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "DimensionError"
+            assert "2x2" in err["message"] and "3x4" in err["message"]
+            assert not (root / "out").exists()
+
+    def test_surface_count_mismatch_writes_nothing(self):
+        with input_dir() as root:
+            io.write_surfaces(root / "two.csv", SurfaceSet(np.full((2, 3, 4), 4.0)))
+            argv = eval_argv(root)
+            argv[argv.index("--gt") + 1] = root / "two.csv"
+            assert_one_line_error(*run_quiet(argv))
+            assert not (root / "out").exists()
+
+
 class TestPipelineCommand:
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         args = ["pipeline", "--seed", 7, "--volumes", 2, "--repeats", 1,

@@ -1,4 +1,7 @@
 import json
+import math
+import os
+import threading
 from io import StringIO
 
 import numpy as np
@@ -112,6 +115,82 @@ def test_distribution_dims_whose_product_overflows_int64_rejected(tmp_path):
         io.read_distributions(path)
 
 
+# one small valid file per binary reader: (reader, writer of it, payload item size)
+BINARY_FILES = {
+    "volume": (io.read_volume,
+               lambda p: io.write_volume(p, OctVolume(np.ones((2, 3, 4), np.float32))), 4),
+    "distributions": (io.read_distributions,
+                      lambda p: io.write_distributions(p, np.full((1, 2, 3, 4), 0.25)), 8),
+    "labels": (io.read_labels,
+               lambda p: io.write_labels(p, LabelMap(np.zeros((2, 3, 4), np.int16), 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_FILES))
+@pytest.mark.parametrize("change", ["one item short", "one trailing byte", "no payload"])
+def test_payload_size_mismatch_rejected(tmp_path, name, change):
+    reader, write, itemsize = BINARY_FILES[name]
+    path = tmp_path / "f.bin"
+    write(path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    expected = len(payload)
+    cut = {"one item short": payload[:-itemsize], "one trailing byte": payload + b"\0",
+           "no payload": b""}[change]
+    path.write_bytes(header + b"\n" + cut)
+    with pytest.raises(FormatError,
+                       match=f"f.bin: payload is {len(cut)} bytes, expected {expected}$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_FILES))
+def test_huge_header_fails_before_allocating(tmp_path, monkeypatch, name):
+    reader, write, itemsize = BINARY_FILES[name]
+    path = tmp_path / "f.bin"
+    write(path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields.update(n_b=10 ** 7, n_a=10 ** 7, n_r=10 ** 6 // itemsize)  # about 1e20 bytes
+    path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the payload array was allocated")
+
+    monkeypatch.setattr(io.np, "empty", no_allocation)
+    expected = math.prod(fields[k] for k in ("n_l", "n_b", "n_a", "n_r") if k in fields)
+    with pytest.raises(FormatError, match=f"payload is {len(payload)} bytes, "
+                                          f"expected {expected * itemsize}$"):
+        reader(path)
+
+
+def payload_of(read):
+    """The array inside what a binary reader returned."""
+    return getattr(read, "data", getattr(read, "labels", read))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_FILES))
+@pytest.mark.parametrize("cut", [0, 1])
+def test_payload_read_through_a_pipe(tmp_path, name, cut):
+    reader, write, _itemsize = BINARY_FILES[name]
+    write(tmp_path / "f.bin")
+    raw = (tmp_path / "f.bin").read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(raw[:len(raw) - cut])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    if cut:
+        with pytest.raises(FormatError, match="fifo: payload is"):
+            reader(fifo)
+    else:
+        assert np.array_equal(payload_of(reader(fifo)), payload_of(reader(tmp_path / "f.bin")))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("bad", ["x", 3.0, ["a", 1, 1]])
 def test_non_numeric_spacing_rejected(tmp_path, bad):
     path = tmp_path / "bad.bin"
@@ -177,6 +256,7 @@ class TestDistributionAndLabelFiles:
         io.write_distributions(path, q)
         back = io.read_distributions(path)
         assert np.array_equal(back, q)  # f64 payload: exact
+        assert back.flags.writeable
 
     def test_negative_rejected(self, tmp_path):
         q = np.full((1, 1, 1, 2), 0.5)

@@ -71,6 +71,27 @@ def brute_force_hd95(pred_rows, gt_rows, dz, dx):
     return np.percentile(np.array(d_pg + d_gp), 95)
 
 
+def curve_distances(pred_rows, gt_rows, dz, dx):
+    """The full search hd95 made before its band: every pair's distance."""
+    n_a = pred_rows.shape[0]
+    xs = np.arange(1, n_a + 1, dtype=np.float64) * dx
+    dxx = (xs[:, None] - xs[None, :]) ** 2
+    dzz = (pred_rows[:, None] * dz - gt_rows[None, :] * dz) ** 2
+    d2 = dxx + dzz
+    fwd = np.sqrt(d2.min(axis=1))
+    bwd = np.sqrt(d2.min(axis=0))
+    return np.concatenate([fwd, bwd])
+
+
+def full_search_values(pred, gt, dz, dx):
+    """Per-surface volume values of hd95 from the full search."""
+    return [
+        float(np.mean([np.percentile(curve_distances(pred[l, b], gt[l, b], dz, dx), 95)
+                       for b in range(pred.shape[1])]))
+        for l in range(pred.shape[0])
+    ]
+
+
 class TestHd95:
     def test_identical_is_zero(self, rng):
         s = surfaces(rng.uniform(2, 30, size=(2, 3, 8)))
@@ -99,6 +120,53 @@ class TestHd95:
         with pytest.raises(ValidationError):
             hd95(SurfaceSet(np.zeros((1, 2, 0))), SurfaceSet(np.zeros((1, 2, 0))),
                  spacing=(1.0, 1.0))
+
+
+class TestHd95Band:
+    """The banded search gives the full search's values bit for bit."""
+
+    @staticmethod
+    def assert_full_search(pred, gt, dz=3.24, dx=6.7):
+        out = hd95(surfaces(pred), surfaces(gt), spacing=(dz, dx))
+        assert out["per_surface"]["volume_values_um"] == [full_search_values(pred, gt, dz, dx)]
+
+    def test_full_width_band(self, rng):
+        # every row offset is at least N_A * dx, so every diagonal can win
+        for _ in range(20):
+            n_a = int(rng.integers(2, 40))
+            dz, dx = 3.24, 6.7
+            gt = rng.uniform(1, 40, size=(2, 3, n_a))
+            shift = n_a * dx / dz + rng.uniform(0, 30, size=gt.shape)
+            self.assert_full_search(gt + shift, gt, dz, dx)
+
+    def test_random_offsets(self, rng):
+        for _ in range(30):
+            n_a = int(rng.integers(3, 64))
+            gt = rng.uniform(1, 60, size=(3, 2, n_a))
+            pred = np.maximum(gt + rng.uniform(-20, 20, size=gt.shape), 1.0)
+            self.assert_full_search(pred, gt)
+
+    @pytest.mark.parametrize("n_a", [1, 2])
+    def test_one_and_two_a_scans(self, rng, n_a):
+        for _ in range(10):
+            gt = rng.uniform(1, 30, size=(2, 3, n_a))
+            self.assert_full_search(gt + rng.uniform(0, 20, size=gt.shape), gt)
+
+    def test_identical_curves(self, rng):
+        gt = rng.uniform(1, 30, size=(2, 4, 17))
+        self.assert_full_search(gt.copy(), gt)
+
+    def test_unordered_prediction(self, rng):
+        gt = np.sort(rng.uniform(1, 60, size=(3, 4, 25)), axis=0)
+        pred = gt[::-1].copy()
+        pred[:, :, ::3] += 5.0
+        self.assert_full_search(pred, gt)
+
+    def test_clinical_size_half_pixel_offset(self, rng):
+        _vol, surf = generate_phantom(PhantomSpec(n_b=49, n_a=256, n_r=192, seed=3))
+        gt = surf.positions
+        pred = gt + 0.5 * rng.choice([-1.0, 1.0], size=gt.shape)
+        self.assert_full_search(pred, gt)
 
 
 class TestAdjacentNcc:

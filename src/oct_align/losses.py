@@ -206,12 +206,19 @@ def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeigh
     total = dice_ce + cross_entropy + smooth_l1 + sum_l lambda_l * smoothness.
     With ``class_probs`` None the labels are scored against themselves:
     ``dice_ce`` is 0.0, what ``dice_cross_entropy`` gives their one-hot
-    probabilities, and nothing is built.
+    probabilities, and nothing is built.  The labels must be on the
+    distributions' (N_B, N_A, N_R) grid either way.
     """
     p = np.asarray(q, dtype=np.float64)
     gt = as_positions(gt_surfaces)
     if p.shape[:-1] != gt.shape:
         raise DimensionError(f"distributions {p.shape} do not match gt {gt.shape}")
+    lab = gt_labels.labels if isinstance(gt_labels, LabelMap) else np.asarray(gt_labels)
+    if lab.shape != p.shape[1:]:
+        raise DimensionError(
+            f"labels are on a {'x'.join(map(str, lab.shape))} (N_B x N_A x N_R) grid, "
+            f"the distributions on {'x'.join(map(str, p.shape[1:]))}"
+        )
     if weights.lambda_l.shape[0] != gt.shape[0]:
         raise DimensionError(
             f"{weights.lambda_l.shape[0]} weights for {gt.shape[0]} surfaces"

@@ -14,7 +14,6 @@ template matching (axial); retina-masked and unmasked projection matching
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -121,7 +120,9 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
     defaults to twice that, because adjacent transverse groups can differ
     by up to two amplitudes.  The report is a pure function of the
     arguments (timings are returned separately so the report stays
-    byte-stable across runs).
+    byte-stable across runs).  The process pool is imported only when
+    ``jobs > 1`` so that a serial run, and every other command, starts
+    without loading ``concurrent.futures.process`` and ``multiprocessing``.
     """
     for name, value in (("volumes", volumes), ("repeats", repeats), ("jobs", jobs)):
         if value < 1:
@@ -135,6 +136,8 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
         for j in range(repeats)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_volume, work))
     else:

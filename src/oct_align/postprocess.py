@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d, median_filter
 
 from .core import OctVolume, SurfaceSet
 from .errors import ValidationError
@@ -12,6 +11,8 @@ from .resample import resample_columns
 # Gaussian smoothing along rows, and median filter over (b, a), of the BM estimate
 BM_SIGMA = 2.0
 BM_MEDIAN_SIZE = 5
+# rows each side that gaussian_filter1d reads at BM_SIGMA (its default truncate=4)
+_BM_RADIUS = int(4 * BM_SIGMA + 0.5)
 
 
 def fix_surface_order(surfaces: SurfaceSet) -> SurfaceSet:
@@ -31,13 +32,23 @@ def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
     of the most negative axial gradient in the lower half (the deepest
     bright-to-dark transition), median-filtered over (b, a) to knock out
     vessel-shadow outliers.
+
+    scipy.ndimage is imported here, its only use, so that no other command
+    pays for loading it.  Only the rows the gradient reads are smoothed:
+    the gradient from row ``half = N_R // 2`` on reads smoothed rows from
+    ``half - 1``, each of which reads input rows within ``_BM_RADIUS``, so
+    smoothing starts that many rows above ``half - 1``.  Every row read is
+    computed from the same inputs by the same code, so the result is
+    bit-identical to smoothing every row.
     """
-    n_r = volume.n_r
-    smoothed = gaussian_filter1d(volume.data, sigma=BM_SIGMA, axis=2, mode="nearest",
-                                 output=np.float64)
+    from scipy.ndimage import gaussian_filter1d, median_filter
+
+    half = volume.n_r // 2
+    lo = max(half - 1 - _BM_RADIUS, 0)
+    smoothed = gaussian_filter1d(volume.data[:, :, lo:], sigma=BM_SIGMA, axis=2,
+                                 mode="nearest", output=np.float64)
     grad = np.gradient(smoothed, axis=2)
-    half = n_r // 2
-    rows0 = half + np.argmin(grad[:, :, half:], axis=2)
+    rows0 = half + np.argmin(grad[:, :, half - lo:], axis=2)
     rows = median_filter(rows0.astype(np.float64), size=BM_MEDIAN_SIZE, mode="nearest")
     return rows + 1.0
 

@@ -450,6 +450,29 @@ class TestLossesCommand:
         assert err["error"] == "ValidationError"
         assert str(paths[flag]) in err["message"]
 
+    @pytest.mark.parametrize("label_grid", [(3, 5, 10), (3, 4, 12)])
+    def test_labels_off_the_distribution_grid_rejected(self, tmp_path, label_grid,
+                                                       rng):
+        n_b, n_a, n_r = label_grid
+        gt = np.sort(rng.integers(3, 8, size=(2, 3, 4)), axis=0).astype(float)
+        q = rng.uniform(1e-3, 1.0, size=(2, 3, 4, 10))
+        paths = {k: tmp_path / v for k, v in {
+            "--q": "q.bin", "--surfaces": "s.csv", "--labels": "m.bin",
+            "--weights": "w.json"}.items()}
+        io.write_distributions(paths["--q"], q / q.sum(axis=-1, keepdims=True))
+        io.write_surfaces(paths["--surfaces"], SurfaceSet(gt))
+        io.write_labels(paths["--labels"],
+                        surfaces_to_labels(SurfaceSet(np.full((2, n_b, n_a), 4.0)), n_r))
+        paths["--weights"].write_text(json.dumps({"lambda_l": [0.1, 0.2]}))
+        argv = ["losses"]
+        for key, path in paths.items():
+            argv += [key, path]
+        code, lines = run_quiet(argv)
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "DimensionError"
+        assert f"{n_b}x{n_a}x{n_r}" in err["message"] and "3x4x10" in err["message"]
+
     @pytest.mark.parametrize("text", [
         '{"lambda_base": 0.1',            # truncated: not valid JSON
         '{"lambda_base": "x"}',           # not a number

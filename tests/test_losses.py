@@ -290,6 +290,14 @@ class TestSegmentationLoss:
         assert out == segmentation_loss(q, p, gt, m, weights)
         assert out["dice_ce"] == 0.0
 
+    @pytest.mark.parametrize("with_class_probs", [False, True])
+    def test_labels_off_the_distribution_grid_rejected(self, rng, with_class_probs):
+        q, p, gt, m = self._case(rng)
+        weights = LossWeights(0.1, np.array([0.02, 0.03]))
+        for labels in (LabelMap(m.labels[:, :-1], 2), m.labels[..., :-1]):
+            with pytest.raises(DimensionError, match="labels are on a"):
+                segmentation_loss(q, p if with_class_probs else None, gt, labels, weights)
+
     def test_total_is_sum_of_independently_computed_terms(self, rng):
         q, p, gt, m = self._case(rng)
         weights = LossWeights(0.1, np.array([0.02, 0.03]))

@@ -113,11 +113,20 @@ class TestFlatten:
         frac_close = (np.abs(est - bottom) <= 2.0).mean()
         assert frac_close >= 0.95
 
-    @pytest.mark.parametrize("dims", [(24, 64, 96), (5, 40, 192)])
+    @pytest.mark.parametrize("dims", [(24, 64, 96), (5, 40, 192), (49, 256, 192)])
     def test_bm_estimate_equals_the_float64_copy_version(self, dims):
         n_b, n_a, n_r = dims
         vol, _ = generate_phantom(PhantomSpec(n_b=n_b, n_a=n_a, n_r=n_r, seed=4))
         assert np.array_equal(estimate_bm_rows(vol), bm_rows_from_float64_copy(vol))
+
+    @pytest.mark.parametrize("n_r", [2, 3, 17, 18, 19])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bm_estimate_equals_the_float64_copy_version_on_few_rows(self, rng, n_r, dtype):
+        # below and around 2 * (kernel radius 8 + 1) rows, where the smoothed
+        # row range starts at row 0 or just past it
+        for _ in range(3):
+            vol = OctVolume(rng.random((3, 6, n_r)).astype(dtype))
+            assert np.array_equal(estimate_bm_rows(vol), bm_rows_from_float64_copy(vol))
 
     def test_already_flat_phantom_constant_shift_map(self):
         vol, bottom = two_band_volume()

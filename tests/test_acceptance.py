@@ -29,6 +29,7 @@ from oct_align.losses import (
     soft_argmax,
 )
 from oct_align.metrics import connectivity_histogram, hd95, mean_abs_distance
+from oct_align.pipeline import run_pipeline
 from oct_align.resample import resample_axial
 from oct_align.synth import MotionSpec, PhantomSpec, apply_motion, generate_phantom
 
@@ -57,19 +58,40 @@ class TestCriterion1AxialRecovery:
         )
 
 
+def unsupervised_against_template(report):
+    """(unsupervised mean px, phantoms where unsupervised <= template)."""
+    not_worse = sum(1 for row in report["per_phantom"]
+                    if row["axial_unsupervised_mean_px"] <= row["axial_template_mean_px"])
+    return report["axial_recovery_px"]["unsupervised"]["mean_px"], not_worse
+
+
 class TestUnsupervisedAxialQuality:
     def test_suite_mean_and_paired_comparison_with_template(self, suite):
         # bounds at the descent's recorded values on this suite (0.48478 px,
         # 19/20), so a change to its warm start or search cannot lose accuracy
-        report, _ = suite
-        mean = report["axial_recovery_px"]["unsupervised"]["mean_px"]
+        mean, not_worse = unsupervised_against_template(suite[0])
         assert mean <= 0.485, f"unsupervised axial residual {mean:.5f} px > 0.485 px"
-        not_worse = sum(
-            1
-            for row in report["per_phantom"]
-            if row["axial_unsupervised_mean_px"] <= row["axial_template_mean_px"]
-        )
         assert not_worse >= 19, f"unsupervised <= template on {not_worse}/20 phantom seeds"
+
+
+class TestHeldOutAxialQuality:
+    """Unsupervised quality on data no solver was tuned on: a second seed
+    at the suite size and clinical-size volumes.  The seeds were fixed
+    before anything ran on them; the bounds are the descent's recorded
+    values, rounded up in their last digit (seed 11: 0.49690 px, 19/20;
+    clinical: 0.58333 px, 3/3)."""
+
+    def test_held_out_seed_at_suite_size(self):
+        report, _ = run_pipeline(seed=11, volumes=20, repeats=2)
+        mean, not_worse = unsupervised_against_template(report)
+        assert mean <= 0.497, f"unsupervised axial residual {mean:.5f} px > 0.497 px"
+        assert not_worse >= 19, f"unsupervised <= template on {not_worse}/20 phantom seeds"
+
+    def test_clinical_size(self):
+        report, _ = run_pipeline(seed=7, volumes=3, repeats=1, dims=(49, 256, 192))
+        mean, not_worse = unsupervised_against_template(report)
+        assert mean <= 0.584, f"unsupervised axial residual {mean:.5f} px > 0.584 px"
+        assert not_worse == 3, f"unsupervised <= template on {not_worse}/3 items"
 
 
 class TestCriterion2TransverseRecovery:

@@ -21,7 +21,6 @@ from .errors import (
     DimensionError,
     FormatError,
     LabelMonotoneError,
-    NumericalError,
     OctAlignError,
     SurfaceOrderError,
     ValidationError,

@@ -27,7 +27,3 @@ class FormatError(OctAlignError):
 
 class ConfigError(OctAlignError):
     """Invalid configuration or command-line usage."""
-
-
-class NumericalError(OctAlignError):
-    """A computation produced a non-finite or inconsistent value."""

@@ -6,8 +6,9 @@ integer transverse shifts in the same range), recovers the motion with
 every method, and aggregates mean/std recovery errors into a versioned,
 deterministic JSON report.
 
-Methods reported: the supervised closed form, the unsupervised descent,
-template matching (axial); retina-masked and unmasked projection matching
+Methods reported: the supervised closed form, the unsupervised estimate
+(the template chain refined by a subpixel step per link), template
+matching (axial); retina-masked and unmasked projection matching
 (transverse, the unmasked run mirrors the no-layer-mask ablation).
 """
 
@@ -62,8 +63,9 @@ def run_volume(params: tuple) -> dict:
     t0 = time.perf_counter()
     d_sup = optimize_alignment(cvol, csurf, cfg)
     t["supervised_align_s"] = time.perf_counter() - t0
-    # the template chain is both the template baseline and the unsupervised
-    # warm start; it is computed once and timed as the template stage
+    # the template chain is both the template baseline and, with its subpixel
+    # offsets, the unsupervised estimate; it is computed once and timed as
+    # the template stage
     t0 = time.perf_counter()
     chain = _template_chain(cvol.data, cfg.search_radius)
     d_tmp = template_match_align(cvol, cfg, chain=chain)

@@ -1,28 +1,14 @@
-import collections
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from oct_align import align, pipeline
 from oct_align.align import (
-    NCC_WINDOW,
-    TOL,
     VARIANCE_EPS,
     AlignConfig,
-    _box_buffers,
-    _box_sum,
     _chain_bounds,
-    _ncc_from_stats,
-    _ncc_buffers,
-    _ncc_map,
-    _screen_slack,
-    _screen_stats,
-    _screened_sum,
-    _shift_table,
     _template_chain,
-    _window_stats,
     apply_axial_correction,
     global_ncc,
     optimize_alignment,
@@ -86,158 +72,6 @@ class TestSurfaceAlignmentLoss:
             surface_alignment_loss(rng.uniform(1, 5, (1, 3, 2)), np.zeros(4))
 
 
-def local_ncc_map(img_a, img_b, window):
-    """Per-pixel squared NCC of two float64 images over n-by-n windows:
-    ``_ncc_map`` of their ``_window_stats``, cropped to the pixels whose
-    window lies fully inside the image (the descent's similarity map)."""
-    m = _ncc_map(_window_stats(img_a, window), _window_stats(img_b, window), window)
-    return m[:, :img_a.shape[1] - window + 1]
-
-
-class TestLocalNcc:
-    def test_identical_textured_pair_scores_one_per_pixel(self, rng):
-        img = rng.normal(size=(16, 16))
-        score = local_ncc_map(img, img, window=5)
-        assert score.shape == (12, 12)
-        assert np.allclose(score, 1.0, atol=1e-9)
-
-    def test_constant_image_contributes_zero(self, rng):
-        a = np.ones((12, 12))
-        b = rng.normal(size=(12, 12))
-        assert local_ncc_map(a, b, window=3).sum() == 0.0
-
-    def test_matches_brute_force_windowed_computation(self, rng):
-        a = rng.normal(size=(8, 8))
-        b = rng.normal(size=(8, 8)) + 0.4 * a
-        n = 3
-        got = local_ncc_map(a, b, window=n)
-        expect = np.zeros((6, 6))
-        for i in range(6):
-            for j in range(6):
-                wa = a[i:i + n, j:j + n].ravel()
-                wb = b[i:i + n, j:j + n].ravel()
-                ca = wa - wa.mean()
-                cb = wb - wb.mean()
-                va, vb = (ca * ca).sum(), (cb * cb).sum()
-                if va / n**2 < 1e-5 or vb / n**2 < 1e-5:
-                    continue
-                expect[i, j] = (ca * cb).sum() ** 2 / (va * vb)
-        assert np.allclose(got, expect, rtol=1e-8, atol=1e-12)
-
-    def test_affine_intensity_invariance(self, rng):
-        a = rng.normal(size=(16, 16))
-        b = rng.normal(size=(16, 16))
-        base = local_ncc_map(a, b, window=5)
-        scaled = local_ncc_map(3.0 * a + 2.0, b, window=5)
-        assert np.allclose(base, scaled, rtol=1e-8, atol=1e-10)
-
-
-def reference_box_sum(img, n):
-    """The allocating box sum the buffered kernel replaced: doubling partial
-    sums added in the same order, then copied into full-width rows."""
-    def run_sums(x):
-        n_out = x.shape[0] - n + 1
-        acc, offset, part, width = None, 0, x, 1
-        while True:
-            if n & width:
-                piece = part[offset:offset + n_out]
-                acc = piece if acc is None else acc + piece
-                offset += width
-            if 2 * width > n:
-                return acc
-            part = part[:-width] + part[width:]
-            width *= 2
-
-    rows = run_sums(img)
-    flat = run_sums(rows.ravel())
-    out = np.empty(rows.shape)
-    out.ravel()[:flat.size] = flat
-    out[:, img.shape[1] - n + 1:] = 0.0
-    return out
-
-
-def reference_ncc_sum(img_a, img_b, n):
-    """The masked-divide NCC sum the safe-variance kernel replaced."""
-    n2 = float(n * n)
-
-    def stats(img):
-        s = reference_box_sum(img, n)
-        var = reference_box_sum(img * img, n) - s * s / n2
-        return s, var, var >= VARIANCE_EPS * n2
-
-    s_a, var_a, ok_a = stats(img_a)
-    s_b, var_b, ok_b = stats(img_b)
-    cross = reference_box_sum(img_a * img_b, n)
-    cross -= s_a * s_b / n2
-    cross *= cross
-    out = np.zeros(cross.shape)
-    np.divide(cross, var_a * var_b, out=out, where=ok_a & ok_b)
-    return float(out.sum())
-
-
-class TestBoxSum:
-    @pytest.mark.parametrize("n", range(1, 12))
-    def test_matches_brute_force(self, rng, n):
-        img = rng.normal(size=(14, 17))
-        got = _box_sum(img, n)
-        expect = np.array([[img[i:i + n, j:j + n].sum() for j in range(17 - n + 1)]
-                           for i in range(14 - n + 1)])
-        assert got.shape == (14 - n + 1, 17)
-        assert np.allclose(got[:, :17 - n + 1], expect, rtol=0, atol=1e-12)
-        assert not got[:, 17 - n + 1:].any()
-        # the same sums, bit for bit, as the allocating kernel, also when the
-        # work arrays are reused and hold an earlier image's partial sums
-        bufs = _box_buffers(img.shape, n)
-        for x in (img * 1e3 + 0.1, img):
-            assert np.array_equal(_box_sum(x, n, bufs), reference_box_sum(x, n))
-
-    @pytest.mark.parametrize("n", range(2, 12))
-    def test_slice_of_sums_is_sums_of_slice_bitwise(self, rng, n):
-        img = rng.normal(size=(60, 20)) * 1e3 + 0.1
-        full = _box_sum(img, n)
-        for lo in range(0, 25, 3):
-            rows = _box_sum(img[lo:lo + 30], n)
-            assert np.array_equal(rows, full[lo:lo + 30 - n + 1])
-            w = 12
-            cols = _box_sum(img[:, lo // 3:lo // 3 + w], n)
-            assert np.array_equal(cols[:, :w - n + 1],
-                                  full[:, lo // 3:lo // 3 + w - n + 1])
-
-
-class TestShiftTable:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_every_candidate_equals_direct_evaluation_bitwise(self, seed):
-        vol, _ = generate_phantom(PhantomSpec(n_b=3, n_a=32, n_r=48, seed=seed))
-        data = vol.data.astype(np.float64)
-        data[1, :, 20:34] = data[1, 0, 20]  # flat rows: windows the mask drops
-        radius = 15
-        for n in range(3, 12):
-            left = _window_stats(_interp_rows(data[0], 2.5).T, n)
-            right = _window_stats(_interp_rows(data[2], -4.0).T, n)
-            table, screen_at = _shift_table(data[1], n, radius)
-            bufs = _ncc_buffers((48, 32), n)  # reused by every call below
-            masked = 0
-            for k in range(-radius, radius + 1):
-                direct = _window_stats(_interp_rows(data[1], float(k)).T, n)
-                read = table(k)
-                for a, b in zip(read, direct):
-                    assert np.array_equal(a, b)
-                # the screen reads float32 copies and prefix-summed conditioning
-                read32, kappa = screen_at(k)
-                want32, want_kappa = _screen_stats(direct, n)
-                for a, b in zip(read32, want32):
-                    assert a.dtype == np.float32 and np.array_equal(a, b)
-                assert kappa == pytest.approx(want_kappa, rel=1e-12)
-                masked += int(np.isinf(read[2][:, :32 - n + 1]).sum())
-                for nb in (left, right):
-                    assert np.array_equal(_ncc_map(nb, read, n), _ncc_map(nb, direct, n))
-                    for a, b in ((nb, read), (read, nb)):
-                        want = reference_ncc_sum(a[0], b[0], n)
-                        assert _ncc_from_stats(a, b, n) == want
-                        assert _ncc_from_stats(a, b, n, bufs) == want
-            assert masked > 0
-
-
 class TestSolveFromSurfaces:
     def test_aligned_surfaces_give_zero(self):
         pos = np.full((2, 4, 3), 9.0)
@@ -285,15 +119,6 @@ class TestOptimizeAlignment:
         d = optimize_alignment(vol, surf)
         assert np.abs(d.axial).max() <= 0.5
 
-    def test_objective_monotone_across_sweeps(self):
-        vol, surf = generate_phantom(PhantomSpec(seed=3))
-        cvol, _, _ = simulate_motion(vol, surf, seed=26)
-        trace = []
-        optimize_alignment(cvol, None, trace=trace)
-        assert len(trace) >= 3 and trace[1] < trace[0]  # the first sweep moved
-        diffs = np.diff(trace)
-        assert (diffs <= 1e-9 * (1 + np.abs(trace[:-1]))).all()
-
     def test_unsupervised_mode_runs_and_recovers(self):
         vol, surf = generate_phantom(PhantomSpec(seed=4))
         from oct_align.synth import simulate_motion
@@ -317,6 +142,11 @@ class TestOptimizeAlignment:
             AlignConfig(search_radius=0)
         with pytest.raises(ValidationError, match="max_iters"):
             AlignConfig(max_iters=0)
+        # max_iters is validated but changes no result: no solver iterates
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=1))
+        cvol, _, _ = simulate_motion(vol, surf, seed=41)
+        assert np.array_equal(optimize_alignment(cvol, None, AlignConfig(max_iters=1)).axial,
+                              optimize_alignment(cvol, None).axial)
 
     def test_supervised_is_the_closed_form(self):
         vol, surf = generate_phantom(PhantomSpec(n_b=10, n_a=32, n_r=64, seed=6))
@@ -327,469 +157,164 @@ class TestOptimizeAlignment:
         assert np.array_equal(got.axial, want.axial)
         assert np.array_equal(got.transverse, want.transverse)
         assert trace == [surface_alignment_loss(csurf, want.axial)]  # no sweep ran
-        # the volume checks come before the surfaces' N_B check
+        # the volume check comes before the surfaces' grid check
         with pytest.raises(DimensionError, match="OctVolume"):
             optimize_alignment(cvol.data, csurf.positions[:, :3])
-        with pytest.raises(DimensionError, match="NCC window"):
+        with pytest.raises(DimensionError, match="N_B, N_A"):
             optimize_alignment(OctVolume(cvol.data[:, :4]), csurf.positions[:, :3])
+        # B-scans of any size are accepted: no window has to fit in them
+        small = optimize_alignment(OctVolume(cvol.data[:, :4, :8]), csurf.positions[:, :, :4])
+        assert np.array_equal(small.axial, solve_from_surfaces(csurf.positions[:, :, :4]).axial)
 
-    # rint(d - d[0]) of the unsupervised descent on simulate_motion(seed + 100)
-    # of PhantomSpec(seed), recorded before the candidate table replaced
-    # direct resampling; on these seeds no B-scan lies within 2e-3 px of a
-    # rounding boundary, so only a changed integer choice can change a literal
+    # rint(d - d[0]) of the unsupervised estimate on simulate_motion(seed +
+    # 100) of PhantomSpec(seed).  The nearest value to a rounding boundary
+    # lies 0.0108, 0.0027 and 0.0018 px from it on these seeds, so only a
+    # changed integer step or a subpixel step changed by more than 1e-3 px
+    # can change a literal
     GOLDEN = {
-        11: [0, 0, 11, 15, 18, -1, 19, 24, 3, 1, 5, 17, -3, 7, 6, 22,
-             3, 12, 16, -3, 19, 9, 21, 8],
-        12: [0, 22, 21, -2, 0, 12, 22, 5, 7, 19, -1, 22, 27, 22, 28, 14,
-             4, 23, 28, 21, 1, 7, 4, 20],
-        16: [0, 21, 24, 24, 11, 14, 5, 12, 5, 11, 5, 1, 25, 24, -3, 5,
-             25, 16, 15, 1, 20, 17, 3, 22],
+        11: [0, 0, 10, 15, 18, -2, 19, 24, 3, 1, 6, 17, -2, 8, 7, 23,
+             5, 14, 18, -2, 21, 11, 22, 9],
+        12: [0, 22, 20, -3, -1, 11, 21, 4, 6, 18, -2, 21, 26, 21, 26, 12,
+             3, 21, 26, 20, 0, 6, 4, 20],
+        16: [0, 21, 24, 24, 10, 13, 4, 12, 5, 10, 4, 0, 23, 23, -4, 3,
+             24, 15, 14, -1, 18, 15, 1, 20],
     }
 
     @pytest.mark.parametrize("seed", [11, 12, 16])
-    def test_golden_integer_shifts(self, seed):
+    def test_golden_shifts(self, seed):
         vol, surf = generate_phantom(PhantomSpec(seed=seed))
         cvol, csurf, _ = simulate_motion(vol, surf, seed=seed + 100)
         assert np.array_equal(optimize_alignment(cvol, csurf).axial,
                               solve_from_surfaces(csurf).axial)
         d = optimize_alignment(cvol, None).axial
-        assert np.rint(d - d[0]).astype(int).tolist() == self.GOLDEN[seed]
+        rel = d - d[0]
+        assert np.abs(np.abs(rel - np.rint(rel)) - 0.5).min() > 1e-3
+        assert np.rint(rel).astype(int).tolist() == self.GOLDEN[seed]
 
     def test_given_chain_matches_computed_chain(self):
         vol, surf = generate_phantom(PhantomSpec(n_b=10, n_a=32, n_r=64, seed=5))
         cvol, _, _ = simulate_motion(vol, surf, seed=6)
         cfg = AlignConfig(search_radius=15)
-        chain = _template_chain(cvol.data.astype(np.float64), 15)
-        keep = chain.copy()
+        chain = _template_chain(cvol.data, 15)
+        keep = [a.copy() for a in chain]
         got = optimize_alignment(cvol, None, cfg, chain=chain)
-        assert np.array_equal(chain, keep)  # the caller's chain is not modified
+        got_tmp = template_match_align(cvol, cfg, chain=chain)
+        for a, b in zip(chain, keep):  # the caller's arrays are not modified
+            assert np.array_equal(a, b)
         assert np.array_equal(got.axial, optimize_alignment(cvol, None, cfg).axial)
+        assert np.array_equal(got_tmp.axial, template_match_align(cvol, cfg).axial)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the descent searches the absolute "
-                       "integers, and leaves this warm start off the integer grid unmoved")
-    def test_a_warm_start_half_a_pixel_off_the_grid_still_moves(self):
-        # the objective does not see a constant added to every displacement,
-        # but the descent does: this item's template chain has an odd max + min,
-        # so its midrange-centred warm start lies 0.5 px off the integer grid,
-        # and the descent leaves every B-scan there (a constant added to chain=
-        # is removed by the centring, so chain + 0.5 is the same warm start)
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=0))
-        cvol, _, _ = simulate_motion(vol, surf, seed=40)
-        chain = _template_chain(cvol.data.astype(np.float64), 15)
-        on_grid = chain.copy()
-        on_grid[chain.argmin()] -= 1.0  # one px lower: the midrange moves 0.5 px onto the grid
-        assert (chain.max() + chain.min()) % 2 == 1
-        traces = {}
-        for name, start in (("on_grid", on_grid), ("off_grid", chain + 0.5)):
-            traces[name] = []
-            optimize_alignment(cvol, None, trace=traces[name], chain=start)
-        assert traces["on_grid"][-1] < traces["on_grid"][0]
-        assert traces["off_grid"][-1] < traces["off_grid"][0]
-
-
-def exhaustive_descent(volume, cfg, trace, chain=None):
-    """The coordinate descent with nothing skipped or carried: every integer
-    candidate and both neighbors resampled directly at every step, and the
-    objective recomputed from scratch before the first sweep and after each."""
-    data = volume.data.astype(np.float64)
-    n_b, n, radius = data.shape[0], NCC_WINDOW, cfg.search_radius
-
-    def stats_at(b, x):
-        return _window_stats(_interp_rows(data[b], x).T, n)
-
-    d = _template_chain(data, radius) if chain is None else np.array(chain, dtype=float)
-    d -= 0.5 * (d.max() + d.min())
-    np.clip(d, -radius, radius, out=d)
-
-    def local(b, x, left, right):
-        st = stats_at(b, x)
-        val = 0.0
-        if left is not None:
-            val -= _ncc_from_stats(left, st, n)
-        if right is not None:
-            val -= _ncc_from_stats(st, right, n)
-        return val
-
-    def full_objective():
-        total = 0.0
-        for b in range(n_b - 1):
-            total -= _ncc_from_stats(stats_at(b, d[b]), stats_at(b + 1, d[b + 1]), n)
-        return total
-
-    obj = full_objective()
-    trace.append(obj)
-    for _ in range(cfg.max_iters):
-        for b in range(n_b):
-            left = stats_at(b - 1, d[b - 1]) if b > 0 else None
-            right = stats_at(b + 1, d[b + 1]) if b < n_b - 1 else None
-            best_x = float(d[b])
-            best_v = local(b, best_x, left, right)
-            grid = {}
-            for k in range(-radius, radius + 1):
-                grid[k] = v = best_v if k == best_x else local(b, float(k), left, right)
-                if v < best_v:
-                    best_v, best_x = v, float(k)
-            if best_x == int(best_x) and abs(best_x) < radius:
-                k0 = int(best_x)
-                f_m, f_0, f_p = grid[k0 - 1], grid[k0], grid[k0 + 1]
-                curv = f_p - 2.0 * f_0 + f_m
-                if curv > 0:
-                    xv = k0 + float(np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5))
-                    v = local(b, xv, left, right)
-                    if v < best_v:
-                        best_x = xv
-            d[b] = best_x
-        new_obj = full_objective()
-        trace.append(new_obj)
-        decrease, obj = obj - new_obj, new_obj
-        if decrease <= TOL * max(1.0, abs(obj)):
-            break
-    return d - d.mean()
-
-
-def raw_screen_sum(bufs32):
-    """The float32 sum of the normalised map that ``_screened_sum`` leaves
-    in its output buffer, with no E and no rounding factor."""
-    flat = bufs32[-1].ravel()
-    return float(np.einsum("i,i->", flat, flat))
-
-
-@pytest.fixture()
-def table_reads(monkeypatch):
-    """The candidates read from each B-scan's table, one list per table."""
-    reads = []
-
-    def recorded(img, n, radius):
-        at, screen_at = _shift_table(img, n, radius)
-        seen = []
-        reads.append(seen)
-
-        def read(k):
-            seen.append(k)
-            return at(k)
-
-        return read, screen_at
-
-    monkeypatch.setattr(align, "_shift_table", recorded)
-    return reads
-
-
-class TestBoundedDescent:
-    """Skipping candidates whose screened lower bound is above the running
-    best must change no chosen shift: the descent equals the exhaustive one
-    bit for bit."""
-
-    # the ids keep the case names from when the test also varied w_smooth
-    # and ran the (since deleted) supervised descent
-    @pytest.mark.parametrize("seed,scale,offset", [
-        pytest.param(0, 1.0, 0.0, id="0-1.0-0.0-1.0-False"),
-        pytest.param(1, 1.0, 0.0, id="1-1.0-0.0-1.0-False"),
-        pytest.param(3, 1e3, 500.0, id="3-1000.0-500.0-1.0-False"),
-    ])
-    def test_equals_exhaustive_descent(self, table_reads, seed, scale, offset):
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
-        cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
-        cvol = OctVolume(cvol.data * scale + offset)
-        cfg = AlignConfig()
-        got_trace, want_trace = [], []
-        got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
-        want = exhaustive_descent(cvol, cfg, want_trace)
-        assert np.array_equal(got, want)
-        assert got_trace == want_trace
-        if scale == 1.0:
-            # the float32 screen did skip candidates
-            assert sum(len(r) for r in table_reads) < len(table_reads) * 31 // 2
-
-    def test_equals_exhaustive_descent_where_ncc_is_near_its_cap(self, rng, table_reads):
-        # B-scans are affine copies of one texture under integer motion, so the
-        # true shift scores close to the window count, where the float32 screen
-        # has the least room; the warm start puts B-scans 1, 4 and 7 2 px off
-        # the truth between correct neighbors, and only a screen that holds
-        # there keeps the descent exact
-        texture = rng.uniform(size=(24, 64))
-        axial = np.array([0, 4, -3, 7, 2, -5, 3, 1], dtype=float)
-        data = np.stack([(1.0 + 0.2 * b) * _interp_rows(texture, -axial[b]) + 0.1 * b
-                         for b in range(8)])
-        vol = OctVolume(data)
-        chain = axial + 2.0 * (np.arange(8) % 3 == 1)
-        got = optimize_alignment(vol, None, chain=chain).axial
-        want = exhaustive_descent(vol, AlignConfig(), [], chain)
-        assert np.array_equal(got, want)
-        assert np.abs(np.diff(want) - np.diff(axial)).max() < 0.5  # the texture won
-        assert sum(len(r) for r in table_reads) < len(table_reads) * 31  # it did skip
-
-    @pytest.mark.parametrize("scale", [1e9, 1e10])
-    def test_equals_exhaustive_descent_where_the_screen_is_off(self, table_reads, scale):
-        # at n^2 M^2 >= 2**63, beyond the screen's derivation, the slack is
-        # inf and the descent must score every candidate without screening
-        vol, surf = generate_phantom(PhantomSpec(n_b=6, n_a=24, n_r=64, seed=2))
-        cvol, _, _ = simulate_motion(vol, surf, seed=42)
-        cvol = OctVolume(cvol.data * scale)
-        cfg = AlignConfig(max_iters=2)
-        assert 81.0 * float(np.abs(cvol.data).max()) ** 2 >= 2.0 ** 63
-        assert _screen_slack(9, float(np.abs(cvol.data).max()), 56 * 24) == np.inf
-        got_trace, want_trace = [], []
-        got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
-        want = exhaustive_descent(cvol, cfg, want_trace)
-        assert np.array_equal(got, want)
-        assert got_trace == want_trace
-        # every integer but the current value, once per B-scan and sweep
-        assert all(len(set(r)) >= 30 for r in table_reads)
-
-    @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
-    def test_screen_bounds_every_candidate(self, rng, case):
-        # S64 <= S32 / (1 - m 2**-24) + E for every table candidate against
-        # both neighbors: on a phantom, on the phantom x1e3 + 500, and on
-        # low-contrast B-scans whose windows sit just above VARIANCE_EPS
-        # (conditioning near 1e4)
-        vol, _ = generate_phantom(PhantomSpec(n_b=3, n_a=32, n_r=48, seed=7))
-        data = vol.data.astype(np.float64)
-        if case == "scaled":
-            data = data * 1e3 + 500.0
-        elif case == "near_eps":
-            noise = rng.normal(size=(32, 48))
-            data = 0.5 + np.sqrt(VARIANCE_EPS) * np.stack(
-                [1.1 * noise, 1.1 * noise + 0.3 * rng.normal(size=noise.shape),
-                 1.05 * rng.normal(size=noise.shape)])
-        max_abs = float(np.abs(data).max())
-        radius, over, near = 15, 0.0, 0
-        for n in (3, 9):
-            bufs32 = _ncc_buffers((48, 32), n, np.float32)
-            slack = _screen_slack(n, max_abs, bufs32[-1].size)
-            table, screen_at = _shift_table(data[1], n, radius)
-            nbs = [_window_stats(_interp_rows(data[0], 2.5).T, n),
-                   _window_stats(_interp_rows(data[2], -4.0).T, n)]
-            for nb in nbs:
-                var = nb[2][:, :32 - n + 1] / (n * n)
-                near += int(((var >= VARIANCE_EPS) & (var < 1.3 * VARIANCE_EPS)).sum())
-            screens = [_screen_stats(nb, n) for nb in nbs]
-            for k in range(-radius, radius + 1):
-                cand, cand32 = table(k), screen_at(k)
-                for (a, b), (a32, b32) in (((nbs[0], cand), (screens[0], cand32)),
-                                           ((cand, nbs[1]), (cand32, screens[1]))):
-                    exact = _ncc_from_stats(a, b, n)
-                    assert exact <= _screened_sum(a32, b32, n, slack, bufs32)
-                    # the raw float32 sum alone (no E, no factor) would not
-                    # bound it
-                    over = max(over, exact - raw_screen_sum(bufs32))
-        assert over > 0.0
-        if case == "near_eps":
-            assert near > 100  # the windows the test is about do occur
-
-    def test_screen_bounds_every_candidate_at_clinical_size(self):
-        # one 256x192 B-scan pair, all 31 candidates on both sides: 45,632
-        # windows per map (47,104 entries with the zero columns), where the
-        # float32 sum's rounding factor 1 / (1 - m 2**-24) is 1.0028
-        vol, surf = generate_phantom(PhantomSpec(n_b=2, n_a=256, n_r=192, seed=5))
-        cvol, _, _ = simulate_motion(vol, surf, seed=45)
+    def test_trace_gets_one_value_per_call(self):
+        # minus the summed global NCC of the adjacent pairs at the integer steps
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=3))
+        cvol, _, _ = simulate_motion(vol, surf, seed=26)
+        steps, _ = _template_chain(cvol.data, 15)
         data = cvol.data.astype(np.float64)
-        n, radius = NCC_WINDOW, 15
-        bufs32 = _ncc_buffers((192, 256), n, np.float32)
-        assert (192 - n + 1) * (256 - n + 1) == 45632
-        slack = _screen_slack(n, float(np.abs(data).max()), bufs32[-1].size)
-        table, screen_at = _shift_table(data[1], n, radius)
-        nb = _window_stats(data[0].T, n)
-        screen_nb = _screen_stats(nb, n)
-        short = 0
-        for k in range(-radius, radius + 1):
-            cand, cand32 = table(k), screen_at(k)
-            for (a, b), (a32, b32) in (((nb, cand), (screen_nb, cand32)),
-                                       ((cand, nb), (cand32, screen_nb))):
-                assert _ncc_from_stats(a, b, n) <= _screened_sum(a32, b32, n, slack, bufs32)
-                # with E = 0 the bound still covers the exact sum of the
-                # squares of the float32 map it leaves: the rounding factor
-                # holds whatever order the float32 sum adds in
-                no_e = _screened_sum(a32, b32, n, 0.0, bufs32)
-                v = bufs32[-1].astype(np.float64).ravel()
-                squares = math.fsum(v * v)
-                assert squares <= no_e
-                short += raw_screen_sum(bufs32) < squares
-        assert short > 0  # the float32 sum alone does fall short of it
-
-    def test_a_constant_neighbor_screens_to_e(self):
-        # every window of a constant B-scan is masked, so its inverse roots
-        # are 0, every entry of the float32 map is exactly 0, and the bound
-        # is E (1 + 2**-40) with the constant B-scan's conditioning 0
-        vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=32, n_r=48, seed=7))
-        n = NCC_WINDOW
-        flat = _window_stats(np.full((48, 32), 0.7), n)
-        cand = _window_stats(vol.data[1].astype(np.float64).T, n)
-        assert np.isinf(flat[2]).all()
-        screen_flat, screen_cand = _screen_stats(flat, n), _screen_stats(cand, n)
-        assert screen_flat[1] == 0.0 and not screen_flat[0][2].any()
-        bufs32 = _ncc_buffers((48, 32), n, np.float32)
-        slack = _screen_slack(n, 1.0, bufs32[-1].size)
-        want = slack * screen_cand[1] * (1.0 + 2.0 ** -40)
-        for (a, b), (a32, b32) in (((flat, cand), (screen_flat, screen_cand)),
-                                   ((cand, flat), (screen_cand, screen_flat))):
-            assert _screened_sum(a32, b32, n, slack, bufs32) == want
-            assert raw_screen_sum(bufs32) == 0.0
-            assert _ncc_from_stats(a, b, n) == 0.0
-
-    def test_ties_go_to_the_first_candidate_in_search_order(self):
-        # B-scan 1 is depth-periodic (blips every 10 rows, 20 ... 50) and
-        # B-scan 0 has one blip at row 35: its shifts -15, -5, 5, 15 each put
-        # the blip on one of B-scan 1's, where every scored window is
-        # identical (score exactly 1.0) and every other window is masked, so
-        # the four NCC sums tie exactly in float64; -R..R picks -15
-        data = np.zeros((2, 16, 64))
-        data[0][:, 35] = 1.0
-        data[1][:, 20:51:10] = 1.0
-        vol = OctVolume(data)
-        chain = np.zeros(2)  # a flat warm start, d = 0
-        cfg = AlignConfig(max_iters=1)
-        table, _ = _shift_table(data[0], 9, 15)
-        right = _window_stats(data[1].T, 9)
-        sums = {k: _ncc_from_stats(table(k), right, 9) for k in (-15, -5, 5, 15)}
-        assert set(sums.values()) == {72.0}
-        got = optimize_alignment(vol, None, cfg, chain=chain).axial
-        assert np.array_equal(got, exhaustive_descent(vol, cfg, [], chain))
-        assert got[1] - got[0] == 15.0
-
-    def test_skipped_parabola_neighbors_are_scored_on_demand(self, table_reads):
-        # on this item the screen skips both neighbors of one B-scan's best
-        # integer k0 during the scan, so the refinement reads k0 - 1 and
-        # k0 + 1 from the table after k0 itself
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=1))
-        cvol, _, _ = simulate_motion(vol, surf, seed=41)
-        cfg = AlignConfig(max_iters=1)
-        got = optimize_alignment(cvol, None, cfg).axial
-        late = [r for r in table_reads if r != sorted(r)]
-        assert late
-        assert all(r[-2:] == [r[-3] - 1, r[-3] + 1] for r in late)
-        assert np.array_equal(got, exhaustive_descent(cvol, cfg, []))
-
-    def test_parabola_neighbors_scored_in_the_scan_or_current_are_scored_again(self, table_reads):
-        # the refinement scores both neighbors of the best integer k0 after
-        # the scan: on this item B-scan 4's neighbor -11 was scored in the
-        # scan too, and B-scan 7's neighbor 6 is its current value (the warm
-        # start), which the scan does not read; the parabola must still see
-        # the values of the exhaustive descent, which takes all three from
-        # its own scan
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=13))
-        cvol, _, _ = simulate_motion(vol, surf, seed=53)
-        chain = _template_chain(cvol.data.astype(np.float64), 15)
-        got_trace, want_trace = [], []
-        got = optimize_alignment(cvol, None, trace=got_trace, chain=chain).axial
-        want = exhaustive_descent(cvol, AlignConfig(), want_trace, chain)
-        assert table_reads[4] == [-11, -10, -11, -9]
-        assert chain[7] - 0.5 * (chain.max() + chain.min()) == 6.0
-        assert table_reads[7] == [7, 6, 8]
-        assert np.array_equal(got, want)
-        assert got_trace == want_trace
-
-
-@pytest.fixture()
-def sum_calls(monkeypatch):
-    """The NCC sums the descent computes, one Counter per sweep, keyed by
-    (side, kind): kind "exact" (``_ncc_from_stats``) or "screened"
-    (``_screened_sum``), side "left" for ncc(B-scan b - 1, candidate of b)
-    in the step of B-scan b and "right" for every other sum.  Each array a
-    sum reads is traced to its B-scan; the arrays are kept alive so no id
-    is reused."""
-    owners, kept = {}, []
-    steps, sweeps = [], collections.defaultdict(collections.Counter)
-
-    def own(arr, b):
-        kept.append(arr)
-        owners[id(arr)] = b
-
-    def owner(img):
-        return owners[id(img if img.base is None else img.base)]
-
-    def row_of(img):  # img is one B-scan of the descent's float64 copy
-        return (img.ctypes.data - img.base.ctypes.data) // img.nbytes
-
-    def interp_rows(img, x):
-        out = _interp_rows(img, x)
-        own(out, row_of(img))
-        return out
-
-    def shift_table(img, n, radius):
-        at, screen_at = _shift_table(img, n, radius)
-        b = row_of(img)
-        steps.append(b)
-
-        def read(k):
-            stats = at(k)
-            own(stats[0].base, b)
-            return stats
-
-        def screen_read(k):
-            screen = screen_at(k)
-            own(screen[0][0].base, b)
-            return screen
-
-        return read, screen_read
-
-    def screen_stats(stats, n):
-        screen = _screen_stats(stats, n)
-        own(screen[0][0], owner(stats[0]))
-        return screen
-
-    def counted(kind, f):
-        def call(a, c, *rest):
-            first = a[0] if kind == "exact" else a[0][0]
-            side = "left" if steps and owner(first) + 1 == steps[-1] else "right"
-            sweeps[max(steps.count(0) - 1, 0)][side, kind] += 1
-            return f(a, c, *rest)
-        return call
-
-    monkeypatch.setattr(align, "_interp_rows", interp_rows)
-    monkeypatch.setattr(align, "_shift_table", shift_table)
-    monkeypatch.setattr(align, "_screen_stats", screen_stats)
-    monkeypatch.setattr(align, "_ncc_from_stats", counted("exact", _ncc_from_stats))
-    monkeypatch.setattr(align, "_screened_sum", counted("screened", _screened_sum))
-    return sweeps
-
-
-class TestCarriedSums:
-    """The descent computes each NCC sum once: the objective after a sweep
-    is the sum of the left-hand sums it chose, the start objective comes from
-    the sums the first sweep holds, and a B-scan's left-hand sums are kept
-    across sweeps while its left neighbor stays.  None of it may change a
-    shift or a trace value."""
-
-    # seed 1: three sweeps; seed 12: four sweeps, where sweep 2 moves
-    # B-scans whose right neighbors then read left-hand sums under a changed
-    # left neighbor (the ids keep the case names from when the test also
-    # ran the descent without subpixel refinement)
-    @pytest.mark.parametrize("seed", [pytest.param(1, id="1-True"),
-                                      pytest.param(12, id="12-True")])
-    def test_equals_exhaustive_descent_over_several_sweeps(self, seed):
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
-        cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
-        cfg = AlignConfig()
-        got_trace, want_trace = [], []
-        got = optimize_alignment(cvol, None, cfg, trace=got_trace).axial
-        want = exhaustive_descent(cvol, cfg, want_trace)
-        assert len(want_trace) >= 4 and want_trace[2] < want_trace[1]  # sweep 2 moved
-        assert np.array_equal(got, want)
-        assert got_trace == want_trace
-
-    def test_a_confirming_sweep_scores_no_left_hand_sum_again(self, sum_calls):
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=6))
-        cvol, _, _ = simulate_motion(vol, surf, seed=46)
+        links = [global_ncc(_interp_rows(data[b - 1], steps[b - 1]),
+                            _interp_rows(data[b], steps[b])) for b in range(1, 8)]
         trace = []
         optimize_alignment(cvol, None, trace=trace)
-        assert len(trace) >= 3 and trace[-1] == trace[-2]  # the last sweep moved nothing
-        first, last = sum_calls[0], sum_calls[len(trace) - 2]
-        assert len(sum_calls) == len(trace) - 1
-        assert first["left", "exact"] > 0 and first["left", "screened"] > 0
-        assert last["right", "screened"] > 0
-        assert last["left", "exact"] == last["left", "screened"] == 0
+        assert trace == [pytest.approx(-sum(links), rel=1e-12)]
 
-    def test_a_moved_left_neighbor_drops_the_kept_sums(self, sum_calls):
-        # sweep 1 moves B-scans, so their right neighbors must screen their
-        # integer candidates again against the new left neighbor; sweep 2
-        # moves nothing and screens no left-hand sum
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=12))
-        cvol, _, _ = simulate_motion(vol, surf, seed=52)
-        trace = []
-        optimize_alignment(cvol, None, trace=trace)
-        assert len(trace) == 4 and trace[2] < trace[1] and trace[3] == trace[2]
-        assert sum_calls[1]["left", "screened"] > 0
-        assert sum_calls[2]["left", "screened"] == 0
+    def test_a_constant_added_to_every_displacement_changes_nothing(self):
+        # the item whose midrange-centred chain lies 0.5 px off the integer
+        # grid, which left the former coordinate descent unmoved: a constant
+        # added to the chain leaves the estimate as it is, a constant added
+        # to the motion moves it by the resampling's interpolation only, and
+        # either way the estimate beats the integer chain
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=0))
+        cvol, _, motion = simulate_motion(vol, surf, seed=40)
+        steps, offsets = _template_chain(cvol.data, 15)
+        assert (steps.max() + steps.min()) % 2 == 1
+        got = optimize_alignment(cvol, None, chain=(steps, offsets))
+        assert np.array_equal(optimize_alignment(cvol, None, chain=(steps + 0.5, offsets)).axial,
+                              got.axial)
+        assert motion_error(got, motion)[0] < motion_error(template_match_align(cvol), motion)[0]
+        shifted = MotionSpec(motion.axial_truth + 0.5, motion.transverse_truth,
+                             motion.group_boundaries)
+        cvol2, _ = apply_motion(vol, surf, shifted)
+        got2 = optimize_alignment(cvol2, None)
+        assert np.abs(got2.axial - got.axial).max() < 0.1
+        assert (motion_error(got2, shifted)[0]
+                < motion_error(template_match_align(cvol2), shifted)[0])
+
+
+def reference_offsets(data, steps, radius):
+    """The parabola step of each link from scores of directly resampled
+    B-scans, with the chain's rules: 0 after a flat template, at a range-edge
+    step and where the curvature is not negative."""
+    offsets = np.zeros(data.shape[0])
+    for b in range(1, data.shape[0]):
+        template = _interp_rows(data[b - 1], steps[b - 1])
+        s = steps[b]
+        if (template - template.mean()).var() < VARIANCE_EPS or abs(s) == 2 * radius:
+            continue
+        f_m, f_0, f_p = (global_ncc(template, _interp_rows(data[b], k))
+                         for k in (s - 1, s, s + 1))
+        if f_m - 2.0 * f_0 + f_p < 0:
+            offsets[b] = np.clip(0.5 * (f_m - f_p) / (f_m - 2.0 * f_0 + f_p), -0.5, 0.5)
+    return offsets
+
+
+def smooth_pair(truth, n_r=64):
+    """Two B-scans of one smooth depth profile, the second pushed ``truth``
+    rows deeper: the global NCC of the pair is unimodal in the shift."""
+    rows = np.arange(n_r, dtype=np.float64)
+    img = np.exp(-((rows - 30.0) / 8.0) ** 2)[None, :] * np.linspace(1.0, 1.5, 12)[:, None]
+    return np.stack([img, _interp_rows(img, -truth)])
+
+
+class TestSubpixelChain:
+    @pytest.mark.parametrize("seed", [11, 12, 16])
+    def test_offsets_match_directly_resampled_scores(self, seed):
+        # only integer shifts are scored, and the chain's slices of its
+        # padded copy score what directly resampled B-scans do
+        vol, surf = generate_phantom(PhantomSpec(seed=seed))
+        cvol, _, _ = simulate_motion(vol, surf, seed=seed + 100)
+        steps, offsets = _template_chain(cvol.data, 15)
+        assert offsets[0] == 0.0
+        assert np.abs(offsets).max() <= 0.5
+        assert np.count_nonzero(offsets) > cvol.n_b // 2
+        assert np.array_equal(offsets,
+                              reference_offsets(cvol.data.astype(np.float64), steps, 15))
+
+    def test_a_range_edge_step_keeps_offset_zero(self):
+        # the truth 6 px lies outside the range [-4, 4] of radius 2, so the
+        # chain picks the edge 4, whose outer neighbor is off the padded copy;
+        # at radius 4 a truth of 5.7 px is picked at 6 and refined
+        steps, offsets = _template_chain(smooth_pair(6.0), 2)
+        assert steps[1] == 4.0 and offsets[1] == 0.0
+        steps, offsets = _template_chain(smooth_pair(5.7), 4)
+        assert steps[1] == 6.0 and offsets[1] == pytest.approx(-0.3, abs=0.05)
+
+    def test_a_flat_template_keeps_offset_zero(self, rng):
+        img = rng.normal(size=(12, 20))
+        data = np.stack([np.ones((12, 20)), img, _interp_rows(img, -0.5)])
+        steps, offsets = _template_chain(data, 3)
+        assert steps[1] == 0.0 and offsets[1] == 0.0
+        assert offsets[2] != 0.0  # the next link, from a textured template, is refined
+
+    def test_offsets_stay_within_half_a_pixel(self, rng):
+        # a noise texture under fractional steps spread over the whole pixel:
+        # the offsets reach toward +/-0.5 but never beyond
+        texture = rng.normal(size=(16, 64))
+        axial = rng.uniform(-6.0, 6.0, 30)
+        data = np.stack([_interp_rows(texture, -a) for a in axial])
+        _, offsets = _template_chain(data, 8)
+        assert 0.4 < np.abs(offsets).max() <= 0.5
+
+    def test_fractional_steps_beat_the_integer_chain(self):
+        # noiseless phantoms under fractional motion: the subpixel steps
+        # recover what the integer chain rounds away
+        for seed in range(3):
+            vol, surf = generate_phantom(PhantomSpec(seed=seed, speckle_sigma=0.0,
+                                                     noise_sigma=0.0))
+            ax = np.random.default_rng(500 + seed).uniform(-15.0, 15.0, vol.n_b)
+            motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+            cvol, _ = apply_motion(vol, surf, motion)
+            refined = motion_error(optimize_alignment(cvol, None), motion)[0]
+            chain = motion_error(template_match_align(cvol), motion)[0]
+            assert refined < 0.5 * chain
 
 
 def exhaustive_chain(data, radius):
@@ -894,7 +419,8 @@ class TestTemplateMatch:
                 flips.setdefault(exact_masked, data)
         assert sorted(flips) == [False, True]
         for data in flips.values():
-            assert np.array_equal(_template_chain(data, radius), exhaustive_chain(data, radius))
+            assert np.array_equal(_template_chain(data, radius)[0],
+                                  exhaustive_chain(data, radius))
 
     def test_ties_go_to_the_first_candidate_in_search_order(self):
         # B-scan 1 is depth-periodic (blips every 10 rows, 20 ... 50); the
@@ -907,7 +433,7 @@ class TestTemplateMatch:
         data[1][:, 20:51:10] = 1.0
         scores = [global_ncc(data[0], _interp_rows(data[1], float(s))) for s in (-5, 5)]
         assert scores[0] == scores[1] > 0.4
-        chain = _template_chain(data, 5)
+        chain, _ = _template_chain(data, 5)
         assert chain[1] == -5.0
         assert np.array_equal(chain, exhaustive_chain(data, 5))
 
@@ -925,14 +451,14 @@ class TestTemplateMatch:
         padded = np.asfortranarray(np.pad(data[1], ((0, 0), (10, 10)), mode="edge"))
         screened, _, _, err = _chain_bounds(t, (t * t).mean(), padded, 64)
         assert 0.0 < screened[15] - screened[5] <= 2.0 * err
-        chain = _template_chain(data, 5)
+        chain, _ = _template_chain(data, 5)
         assert chain[1] == -5.0
         assert np.array_equal(chain, exhaustive_chain(data, 5))
 
     def test_flat_template_keeps_shift_zero(self, rng):
         img = rng.normal(size=(12, 20))
         data = np.stack([np.ones((12, 20)), img, img])
-        chain = _template_chain(data, 3)
+        chain, _ = _template_chain(data, 3)
         assert chain[1] == 0.0 and chain[2] == 0.0
 
 

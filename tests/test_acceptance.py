@@ -67,9 +67,9 @@ def unsupervised_against_template(report):
 
 class TestUnsupervisedAxialQuality:
     def test_suite_mean_and_paired_comparison_with_template(self, suite):
-        # bounds at the recorded values of the refined chain on this suite
-        # (0.16911 px, 20/20; the former descent read 0.48478 px, 19/20), so
-        # a change to the chain or its subpixel step cannot lose accuracy
+        # bounds at the refined chain's recorded values on this suite
+        # (0.16911 px, 20/20), so a change to the chain or its subpixel step
+        # cannot lose accuracy
         mean, not_worse = unsupervised_against_template(suite[0])
         assert mean <= 0.170, f"unsupervised axial residual {mean:.5f} px > 0.170 px"
         assert not_worse == 20, f"unsupervised <= template on {not_worse}/20 phantom seeds"
@@ -80,8 +80,7 @@ class TestHeldOutAxialQuality:
     at the suite size and clinical-size volumes.  The seeds were fixed
     before anything ran on them; the bounds are the refined chain's
     recorded values, rounded up in the third decimal (seed 11: 0.17431 px,
-    20/20; clinical: 0.05091 px, 3/3).  The former descent read 0.49690 px,
-    19/20 and 0.58333 px, 3/3."""
+    20/20; clinical: 0.05091 px, 3/3)."""
 
     def test_held_out_seed_at_suite_size(self):
         report, _ = run_pipeline(seed=11, volumes=20, repeats=2)

@@ -181,7 +181,7 @@ class TestOptimizeAlignment:
     }
 
     @pytest.mark.parametrize("seed", [11, 12, 16])
-    def test_golden_shifts(self, seed):
+    def test_golden_integer_shifts(self, seed):
         vol, surf = generate_phantom(PhantomSpec(seed=seed))
         cvol, csurf, _ = simulate_motion(vol, surf, seed=seed + 100)
         assert np.array_equal(optimize_alignment(cvol, csurf).axial,
@@ -217,11 +217,11 @@ class TestOptimizeAlignment:
         assert trace == [pytest.approx(-sum(links), rel=1e-12)]
 
     def test_a_constant_added_to_every_displacement_changes_nothing(self):
-        # the item whose midrange-centred chain lies 0.5 px off the integer
-        # grid, which left the former coordinate descent unmoved: a constant
-        # added to the chain leaves the estimate as it is, a constant added
-        # to the motion moves it by the resampling's interpolation only, and
-        # either way the estimate beats the integer chain
+        # an item whose midrange-centred chain lies 0.5 px off the integer
+        # grid: a constant added to the chain leaves the estimate as it is, a
+        # constant added to the motion moves it by the resampling's
+        # interpolation only, and either way the estimate beats the integer
+        # chain
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=0))
         cvol, _, motion = simulate_motion(vol, surf, seed=40)
         steps, offsets = _template_chain(cvol.data, 15)

@@ -317,6 +317,108 @@ class TestSubpixelChain:
             assert refined < 0.5 * chain
 
 
+    @pytest.mark.parametrize("frac", [-0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4])
+    def test_a_fractional_link_step_is_recovered(self, frac):
+        # a unimodal score: the chain picks the nearest integer and the
+        # parabola step recovers the fraction to within its pixel-locking
+        # bias, far below what the integer chain rounds away
+        truth = 3.0 + frac
+        steps, offsets = _template_chain(smooth_pair(truth), 5)
+        assert steps[1] == 3.0
+        assert np.sign(offsets[1]) == np.sign(frac)
+        assert abs(steps[1] + offsets[1] - truth) < 0.01
+
+    def test_skipped_neighbors_are_scored_on_demand(self, monkeypatch):
+        # the screen confirms only each link's best integer on this item, so
+        # the parabola scores s - 1 and s + 1 after it, once each
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=1))
+        cvol, _, _ = simulate_motion(vol, surf, seed=41)
+        (steps, offsets), scored = scored_shifts(monkeypatch, cvol.data, 15)
+        assert len(scored) == cvol.n_b - 1
+        for b, shifts in enumerate(scored, start=1):
+            s = steps[b]
+            assert shifts == [s, s - 1, s + 1]
+        assert np.array_equal(offsets,
+                              reference_offsets(cvol.data.astype(np.float64), steps, 15))
+
+    def test_a_neighbor_scored_in_the_scan_is_not_scored_again(self, monkeypatch):
+        # a two-row blip against a one-row blip: shifts 4 and 5 each overlap
+        # one row and tie exactly (0/1 values on 2**10 pixels), so the screen
+        # confirms both, the first in search order wins, the parabola reuses
+        # the score of 5 and lands on the midpoint 4.5
+        data = np.zeros((2, 16, 64))
+        data[0][:, 35:37] = 1.0
+        data[1][:, 40] = 1.0
+        (steps, offsets), scored = scored_shifts(monkeypatch, data, 5)
+        assert scored == [[4, 5, 3]]
+        assert steps[1] == 4.0 and offsets[1] == 0.5
+        assert np.array_equal(steps, exhaustive_chain(data, 5))
+        assert np.array_equal(offsets, reference_offsets(data, steps, 5))
+
+
+def scored_shifts(monkeypatch, data, radius):
+    """``_template_chain(data, radius)`` and, per link that scores any
+    candidate, the shifts it scores with ``global_ncc``, in order.  Each
+    candidate is a slice of the link's padded copy, so its shift is its
+    column offset in that copy less 2 * radius."""
+    scored, copies = [], []
+
+    def counted(template, cand):
+        if not copies or copies[-1] is not cand.base:
+            copies.append(cand.base)
+            scored.append([])
+        column = (cand.ctypes.data - cand.base.ctypes.data) // (cand.shape[0] * cand.itemsize)
+        scored[-1].append(column - 2 * radius)
+        return global_ncc(template, cand)
+
+    monkeypatch.setattr(align, "global_ncc", counted)
+    out = _template_chain(data, radius)
+    monkeypatch.undo()
+    return out, scored
+
+
+def padded_copy(img, radius):
+    """An edge-padded, Fortran-ordered float64 copy of a B-scan, as the
+    chain scores its candidates from."""
+    return np.asfortranarray(np.pad(img, ((0, 0), (2 * radius, 2 * radius)), mode="edge"),
+                             np.float64)
+
+
+class TestChainCandidates:
+    @pytest.mark.parametrize("radius", range(1, 12))
+    def test_screened_statistics_match_brute_force(self, radius):
+        # the prefix-sum means and variances, and the screened scores, of
+        # every candidate against each candidate computed on its own
+        vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=20, n_r=48, seed=radius))
+        data = vol.data.astype(np.float64) * 1e3 + 0.1
+        t = data[0] - data[0].mean()
+        padded = padded_copy(data[1], radius)
+        v, var, undecided, err = _chain_bounds(t, (t * t).mean(), padded, 48)
+        n_cand = 4 * radius + 1
+        assert v.shape == var.shape == undecided.shape == (n_cand,)
+        assert not undecided.any()
+        for j in range(n_cand):
+            c = padded[:, j:j + 48]
+            assert var[j] == pytest.approx(c.var(), rel=1e-12)
+            assert abs(v[j] - global_ncc(data[0], c)) <= err
+
+    @pytest.mark.parametrize("radius", range(1, 12))
+    def test_every_candidate_is_the_resampled_b_scan_bitwise(self, radius):
+        # an integer shift only gathers rows with replicate fill, so each
+        # slice of the padded copy is the resampled B-scan, in the same
+        # memory order, and scores the same bits
+        vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=20, n_r=48, seed=radius))
+        data = vol.data.astype(np.float64)
+        span = 2 * radius
+        padded = padded_copy(data[1], radius)
+        for s in range(-span, span + 1):
+            cand = padded[:, span + s:span + s + 48]
+            direct = _interp_rows(data[1], float(s))
+            assert cand.flags.f_contiguous and direct.flags.f_contiguous
+            assert np.array_equal(cand, direct)
+            assert global_ncc(data[0], cand) == global_ncc(data[0], direct)
+
+
 def exhaustive_chain(data, radius):
     """The template chain with every candidate scored by global_ncc on a
     directly resampled B-scan, first strict maximum in search order."""
@@ -359,6 +461,84 @@ class TestTemplateMatch:
             d = template_match_align(vol, AlignConfig(search_radius=6))
             chain = exhaustive_chain(vol.data.astype(np.float64), 6)
             assert np.array_equal(d.axial, chain - chain.mean())
+
+    @pytest.mark.parametrize("seed,scale,offset", [
+        pytest.param(0, 1.0, 0.0, id="0-1.0-0.0"),
+        pytest.param(1, 1.0, 0.0, id="1-1.0-0.0"),
+        pytest.param(3, 1e3, 500.0, id="3-1000.0-500.0"),
+    ])
+    def test_equals_exhaustive_chain(self, seed, scale, offset):
+        # the screened chain picks every step and refines every link as
+        # scoring every candidate on directly resampled B-scans does
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
+        cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
+        data = cvol.data.astype(np.float64) * scale + offset
+        steps, offsets = _template_chain(data, 15)
+        assert np.array_equal(steps, exhaustive_chain(data, 15))
+        assert np.array_equal(offsets, reference_offsets(data, steps, 15))
+        assert np.count_nonzero(offsets) > 0
+
+    def test_equals_exhaustive_chain_where_ncc_is_near_its_cap(self, rng):
+        # B-scans are affine copies of one texture under integer motion, so
+        # the true shift scores close to 1, where the screen has the least
+        # room; the chain finds the motion and refines it by little
+        texture = rng.uniform(size=(24, 64))
+        axial = np.array([0, 4, -3, 7, 2, -5, 3, 1], dtype=float)
+        data = np.stack([(1.0 + 0.2 * b) * _interp_rows(texture, -axial[b]) + 0.1 * b
+                         for b in range(8)])
+        steps, offsets = _template_chain(data, 8)
+        assert np.array_equal(steps, axial)
+        assert np.array_equal(steps, exhaustive_chain(data, 8))
+        assert np.array_equal(offsets, reference_offsets(data, steps, 8))
+        assert np.abs(offsets).max() < 0.05
+
+    @pytest.mark.parametrize("scale", [1e9, 1e10])
+    def test_the_screen_is_scale_free(self, scale):
+        # the screen's bound is relative to the data's own magnitude, so a
+        # huge intensity scale confirms the same candidates with the same
+        # err as the unscaled volume, and the chain stays exhaustive
+        vol, surf = generate_phantom(PhantomSpec(n_b=6, n_a=24, n_r=64, seed=2))
+        cvol, _, _ = simulate_motion(vol, surf, seed=42)
+        data = cvol.data.astype(np.float64)
+
+        def screen(x):
+            t = x[0] - x[0].mean()
+            v, _, undecided, err = _chain_bounds(t, (t * t).mean(), padded_copy(x[1], 15), 64)
+            return v >= v[~undecided].max() - 2.0 * err, err
+
+        confirm, err = screen(data)
+        confirm_scaled, err_scaled = screen(data * scale)
+        assert np.array_equal(confirm_scaled, confirm) and confirm.sum() == 1
+        assert err_scaled == pytest.approx(err, rel=1e-6)
+        steps, offsets = _template_chain(data * scale, 15)
+        assert np.array_equal(steps, exhaustive_chain(data * scale, 15))
+        assert np.array_equal(offsets, reference_offsets(data * scale, steps, 15))
+
+    def test_screen_error_bound_holds_at_clinical_size(self):
+        # 256 x 192 B-scans, all 61 candidates of two links
+        vol, surf = generate_phantom(PhantomSpec(n_b=3, n_a=256, n_r=192, seed=5))
+        cvol, _, _ = simulate_motion(vol, surf, seed=45)
+        data = cvol.data.astype(np.float64)
+        for b in (1, 2):
+            t = data[b - 1] - data[b - 1].mean()
+            padded = padded_copy(data[b], 15)
+            v, _, undecided, err = _chain_bounds(t, (t * t).mean(), padded, 192)
+            assert v.size == 61 and not undecided.any() and 0.0 < err < 1e-9
+            for j in range(61):
+                assert abs(v[j] - global_ncc(data[b - 1], padded[:, j:j + 192])) <= err
+
+    def test_a_constant_candidate_b_scan_scores_zero(self):
+        # every candidate of a constant B-scan is masked, none is undecided
+        # and no err is needed; the chain keeps shift 0 and offset 0
+        vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=32, n_r=48, seed=7))
+        data = vol.data.astype(np.float64)
+        data[1] = 0.7
+        t = data[0] - data[0].mean()
+        v, var, undecided, err = _chain_bounds(t, (t * t).mean(), padded_copy(data[1], 3), 48)
+        assert not v.any() and np.abs(var).max() < VARIANCE_EPS
+        assert not undecided.any() and err == 0.0
+        steps, offsets = _template_chain(data, 3)
+        assert not steps.any() and not offsets.any()
 
     @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
     def test_screen_error_bound_holds_for_every_candidate(self, rng, case):
@@ -526,3 +706,41 @@ def test_global_ncc_rejects_mismatched_shapes(rng):
     # broadcasting (6, 5) against (6, 1) would return a correlation
     with pytest.raises(DimensionError):
         global_ncc(rng.normal(size=(6, 5)), rng.normal(size=(6, 1)))
+
+
+class TestGlobalNcc:
+    def test_matches_brute_force(self, rng):
+        a = rng.normal(size=(6, 7))
+        b = rng.normal(size=(6, 7)) + 0.4 * a
+        ma, mb = a.sum() / a.size, b.sum() / b.size
+        cov = sum((x - ma) * (y - mb) for x, y in zip(a.ravel(), b.ravel()))
+        va = sum((x - ma) ** 2 for x in a.ravel())
+        vb = sum((y - mb) ** 2 for y in b.ravel())
+        assert global_ncc(a, b) == pytest.approx(cov / np.sqrt(va * vb), rel=1e-12)
+
+    def test_symmetric_and_bounded(self, rng):
+        for _ in range(20):
+            a, b = rng.normal(size=(2, 8, 9))
+            v = global_ncc(a, b)
+            assert global_ncc(b, a) == v and -1.0 <= v <= 1.0
+        img = rng.normal(size=(8, 9))
+        assert global_ncc(img, -img) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_affine_intensity_invariance(self, rng):
+        a = rng.normal(size=(16, 16))
+        b = rng.normal(size=(16, 16))
+        base = global_ncc(a, b)
+        assert global_ncc(3.0 * a + 2.0, b) == pytest.approx(base, rel=1e-12)
+        assert global_ncc(a, 0.25 * b - 7.0) == pytest.approx(base, rel=1e-12)
+        assert global_ncc(-2.0 * a, b) == pytest.approx(-base, rel=1e-12)
+
+    def test_the_variance_guard_masks_either_side(self, rng):
+        # a variance just below VARIANCE_EPS scores 0 on either side; just
+        # above it the image is scored, with its full correlation
+        noise = rng.normal(size=(16, 16))
+        unit = (noise - noise.mean()) / noise.std()
+        other = unit + 0.5 * rng.normal(size=(16, 16))
+        below = 0.5 + np.sqrt(0.99 * VARIANCE_EPS) * unit
+        above = 0.5 + np.sqrt(1.01 * VARIANCE_EPS) * unit
+        assert global_ncc(below, other) == 0.0 and global_ncc(other, below) == 0.0
+        assert global_ncc(above, other) == pytest.approx(global_ncc(unit, other), rel=1e-9)

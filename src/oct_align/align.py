@@ -29,15 +29,10 @@ chain one parabola step through the link's scores at the chosen integer
 and its two neighbors.  Only integer shifts are ever scored, so no
 interpolation enters the similarity.
 
-The chain scores its integer candidates from one edge-padded copy of the
-B-scan being moved: shifting by an integer only gathers rows (with
-replicate fill), so every candidate is a slice of that copy.  It centres
-its template once per step, and the block it chose becomes the next
-step's template.  It screens its candidates cheaply, with a proven error
-bound, and scores exactly only those the screen says could still win, so
-every chosen shift is the one of scoring every candidate: every
-candidate's mean and variance come from prefix sums and its cross term
-from one dot product (``_chain_bounds``).
+The chain scores all integer candidates of a step at once, each a slice
+of one edge-padded copy of the B-scan being moved, from prefix sums and one
+dot product per candidate (``_chain_scores``); that score picks the shift,
+breaks ties and feeds the parabola.
 """
 
 from __future__ import annotations
@@ -133,49 +128,28 @@ def solve_from_surfaces(surfaces) -> DisplacementField:
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 
 
-def _chain_bounds(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
-    """Screened global NCC of every candidate of one template-chain step.
+def _padded_copy(img: np.ndarray, span: int) -> np.ndarray:
+    """B-scan ``img`` edge-padded by ``span`` rows at each end, as a
+    Fortran-ordered float64 copy less its mean rounded to float32: column
+    j ... j + N_R - 1 is the B-scan shifted by the integer j - span, less a
+    constant no NCC sees.  The constant keeps a large DC offset from
+    cancelling in ``_chain_scores``' sums; rounded to float32, it is
+    subtracted exactly from data of few significant bits, so exact ties stay
+    exact."""
+    padded = np.asfortranarray(np.pad(img, ((0, 0), (span, span)), mode="edge"), np.float64)
+    padded -= np.float32(padded.mean())
+    return padded
 
-    ``t`` is the centred template, ``vt`` its variance, and candidate j is
-    columns j ... j + n_r - 1 of the Fortran-ordered ``padded`` (the
-    chain's shift j - 2 * radius).  Returns ``(v, var, undecided, err)``:
-    the screened score and variance of every candidate, the mask of those
-    whose screened variance lies within slack of VARIANCE_EPS (their mask
-    is not decided), and a bound err on |v - exact score| for every other
-    candidate.  The exact score is ``global_ncc`` of the template and the
-    candidate.
 
-    Means and variances come from prefix sums of the column sums and
-    squared column sums of ``padded``; sum(t * c) is one dot product on the
-    contiguous block, and sum(t * (c - mean c)) = dot - mean c * sum(t).
-
-    Slack and err, with u = 2**-53, N = N_A * n_r values per candidate,
-    N' = N_A * width for the padded copy and q = mean(c^2).  Any sum of m
-    terms, in any order, is within (m - 1) u sum|terms|.  The column sums
-    and prefix sums add each term of a candidate's sums through at most
-    K = N_A + width + 3 roundings, relative to the whole padded copy; by
-    Cauchy-Schwarz that puts the screened mean within K u r sqrt(q') and
-    the screened mean square within K u r q' of the exact ones, r = N' / N,
-    q' = mean square of ``padded``.  The screened variance q - mean^2 is
-    then within (3 K r + 3) u q^ (q^ = the largest q and q') and the exact
-    formula's mean((c - mean c)^2) within (N + 2) u q of the exact value;
-    doubling their sum for the second-order terms gives slack = 2 (3 K r +
-    N + 5) u q^.  A candidate whose screened variance is at least slack
-    from VARIANCE_EPS is therefore masked (scored 0) by both or by neither.
-    For one that both score, the dot product and mean c * sum(t) are each
-    within N u N sqrt(vt q) of exact, so the screened covariance is within
-    (2N + 4) u sqrt(vt q) and, relative to sqrt(vt var), within (2N + 4) u
-    sqrt(kappa), kappa = q / var; the variance error moves the score by at
-    most |v| slack / (2 var), and the exact formula is within (1.5 N + 8) u
-    (its own centring, products, means and the final division).  With var
-    >= (screened variance - slack) and 3u for the screened division, err =
-    2 ((2N + 4) u sqrt(kappa_max) + (1.5 N + 11) u) + slack / var_min over
-    the candidates both score; candidates both mask differ by 0.  A loose
-    err or slack only confirms more candidates.
-    """
+def _chain_scores(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int) -> np.ndarray:
+    """Global NCC of the centred template ``t`` (variance ``vt``) against
+    every candidate j, columns j ... j + n_r - 1 of the Fortran-ordered
+    ``padded``: means and variances from prefix sums of its column sums and
+    squared column sums, sum(t * (c - mean c)) = dot(t, c) - mean c * sum(t)
+    with one dot product on the contiguous block (Lewis, Fast Normalized
+    Cross-Correlation, 1995).  Variance below VARIANCE_EPS scores 0."""
     n_a, width = padded.shape
     size = n_a * n_r
-    u = 2.0 ** -53
     flat = padded.ravel(order="F")
     t_flat = t.ravel(order="F")
     n_cand = width - n_r + 1
@@ -183,22 +157,11 @@ def _chain_bounds(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int):
     col_sums = np.concatenate(([0.0], np.cumsum(padded.sum(axis=0))))
     col_squares = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->j", padded, padded))))
     mean = (col_sums[n_r:] - col_sums[:n_cand]) / size
-    q = (col_squares[n_r:] - col_squares[:n_cand]) / size
-    var = q - mean * mean
+    var = (col_squares[n_r:] - col_squares[:n_cand]) / size - mean * mean
     scored = var >= VARIANCE_EPS
     v = np.zeros(n_cand)
     v[scored] = (dots[scored] - mean[scored] * t.sum()) / size / np.sqrt(vt * var[scored])
-
-    q_hat = max(float(q.max()), float(col_squares[-1]) / (n_a * width))
-    slack = 2.0 * (3.0 * (n_a + width + 3) * width / n_r + size + 5) * u * q_hat
-    undecided = np.abs(var - VARIANCE_EPS) < slack
-    live = scored & ~undecided
-    err = 0.0
-    if live.any():
-        low = var[live] - slack
-        err = (2.0 * ((2 * size + 4) * u * float(np.sqrt((q[live] / low).max()))
-                      + (1.5 * size + 11) * u) + slack / float(low.min()))
-    return v, var, undecided, err
+    return v
 
 
 def _template_chain(data: np.ndarray, radius: int):
@@ -212,65 +175,38 @@ def _template_chain(data: np.ndarray, radius: int):
 
     The chain anchors the first B-scan at zero, so absolute estimates can
     span twice the per-B-scan amplitude; the candidate grid covers that.
-    Each step scores the 4*radius + 1 integer shifts by ``global_ncc``
-    against the predecessor resampled at its own estimate.  Candidate s is
-    read as columns 2*radius + s ... of one edge-padded copy of the B-scan
-    (an integer shift is a pure replicate-fill gather), cast to float64 as
-    it is padded, so ``data`` can be the stored float32 volume: the cast is
-    exact and the volume is not copied whole.  The padded copy is
-    Fortran-ordered, like ``_interp_rows``'s output, so every candidate is
-    a contiguous block in the same memory order and numpy's pairwise means
-    round exactly as they do on the resampled B-scan.  The block a step
-    chooses is therefore the next step's template as it is, with no
-    resampling; after a flat template the successor keeps shift 0 and its
-    block at 0 is the next template.
+    Each step scores the 4*radius + 1 integer shifts at once against the
+    predecessor at its own estimate (``_chain_scores``, one padded copy of
+    the B-scan, so ``data`` can be the stored float32 volume and is not
+    copied whole) and keeps the first best in ``search_order``.  The block
+    a step chooses is the next step's template as it is; after a flat
+    template the successor keeps shift 0 and its block at 0 is the next.
 
-    All candidates are first screened at once (``_chain_bounds``, from the
-    template centred once per step), within a proven err of their exact
-    scores.  Only the candidates that can still win are scored exactly, in
-    search order, and ``max`` keeps the first best: those within 2 err of
-    the best screened score of a candidate whose mask is decided (that
-    candidate's exact score beats any candidate more than 2 err below it),
-    and those whose screened variance lies within a derived slack of
-    VARIANCE_EPS (their mask is not decided; they do not set the best).  The exact
-    winner, and every candidate that ties it, is among them, so the chosen
-    shift is the one of scoring every candidate.
-
-    The offset is one parabola step through the exact scores f at the
-    chosen s and at s - 1 and s + 1 (slices of the same padded copy):
-    0.5 (f(s-1) - f(s+1)) / c, clipped to [-0.5, 0.5], where the curvature
-    c = f(s-1) - 2 f(s) + f(s+1) is negative.  It is 0 where c is not,
-    after a flat template, and at |s| = 2*radius, whose outer neighbor is
-    off the padded copy.
+    The offset is one parabola step through the same scores f at the
+    chosen s and at s - 1 and s + 1: 0.5 (f(s-1) - f(s+1)) / c, clipped to
+    [-0.5, 0.5], where the curvature c = f(s-1) - 2 f(s) + f(s+1) is
+    negative.  It is 0 where c is not, after a flat template, and at
+    |s| = 2*radius, whose outer neighbor is off the padded copy.
     """
     n_b, _, n_r = data.shape
     span = 2 * radius
-
-    def padded_copy(img):
-        return np.asfortranarray(np.pad(img, ((0, 0), (span, span)), mode="edge"), np.float64)
-
+    order = np.fromiter(search_order(span), dtype=np.int64)
     steps, offsets = np.zeros(n_b), np.zeros(n_b)
-    padded = padded_copy(data[0])
+    padded = _padded_copy(data[0], span)
     for b in range(1, n_b):
         lo = span + int(steps[b - 1])
         template = padded[:, lo:lo + n_r]  # B-scan b - 1 at its estimate
-        padded = padded_copy(data[b])
+        padded = _padded_copy(data[b], span)
         t = template - template.mean()
         vt = (t * t).mean()
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
-
-        def score(s):
-            return global_ncc(template, padded[:, span + s:span + s + n_r])
-
-        v, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
-        confirm = undecided | (v >= v[~undecided].max(initial=-np.inf) - 2.0 * err)
-        scores = {s: score(s) for s in search_order(span) if confirm[span + s]}
-        s = max(scores, key=scores.get)
+        v = _chain_scores(t, vt, padded, n_r)
+        s = int(order[np.argmax(v[span + order])])
         steps[b] = s
         if abs(s) < span:
-            f_m, f_p = (scores[k] if k in scores else score(k) for k in (s - 1, s + 1))
-            curv = f_m - 2.0 * scores[s] + f_p
+            f_m, f_0, f_p = v[span + s - 1:span + s + 2]
+            curv = f_m - 2.0 * f_0 + f_p
             if curv < 0:
                 offsets[b] = np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5)
     return steps, offsets
@@ -323,7 +259,7 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             total -= global_ncc(_interp_rows(data[b - 1], steps[b - 1]),
                                 _interp_rows(data[b], steps[b]))
         trace.append(total)
-    d = steps + np.cumsum(offsets)
+    d = steps - steps[0] + np.cumsum(offsets)  # a constant added to the chain cancels exactly
     d -= d.mean()
     return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
 
@@ -334,13 +270,18 @@ def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None, *,
     """Sequential baseline: register each B-scan to its corrected predecessor.
 
     Integer shifts only, chosen to maximize global NCC against the previous
-    B-scan resampled at its own estimate; ties prefer the smaller |shift|.
+    B-scan resampled at its own estimate, as ``_chain_scores`` rounds it:
+    ties of that score prefer the smaller |shift|, and a near-tie goes as
+    that score orders it, even where ``global_ncc`` would round it the
+    other way.
     The chain anchors the first B-scan, so candidates span twice the search
     radius; the cumulative result is mean-centered like the other solvers.
     ``chain`` passes in an already computed ``_template_chain`` of this
     volume; only its integer steps are used.
     """
     cfg = cfg or AlignConfig()
+    if not isinstance(volume, OctVolume):
+        raise DimensionError("template_match_align expects an OctVolume")
     _check_radius(volume, cfg)
     steps, _ = _template_chain(volume.data, cfg.search_radius) if chain is None else chain
     d = steps - steps.mean()

@@ -91,6 +91,8 @@ def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,
     Returns the estimated content motion (same sign convention as the
     simulator): correcting means shifting content by the negated estimate.
     """
+    if not isinstance(volume, OctVolume):
+        raise DimensionError("align_transverse expects an OctVolume")
     if volume.n_b < 2:
         raise DimensionError("need at least two B-scans")
     if radius < 1:

@@ -7,7 +7,8 @@ from oct_align import align, pipeline
 from oct_align.align import (
     VARIANCE_EPS,
     AlignConfig,
-    _chain_bounds,
+    _chain_scores,
+    _padded_copy,
     _template_chain,
     apply_axial_correction,
     global_ncc,
@@ -267,16 +268,17 @@ def smooth_pair(truth, n_r=64):
 class TestSubpixelChain:
     @pytest.mark.parametrize("seed", [11, 12, 16])
     def test_offsets_match_directly_resampled_scores(self, seed):
-        # only integer shifts are scored, and the chain's slices of its
-        # padded copy score what directly resampled B-scans do
+        # only integer shifts are scored, and the chain's scores of the
+        # slices of its padded copy round what global_ncc gives directly
+        # resampled B-scans to within 1e-12
         vol, surf = generate_phantom(PhantomSpec(seed=seed))
         cvol, _, _ = simulate_motion(vol, surf, seed=seed + 100)
         steps, offsets = _template_chain(cvol.data, 15)
         assert offsets[0] == 0.0
         assert np.abs(offsets).max() <= 0.5
         assert np.count_nonzero(offsets) > cvol.n_b // 2
-        assert np.array_equal(offsets,
-                              reference_offsets(cvol.data.astype(np.float64), steps, 15))
+        want = reference_offsets(cvol.data.astype(np.float64), steps, 15)
+        np.testing.assert_allclose(offsets, want, rtol=0, atol=1e-12)
 
     def test_a_range_edge_step_keeps_offset_zero(self):
         # the truth 6 px lies outside the range [-4, 4] of radius 2, so the
@@ -328,95 +330,104 @@ class TestSubpixelChain:
         assert np.sign(offsets[1]) == np.sign(frac)
         assert abs(steps[1] + offsets[1] - truth) < 0.01
 
-    def test_skipped_neighbors_are_scored_on_demand(self, monkeypatch):
-        # the screen confirms only each link's best integer on this item, so
-        # the parabola scores s - 1 and s + 1 after it, once each
-        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=1))
-        cvol, _, _ = simulate_motion(vol, surf, seed=41)
-        (steps, offsets), scored = scored_shifts(monkeypatch, cvol.data, 15)
-        assert len(scored) == cvol.n_b - 1
-        for b, shifts in enumerate(scored, start=1):
-            s = steps[b]
-            assert shifts == [s, s - 1, s + 1]
-        assert np.array_equal(offsets,
-                              reference_offsets(cvol.data.astype(np.float64), steps, 15))
-
-    def test_a_neighbor_scored_in_the_scan_is_not_scored_again(self, monkeypatch):
+    def test_an_exact_tie_refines_to_the_midpoint(self):
         # a two-row blip against a one-row blip: shifts 4 and 5 each overlap
-        # one row and tie exactly (0/1 values on 2**10 pixels), so the screen
-        # confirms both, the first in search order wins, the parabola reuses
-        # the score of 5 and lands on the midpoint 4.5
+        # one row and tie exactly (0/1 values on 2**10 pixels), the first in
+        # search order wins, and the parabola through the tied pair lands on
+        # the midpoint 4.5
         data = np.zeros((2, 16, 64))
         data[0][:, 35:37] = 1.0
         data[1][:, 40] = 1.0
-        (steps, offsets), scored = scored_shifts(monkeypatch, data, 5)
-        assert scored == [[4, 5, 3]]
+        steps, offsets = _template_chain(data, 5)
         assert steps[1] == 4.0 and offsets[1] == 0.5
         assert np.array_equal(steps, exhaustive_chain(data, 5))
         assert np.array_equal(offsets, reference_offsets(data, steps, 5))
 
 
-def scored_shifts(monkeypatch, data, radius):
-    """``_template_chain(data, radius)`` and, per link that scores any
-    candidate, the shifts it scores with ``global_ncc``, in order.  Each
-    candidate is a slice of the link's padded copy, so its shift is its
-    column offset in that copy less 2 * radius."""
-    scored, copies = [], []
-
-    def counted(template, cand):
-        if not copies or copies[-1] is not cand.base:
-            copies.append(cand.base)
-            scored.append([])
-        column = (cand.ctypes.data - cand.base.ctypes.data) // (cand.shape[0] * cand.itemsize)
-        scored[-1].append(column - 2 * radius)
-        return global_ncc(template, cand)
-
-    monkeypatch.setattr(align, "global_ncc", counted)
-    out = _template_chain(data, radius)
-    monkeypatch.undo()
-    return out, scored
+def chain_scores(data, radius):
+    """``_chain_scores`` of B-scan 1 against B-scan 0 at shift 0, each
+    padded as the chain pads it."""
+    span, n_r = 2 * radius, data.shape[2]
+    template = _padded_copy(data[0], span)[:, span:span + n_r]
+    t = template - template.mean()
+    return _chain_scores(t, (t * t).mean(), _padded_copy(data[1], span), n_r)
 
 
-def padded_copy(img, radius):
-    """An edge-padded, Fortran-ordered float64 copy of a B-scan, as the
-    chain scores its candidates from."""
-    return np.asfortranarray(np.pad(img, ((0, 0), (2 * radius, 2 * radius)), mode="edge"),
-                             np.float64)
+def direct_scores(data, radius):
+    """``global_ncc`` of B-scan 0 against B-scan 1 resampled at each shift
+    -2 * radius ... 2 * radius."""
+    x = data.astype(np.float64)
+    return np.array([global_ncc(x[0], _interp_rows(x[1], float(s)))
+                     for s in range(-2 * radius, 2 * radius + 1)])
+
+
+# bound on |_chain_scores - global_ncc| for any candidate: the two formulas
+# round the same coefficient, and the largest difference measured over the
+# cases below is 1e-15
+SCORE_ATOL = 1e-13
 
 
 class TestChainCandidates:
     @pytest.mark.parametrize("radius", range(1, 12))
-    def test_screened_statistics_match_brute_force(self, radius):
-        # the prefix-sum means and variances, and the screened scores, of
-        # every candidate against each candidate computed on its own
+    def test_scores_match_global_ncc_at_every_radius(self, radius):
+        # prefix-sum means and variances and one dot product per candidate
+        # give each candidate's global NCC, as scoring it on its own does
         vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=20, n_r=48, seed=radius))
         data = vol.data.astype(np.float64) * 1e3 + 0.1
-        t = data[0] - data[0].mean()
-        padded = padded_copy(data[1], radius)
-        v, var, undecided, err = _chain_bounds(t, (t * t).mean(), padded, 48)
-        n_cand = 4 * radius + 1
-        assert v.shape == var.shape == undecided.shape == (n_cand,)
-        assert not undecided.any()
-        for j in range(n_cand):
-            c = padded[:, j:j + 48]
-            assert var[j] == pytest.approx(c.var(), rel=1e-12)
-            assert abs(v[j] - global_ncc(data[0], c)) <= err
+        v = chain_scores(data, radius)
+        assert v.shape == (4 * radius + 1,)
+        np.testing.assert_allclose(v, direct_scores(data, radius), rtol=0, atol=SCORE_ATOL)
+
+    @pytest.mark.parametrize("case", ["phantom", "x1e3+500", "x1e9", "x1e10", "float32+1e4",
+                                      "clinical"])
+    def test_scores_match_global_ncc_for_every_candidate(self, case):
+        # every candidate of every link, at scales and offsets far from the
+        # phantom's own, and at clinical size (256 x 192 B-scans, 61
+        # candidates)
+        dims, radius = ((3, 256, 192), 15) if case == "clinical" else ((6, 32, 64), 6)
+        vol, surf = generate_phantom(PhantomSpec(n_b=dims[0], n_a=dims[1], n_r=dims[2], seed=3))
+        cvol, _, _ = simulate_motion(vol, surf, seed=43)
+        data = cvol.data.astype(np.float64)
+        data = {"x1e3+500": data * 1e3 + 500.0, "x1e9": data * 1e9, "x1e10": data * 1e10,
+                "float32+1e4": cvol.data + np.float32(1e4)}.get(case, data)
+        for b in range(1, data.shape[0]):
+            v = chain_scores(data[b - 1:b + 1], radius)
+            assert v.size == 4 * radius + 1 and np.count_nonzero(v) == v.size
+            np.testing.assert_allclose(v, direct_scores(data[b - 1:b + 1], radius),
+                                       rtol=0, atol=SCORE_ATOL)
 
     @pytest.mark.parametrize("radius", range(1, 12))
     def test_every_candidate_is_the_resampled_b_scan_bitwise(self, radius):
         # an integer shift only gathers rows with replicate fill, so each
         # slice of the padded copy is the resampled B-scan, in the same
-        # memory order, and scores the same bits
+        # memory order, less the copy's one centring constant
         vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=20, n_r=48, seed=radius))
         data = vol.data.astype(np.float64)
         span = 2 * radius
-        padded = padded_copy(data[1], radius)
+        padded = _padded_copy(data[1], span)
+        centre = np.float32(np.pad(data[1], ((0, 0), (span, span)), mode="edge").mean())
         for s in range(-span, span + 1):
             cand = padded[:, span + s:span + s + 48]
             direct = _interp_rows(data[1], float(s))
             assert cand.flags.f_contiguous and direct.flags.f_contiguous
-            assert np.array_equal(cand, direct)
-            assert global_ncc(data[0], cand) == global_ncc(data[0], direct)
+            assert np.array_equal(cand, direct - np.float64(centre))
+
+    def test_the_chain_never_calls_global_ncc(self, monkeypatch):
+        # each candidate is scored once, by _chain_scores: on a phantom and
+        # on exact ties alike, the chain runs with global_ncc refused
+        def refuse(*_):
+            raise AssertionError("the template chain called global_ncc")
+
+        vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=1))
+        cvol, _, _ = simulate_motion(vol, surf, seed=41)
+        ties = np.zeros((2, 16, 64))
+        ties[0][:, 35] = 1.0
+        ties[1][:, 20:51:10] = 1.0
+        monkeypatch.setattr(align, "global_ncc", refuse)
+        steps, offsets = _template_chain(cvol.data, 15)
+        assert np.array_equal(steps, exhaustive_chain(cvol.data.astype(np.float64), 15))
+        assert np.count_nonzero(offsets) > 0
+        assert _template_chain(ties, 5)[0][1] == -5.0
 
 
 def exhaustive_chain(data, radius):
@@ -462,145 +473,55 @@ class TestTemplateMatch:
             chain = exhaustive_chain(vol.data.astype(np.float64), 6)
             assert np.array_equal(d.axial, chain - chain.mean())
 
-    @pytest.mark.parametrize("seed,scale,offset", [
-        pytest.param(0, 1.0, 0.0, id="0-1.0-0.0"),
-        pytest.param(1, 1.0, 0.0, id="1-1.0-0.0"),
-        pytest.param(3, 1e3, 500.0, id="3-1000.0-500.0"),
+    @pytest.mark.parametrize("seed,scale,offset,dtype", [
+        pytest.param(0, 1.0, 0.0, np.float64, id="0-1.0-0.0"),
+        pytest.param(1, 1.0, 0.0, np.float64, id="1-1.0-0.0"),
+        pytest.param(3, 1e3, 500.0, np.float64, id="3-1000.0-500.0"),
+        pytest.param(2, 1e9, 0.0, np.float64, id="2-1e9-0.0"),
+        pytest.param(2, 1e10, 0.0, np.float64, id="2-1e10-0.0"),
+        pytest.param(4, 1.0, 1e4, np.float32, id="4-1.0-1e4-float32"),
     ])
-    def test_equals_exhaustive_chain(self, seed, scale, offset):
-        # the screened chain picks every step and refines every link as
-        # scoring every candidate on directly resampled B-scans does
+    def test_equals_exhaustive_chain(self, seed, scale, offset, dtype):
+        # the chain picks every step as scoring every candidate with
+        # global_ncc on directly resampled B-scans does, also at huge scales
+        # and on a float32 volume whose texture sits under a DC offset; its
+        # offsets round the same parabola to within 1e-12 px
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
         cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
-        data = cvol.data.astype(np.float64) * scale + offset
+        data = cvol.data.astype(dtype) * dtype(scale) + dtype(offset)
         steps, offsets = _template_chain(data, 15)
+        data = data.astype(np.float64)
         assert np.array_equal(steps, exhaustive_chain(data, 15))
-        assert np.array_equal(offsets, reference_offsets(data, steps, 15))
+        np.testing.assert_allclose(offsets, reference_offsets(data, steps, 15), rtol=0, atol=1e-12)
         assert np.count_nonzero(offsets) > 0
 
-    def test_equals_exhaustive_chain_where_ncc_is_near_its_cap(self, rng):
+    @pytest.mark.parametrize("offset,dtype", [(0.0, np.float64), (1e4, np.float32)])
+    def test_equals_exhaustive_chain_where_ncc_is_near_its_cap(self, rng, offset, dtype):
         # B-scans are affine copies of one texture under integer motion, so
-        # the true shift scores close to 1, where the screen has the least
-        # room; the chain finds the motion and refines it by little
+        # the true shift scores close to 1; the chain finds the motion and
+        # refines it by little, also on a float32 volume under a DC offset
         texture = rng.uniform(size=(24, 64))
         axial = np.array([0, 4, -3, 7, 2, -5, 3, 1], dtype=float)
         data = np.stack([(1.0 + 0.2 * b) * _interp_rows(texture, -axial[b]) + 0.1 * b
                          for b in range(8)])
+        data = (data + offset).astype(dtype)
         steps, offsets = _template_chain(data, 8)
+        data = data.astype(np.float64)
         assert np.array_equal(steps, axial)
         assert np.array_equal(steps, exhaustive_chain(data, 8))
-        assert np.array_equal(offsets, reference_offsets(data, steps, 8))
+        np.testing.assert_allclose(offsets, reference_offsets(data, steps, 8), rtol=0, atol=1e-12)
         assert np.abs(offsets).max() < 0.05
 
-    @pytest.mark.parametrize("scale", [1e9, 1e10])
-    def test_the_screen_is_scale_free(self, scale):
-        # the screen's bound is relative to the data's own magnitude, so a
-        # huge intensity scale confirms the same candidates with the same
-        # err as the unscaled volume, and the chain stays exhaustive
-        vol, surf = generate_phantom(PhantomSpec(n_b=6, n_a=24, n_r=64, seed=2))
-        cvol, _, _ = simulate_motion(vol, surf, seed=42)
-        data = cvol.data.astype(np.float64)
-
-        def screen(x):
-            t = x[0] - x[0].mean()
-            v, _, undecided, err = _chain_bounds(t, (t * t).mean(), padded_copy(x[1], 15), 64)
-            return v >= v[~undecided].max() - 2.0 * err, err
-
-        confirm, err = screen(data)
-        confirm_scaled, err_scaled = screen(data * scale)
-        assert np.array_equal(confirm_scaled, confirm) and confirm.sum() == 1
-        assert err_scaled == pytest.approx(err, rel=1e-6)
-        steps, offsets = _template_chain(data * scale, 15)
-        assert np.array_equal(steps, exhaustive_chain(data * scale, 15))
-        assert np.array_equal(offsets, reference_offsets(data * scale, steps, 15))
-
-    def test_screen_error_bound_holds_at_clinical_size(self):
-        # 256 x 192 B-scans, all 61 candidates of two links
-        vol, surf = generate_phantom(PhantomSpec(n_b=3, n_a=256, n_r=192, seed=5))
-        cvol, _, _ = simulate_motion(vol, surf, seed=45)
-        data = cvol.data.astype(np.float64)
-        for b in (1, 2):
-            t = data[b - 1] - data[b - 1].mean()
-            padded = padded_copy(data[b], 15)
-            v, _, undecided, err = _chain_bounds(t, (t * t).mean(), padded, 192)
-            assert v.size == 61 and not undecided.any() and 0.0 < err < 1e-9
-            for j in range(61):
-                assert abs(v[j] - global_ncc(data[b - 1], padded[:, j:j + 192])) <= err
-
     def test_a_constant_candidate_b_scan_scores_zero(self):
-        # every candidate of a constant B-scan is masked, none is undecided
-        # and no err is needed; the chain keeps shift 0 and offset 0
+        # every candidate of a constant B-scan is masked, as global_ncc masks
+        # it; the chain keeps shift 0 and offset 0
         vol, _ = generate_phantom(PhantomSpec(n_b=2, n_a=32, n_r=48, seed=7))
         data = vol.data.astype(np.float64)
         data[1] = 0.7
-        t = data[0] - data[0].mean()
-        v, var, undecided, err = _chain_bounds(t, (t * t).mean(), padded_copy(data[1], 3), 48)
-        assert not v.any() and np.abs(var).max() < VARIANCE_EPS
-        assert not undecided.any() and err == 0.0
+        v = chain_scores(data, 3)
+        assert v.shape == (13,) and not v.any() and not direct_scores(data, 3).any()
         steps, offsets = _template_chain(data, 3)
         assert not steps.any() and not offsets.any()
-
-    @pytest.mark.parametrize("case", ["phantom", "scaled", "near_eps"])
-    def test_screen_error_bound_holds_for_every_candidate(self, rng, case):
-        vol, _ = generate_phantom(PhantomSpec(n_b=6, n_a=32, n_r=64, seed=3))
-        data = vol.data.astype(np.float64)
-        if case == "scaled":
-            data = data * 1e3 + 500.0
-        elif case == "near_eps":  # candidate variances within a few % of VARIANCE_EPS
-            data = 0.5 + np.sqrt(VARIANCE_EPS) * 1.01 * rng.normal(size=data.shape)
-            data[::2] = rng.normal(size=data[::2].shape)  # templates of unit variance
-        radius, n_r, checked = 6, 64, 0
-        for b in range(1, data.shape[0], 2):
-            t = _interp_rows(data[b - 1], 0.0)
-            t = t - t.mean()
-            vt = (t * t).mean()
-            padded = np.asfortranarray(np.pad(data[b], ((0, 0), (12, 12)), mode="edge"))
-            screened, _, undecided, err = _chain_bounds(t, vt, padded, n_r)
-            assert err > 0.0
-            for j in range(screened.size):
-                c = padded[:, j:j + n_r]
-                c = c - c.mean()
-                vc = (c * c).mean()
-                exact = 0.0 if vc < VARIANCE_EPS else float((t * c).mean() / np.sqrt(vt * vc))
-                if not undecided[j]:
-                    assert abs(screened[j] - exact) <= err
-                    checked += 1
-        assert checked > 0
-
-    def test_undecided_variance_is_scored_exactly(self):
-        # candidate 2 of B-scan 1 has a variance within rounding of
-        # VARIANCE_EPS, while its neighbors' differ by far more (edge
-        # replication); the template is that candidate, so it scores about 1
-        # when unmasked.  Scale B-scan 1 until the screen and the exact
-        # formula disagree on its mask, each way round: only the
-        # variance-slack confirmation keeps the chain equal to the exhaustive
-        # one there (the exact winner is masked in the screen, or the
-        # screen's winner is masked in the exact formula)
-        rng = np.random.default_rng(5)
-        n_a, n_r, radius, s0 = 16, 64, 3, 2
-        noise = rng.normal(size=(n_a, n_r))
-        template = 10.0 * _interp_rows(noise, float(s0))
-        base = _interp_rows(noise, float(s0))
-        alpha0 = np.sqrt(VARIANCE_EPS / (base - base.mean()).var())
-        t = template - template.mean()
-        vt = (t * t).mean()
-        flips = {}
-        for j in range(-400, 401):
-            if len(flips) == 2:
-                break
-            data = np.stack([template, 1.0 + alpha0 * (1.0 + j * 1e-11) * noise])
-            padded = np.asfortranarray(np.pad(data[1], ((0, 0), (6, 6)), mode="edge"))
-            _, var, undecided, _ = _chain_bounds(t, vt, padded, n_r)
-            c = _interp_rows(data[1], float(s0))
-            c = c - c.mean()
-            exact_masked = bool((c * c).mean() < VARIANCE_EPS)
-            if exact_masked != (var[6 + s0] < VARIANCE_EPS):
-                assert undecided[6 + s0] and undecided.sum() == 1
-                flips.setdefault(exact_masked, data)
-        assert sorted(flips) == [False, True]
-        for data in flips.values():
-            assert np.array_equal(_template_chain(data, radius)[0],
-                                  exhaustive_chain(data, radius))
 
     def test_ties_go_to_the_first_candidate_in_search_order(self):
         # B-scan 1 is depth-periodic (blips every 10 rows, 20 ... 50); the
@@ -617,23 +538,12 @@ class TestTemplateMatch:
         assert chain[1] == -5.0
         assert np.array_equal(chain, exhaustive_chain(data, 5))
 
-    def test_near_tie_the_screen_orders_wrongly_is_scored_exactly(self, rng):
-        # the same layout with random blip values: -5 and 5 tie in exact
-        # arithmetic, the exact formula picks -5, and the screen's rounding
-        # ranks 5 higher; only confirming every candidate within 2 err of the
-        # screen's best keeps the chain equal to the exhaustive one
-        blip = rng.uniform(0.5, 1.5, size=(16, 3))
-        data = np.full((2, 16, 64), 0.3)
-        data[0][:, 34:37] = blip
-        for r in (19, 29, 39, 49):
-            data[1][:, r:r + 3] = blip
-        t = data[0] - data[0].mean()
-        padded = np.asfortranarray(np.pad(data[1], ((0, 0), (10, 10)), mode="edge"))
-        screened, _, _, err = _chain_bounds(t, (t * t).mean(), padded, 64)
-        assert 0.0 < screened[15] - screened[5] <= 2.0 * err
-        chain, _ = _template_chain(data, 5)
-        assert chain[1] == -5.0
-        assert np.array_equal(chain, exhaustive_chain(data, 5))
+    def test_a_bare_array_is_rejected(self):
+        # as optimize_alignment rejects it: a DimensionError, not an
+        # AttributeError on n_r
+        vol, _ = generate_phantom(PhantomSpec(n_b=4, n_a=24, n_r=48, seed=0))
+        with pytest.raises(DimensionError, match="OctVolume"):
+            template_match_align(vol.data)
 
     def test_flat_template_keeps_shift_zero(self, rng):
         img = rng.normal(size=(12, 20))

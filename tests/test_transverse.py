@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oct_align.core import EmptyBandWarning, OctVolume, SurfaceSet
-from oct_align.errors import ConfigError
+from oct_align.errors import ConfigError, DimensionError
 from oct_align.metrics import motion_error
 from oct_align.synth import (
     MotionSpec,
@@ -141,6 +141,13 @@ class TestAlignTransverse:
         vol, surf = generate_phantom(PhantomSpec(seed=0))
         with pytest.raises(ConfigError):
             align_transverse(vol, surf, radius=vol.n_a)
+
+    def test_a_bare_array_is_rejected(self):
+        # as optimize_alignment rejects it: a DimensionError, not an
+        # AttributeError on n_b
+        vol, surf = generate_phantom(PhantomSpec(n_b=4, n_a=24, n_r=48, seed=0))
+        with pytest.raises(DimensionError, match="OctVolume"):
+            align_transverse(vol.data, surf)
 
     def test_retina_mask_helps_with_background_noise(self):
         # noise added outside the retinal band only: the masked projection

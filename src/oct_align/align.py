@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, search_order
+from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, first_best
 from .errors import ConfigError, DimensionError, ValidationError
 from .resample import _interp_rows, resample_axial
 
@@ -178,9 +178,9 @@ def _template_chain(data: np.ndarray, radius: int):
     Each step scores the 4*radius + 1 integer shifts at once against the
     predecessor at its own estimate (``_chain_scores``, one padded copy of
     the B-scan, so ``data`` can be the stored float32 volume and is not
-    copied whole) and keeps the first best in ``search_order``.  The block
-    a step chooses is the next step's template as it is; after a flat
-    template the successor keeps shift 0 and its block at 0 is the next.
+    copied whole) and keeps the first best in ``search_order`` (``first_best``).
+    The block a step chooses is the next step's template as it is; after a
+    flat template the successor keeps shift 0 and its block at 0 is the next.
 
     The offset is one parabola step through the same scores f at the
     chosen s and at s - 1 and s + 1: 0.5 (f(s-1) - f(s+1)) / c, clipped to
@@ -190,7 +190,6 @@ def _template_chain(data: np.ndarray, radius: int):
     """
     n_b, _, n_r = data.shape
     span = 2 * radius
-    order = np.fromiter(search_order(span), dtype=np.int64)
     steps, offsets = np.zeros(n_b), np.zeros(n_b)
     padded = _padded_copy(data[0], span)
     for b in range(1, n_b):
@@ -202,7 +201,7 @@ def _template_chain(data: np.ndarray, radius: int):
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
         v = _chain_scores(t, vt, padded, n_r)
-        s = int(order[np.argmax(v[span + order])])
+        s = int(first_best(v, span))
         steps[b] = s
         if abs(s) < span:
             f_m, f_0, f_p = v[span + s - 1:span + s + 2]

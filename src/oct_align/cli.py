@@ -23,7 +23,7 @@ from .pipeline import run_pipeline
 from .postprocess import crop_rows, flatten_to_bm
 from .resample import resample_axial
 from .synth import PhantomSpec, generate_phantom, simulate_motion
-from .transverse import align_transverse
+from .transverse import TRANSVERSE_RADIUS, align_transverse
 
 
 def _json_object(path, what: str) -> dict:
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transverse", help="estimate transverse displacements")
     sp.add_argument("--vol", required=True)
     sp.add_argument("--surfaces", default=None)
-    sp.add_argument("--radius", type=int, default=15)
+    sp.add_argument("--radius", type=int, default=TRANSVERSE_RADIUS)
     sp.add_argument("--no-layer-mask", action="store_true",
                     help="project over whole columns instead of the retina band")
     sp.add_argument("--out", required=True)
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nr", type=int, default=96)
     sp.add_argument("--layers", type=int, default=3)
     sp.add_argument("--radius", type=int, default=15)
-    sp.add_argument("--transverse-radius", type=int, default=30)
+    sp.add_argument("--transverse-radius", type=int, default=TRANSVERSE_RADIUS)
     sp.add_argument("--jobs", type=int, default=1, help="parallel volume workers")
     sp.add_argument("--out", required=True, help="directory for report.json")
     sp.set_defaults(func=cmd_pipeline)

@@ -53,16 +53,21 @@ def most_frequent_int(values) -> int:
 
 
 def search_order(radius: int):
-    """Integer candidates 0, -1, 1, -2, 2, ... up to +/-radius.
-
-    Searches that keep the first best candidate (``min``/``max`` over this
-    order, or the first strict improvement) therefore resolve ties
-    toward the smaller |shift|, and toward the negative one at equal |shift|.
-    """
+    """Integer candidates 0, -1, 1, -2, 2, ... up to +/-radius: ``first_best``
+    keeps the first best in this order, so ties resolve toward the smaller
+    |shift|, and toward the negative one at equal |shift|."""
     yield 0
     for k in range(1, radius + 1):
         yield -k
         yield k
+
+
+def first_best(scores: np.ndarray, radius: int) -> np.ndarray:
+    """Shift t in -radius..radius of the first highest score in ``search_order``
+    along the last axis, whose entry radius + t scores shift t.  A search for
+    the lowest cost passes the negated costs, which tie exactly where they do."""
+    order = np.fromiter(search_order(radius), dtype=np.int64)
+    return order[np.argmax(scores[..., radius + order], axis=-1)]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .align import (
 from .errors import ConfigError
 from .metrics import adjacent_ncc, motion_error
 from .synth import PhantomSpec, generate_phantom, simulate_motion
-from .transverse import align_transverse
+from .transverse import TRANSVERSE_RADIUS, align_transverse
 
 REPORT_SCHEMA = 1
 
@@ -113,14 +113,13 @@ def _mean_std(values) -> dict:
 
 def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
                  dims: tuple[int, int, int] = (24, 64, 96), n_layers: int = 3,
-                 radius: int = 15, transverse_radius: int = 30, jobs: int = 1,
-                 align_overrides: dict | None = None):
+                 radius: int = 15, transverse_radius: int = TRANSVERSE_RADIUS,
+                 jobs: int = 1, align_overrides: dict | None = None):
     """Run the synthetic suite; returns (report, timings).
 
     ``radius`` bounds the per-B-scan axial search (the simulated motion
-    amplitude); ``transverse_radius`` bounds the pairwise column search and
-    defaults to twice that, because adjacent transverse groups can differ
-    by up to two amplitudes.  The report is a pure function of the
+    amplitude) and ``transverse_radius`` the pairwise column search
+    (``transverse.TRANSVERSE_RADIUS``).  The report is a pure function of the
     arguments (timings are returned separately so the report stays
     byte-stable across runs).  The process pool is imported only when
     ``jobs > 1`` so that a serial run, and every other command, starts

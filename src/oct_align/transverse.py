@@ -3,11 +3,12 @@
 Each B-scan collapses to a 1D strip: the mean intensity per A-scan, taken
 only between the first and last surfaces when a layer mask is available
 (the background outside the retina is mostly noise and replicate fill, so
-excluding it sharpens the match).  Adjacent strips are registered by the
-integer shift minimizing their overlap-normalized mean squared error, the
-pairwise shifts are chained into per-B-scan estimates, and the most common
-estimate is mapped to zero (micro-saccades leave most B-scans unmoved, so
-the mode is the natural anchor).
+excluding it sharpens the match).  Every integer shift of every adjacent
+pair is scored at once by overlap-normalized mean squared error and picked
+by the axial template chain's rule (``core.first_best``), the pairwise
+shifts are chained into per-B-scan estimates, and the most common estimate
+is mapped to zero (micro-saccades leave most B-scans unmoved, so the mode is
+the natural anchor).
 """
 
 from __future__ import annotations
@@ -15,16 +16,20 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DisplacementField,
     EmptyBandWarning,
     OctVolume,
     SurfaceSet,
+    first_best,
     most_frequent_int,
-    search_order,
 )
 from .errors import ConfigError, DimensionError
+from .synth import MAX_MOTION_PX
+
+TRANSVERSE_RADIUS = 2 * int(MAX_MOTION_PX)  # adjacent motion groups can differ by two amplitudes
 
 
 def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarray:
@@ -66,26 +71,21 @@ def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarra
     return out
 
 
-def projection_mse(proj_a: np.ndarray, proj_b: np.ndarray, t: int) -> float:
-    """MSE between strip a and strip b shifted by +t columns, over the overlap."""
-    n_a = proj_a.shape[0]
-    if t >= 0:
-        x, y = proj_a[t:], proj_b[: n_a - t]
-    else:
-        x, y = proj_a[: n_a + t], proj_b[-t:]
-    if x.size == 0:
-        return np.inf
-    diff = x - y
-    return float((diff * diff).mean())
-
-
-def best_shift(proj_a: np.ndarray, proj_b: np.ndarray, radius: int) -> int:
-    """Integer shift of strip b that best matches strip a; ties prefer small |t|."""
-    return min(search_order(radius), key=lambda t: projection_mse(proj_a, proj_b, t))
+def _pair_mse(proj: np.ndarray, radius: int) -> np.ndarray:
+    """Overlap-normalized MSE of every adjacent strip pair at every shift, (N_B - 1,
+    2 * radius + 1): entry [b, radius + t] compares strip b with strip b + 1
+    shifted by +t columns over their N_A - |t| > 0 overlapping columns."""
+    n_a, pad = proj.shape[1], ((0, 0), (radius, radius))
+    # [b, radius + t, j]: column j + t of strip b, and 1 where that is on the strip
+    shifted = sliding_window_view(np.pad(proj[:-1], pad), n_a, axis=1)
+    overlap = sliding_window_view(np.pad(np.ones((1, n_a)), pad), n_a, axis=1)
+    diff = shifted - overlap * proj[1:, None, :]
+    return np.square(diff, out=diff).sum(axis=2) / overlap.sum(axis=2)
 
 
 def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,
-                     radius: int = 15, layer_mask: bool = True) -> DisplacementField:
+                     radius: int = TRANSVERSE_RADIUS,
+                     layer_mask: bool = True) -> DisplacementField:
     """Estimate per-B-scan integer transverse motion from projection matching.
 
     Returns the estimated content motion (same sign convention as the
@@ -93,8 +93,6 @@ def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,
     """
     if not isinstance(volume, OctVolume):
         raise DimensionError("align_transverse expects an OctVolume")
-    if volume.n_b < 2:
-        raise DimensionError("need at least two B-scans")
     if radius < 1:
         raise ConfigError(f"search radius must be >= 1, got {radius}")
     if volume.n_a <= radius:
@@ -102,10 +100,7 @@ def align_transverse(volume: OctVolume, surfaces: SurfaceSet | None,
             f"N_A={volume.n_a} must exceed the search radius {radius}"
         )
     proj = mean_projection(volume, surfaces if layer_mask else None)
-    est = np.zeros(volume.n_b, dtype=np.int64)
-    for b in range(volume.n_b - 1):
-        t = best_shift(proj[b], proj[b + 1], radius)
-        est[b + 1] = est[b] - t
+    steps = first_best(-_pair_mse(proj, radius), radius)
+    est = np.concatenate(([0], -np.cumsum(steps)))
     est -= most_frequent_int(est)
     return DisplacementField(axial=np.zeros(volume.n_b), transverse=est)
-

@@ -13,6 +13,7 @@ from oct_align import io
 from oct_align.align import solve_from_surfaces
 from oct_align.cli import main
 from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
+from oct_align.metrics import motion_error
 from oct_align.pipeline import run_pipeline
 from oct_align.resample import resample_axial
 
@@ -338,6 +339,20 @@ class TestTransverseCommand:
                         "--surfaces", phantom_dir / "surfaces_corrupt.csv",
                         "--out", out, *flag]) == 0
             assert io.read_displacements(out).n_b > 0
+
+    def test_default_radius_follows_a_jump_of_two_amplitudes(self, tmp_path):
+        # phantom 18's adjacent transverse groups differ by 29 columns; at
+        # the old default radius of 15 the masked estimate was 19.5 px off
+        assert run(["phantom", "--seed", 18, "--corrupt", "--out", tmp_path]) == 0
+        assert run(["align", "--vol", tmp_path / "volume_corrupt.bin", "--surfaces",
+                    tmp_path / "surfaces_corrupt.csv", "--out", tmp_path / "d.csv"]) == 0
+        assert run(["apply", "--vol", tmp_path / "volume_corrupt.bin",
+                    "--disp", tmp_path / "d.csv", "--out", tmp_path / "ax.bin"]) == 0
+        assert run(["transverse", "--vol", tmp_path / "ax.bin", "--surfaces",
+                    tmp_path / "surfaces_corrupt.csv", "--out", tmp_path / "t.csv"]) == 0
+        truth = io.read_displacements(tmp_path / "motion.csv")
+        assert np.abs(np.diff(truth.transverse)).max() == 29
+        assert motion_error(io.read_displacements(tmp_path / "t.csv"), truth)[1] == 0.0
 
 
 class TestPreprocessCommand:

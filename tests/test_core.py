@@ -7,6 +7,7 @@ from oct_align.core import (
     LabelMap,
     OctVolume,
     SurfaceSet,
+    first_best,
     most_frequent_int,
     surfaces_to_labels,
 )
@@ -215,3 +216,22 @@ class TestMostFrequentInt:
             v = rng.integers(-6, 7, size=12)
             c = int(rng.integers(-30, 31))
             assert most_frequent_int(v + c) == most_frequent_int(v) + c
+
+
+class TestFirstBest:
+    @pytest.mark.parametrize("radius", [1, 4, 30])
+    def test_ties_go_to_the_smaller_then_the_negative_shift(self, radius):
+        # the template chain passes one score vector and transverse matching
+        # one row per pair; both get the first best in search_order
+        rows, want = [], []
+        for k in range(1, radius + 1):
+            tie = np.zeros(2 * radius + 1)
+            tie[[radius - k, radius + k]] = 1.0
+            with_zero = tie.copy()
+            with_zero[radius] = 1.0
+            rows += [tie, with_zero]
+            want += [-k, 0]
+        rows.append(np.full(2 * radius + 1, -3.0))
+        want.append(0)
+        assert first_best(np.array(rows), radius).tolist() == want
+        assert [int(first_best(row, radius)) for row in rows] == want

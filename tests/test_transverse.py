@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oct_align.core import EmptyBandWarning, OctVolume, SurfaceSet
+from oct_align.align import apply_axial_correction, optimize_alignment
+from oct_align.core import (
+    EmptyBandWarning,
+    OctVolume,
+    SurfaceSet,
+    first_best,
+    most_frequent_int,
+    search_order,
+)
 from oct_align.errors import ConfigError, DimensionError
 from oct_align.metrics import motion_error
 from oct_align.synth import (
@@ -10,13 +18,53 @@ from oct_align.synth import (
     apply_motion,
     generate_phantom,
     shift_transverse,
+    simulate_motion,
 )
 from oct_align.transverse import (
+    TRANSVERSE_RADIUS,
+    _pair_mse,
     align_transverse,
-    best_shift,
     mean_projection,
-    projection_mse,
 )
+
+
+def projection_mse(proj_a, proj_b, t):
+    """Brute-force reference: MSE between strip a and strip b shifted by
+    +t columns, over the overlap."""
+    n_a = proj_a.shape[0]
+    if t >= 0:
+        x, y = proj_a[t:], proj_b[: n_a - t]
+    else:
+        x, y = proj_a[: n_a + t], proj_b[-t:]
+    diff = x - y
+    return float((diff * diff).mean())
+
+
+def reference_mse(proj, radius):
+    """``projection_mse`` of every adjacent pair at every shift, (N_B - 1, 2R + 1)."""
+    return np.array([[projection_mse(proj[b], proj[b + 1], t)
+                      for t in range(-radius, radius + 1)]
+                     for b in range(proj.shape[0] - 1)])
+
+
+def reference_shifts(proj, radius):
+    """Per-pair search: the first lowest ``projection_mse`` in ``search_order``."""
+    return [min(search_order(radius), key=lambda t: projection_mse(proj[b], proj[b + 1], t))
+            for b in range(proj.shape[0] - 1)]
+
+
+def best_shift(proj_a, proj_b, radius):
+    """The shift ``align_transverse`` picks for the pair (a, b)."""
+    return int(first_best(-_pair_mse(np.stack([proj_a, proj_b]), radius), radius)[0])
+
+
+def corrected_phantom(seed, motion_seed, **spec):
+    """A phantom corrupted by protocol motion and corrected axially with its
+    own surfaces, as the pipeline hands it to transverse matching."""
+    vol, surf = generate_phantom(PhantomSpec(seed=seed, **spec))
+    cvol, csurf, motion = simulate_motion(vol, surf, seed=motion_seed)
+    v_ax, s_ax = apply_axial_correction(cvol, csurf, optimize_alignment(cvol, csurf))
+    return v_ax, s_ax, motion
 
 
 class TestMeanProjection:
@@ -96,7 +144,22 @@ class TestMeanProjection:
         assert np.array_equal(mean_projection(vol, None), want)
 
 
+class TestPairMse:
+    @pytest.mark.parametrize("layer_mask", [True, False])
+    @pytest.mark.parametrize("n_a, radius", [(64, TRANSVERSE_RADIUS), (256, 30), (256, 255)])
+    def test_equals_the_brute_force_mse_for_every_pair_and_shift(self, n_a, radius, layer_mask):
+        # a 256-A-scan strip is the clinical width; radius N_A - 1 leaves one
+        # overlapping column at the outermost shifts
+        v_ax, s_ax, _ = corrected_phantom(3, 4, n_b=6 if n_a == 256 else 24, n_a=n_a)
+        proj = mean_projection(v_ax, s_ax if layer_mask else None)
+        mse = _pair_mse(proj, radius)
+        assert mse.shape == (proj.shape[0] - 1, 2 * radius + 1)
+        np.testing.assert_allclose(mse, reference_mse(proj, radius), rtol=1e-15, atol=0)
+
+
 class TestBestShift:
+    """The pick of one pair: ``first_best`` over the negated ``_pair_mse``."""
+
     def test_single_bright_column_recovered_exactly(self):
         base = np.full(40, 0.2)
         p = base.copy()
@@ -121,6 +184,26 @@ class TestBestShift:
 
 
 class TestAlignTransverse:
+    @pytest.mark.parametrize("layer_mask", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 18, 23])
+    def test_equals_the_per_pair_search(self, seed, layer_mask):
+        v_ax, s_ax, _ = corrected_phantom(seed, seed + 1)
+        proj = mean_projection(v_ax, s_ax if layer_mask else None)
+        est = np.concatenate(([0], -np.cumsum(reference_shifts(proj, TRANSVERSE_RADIUS))))
+        d = align_transverse(v_ax, s_ax, layer_mask=layer_mask)
+        assert np.array_equal(d.transverse, est - most_frequent_int(est))
+
+    def test_default_radius_follows_a_jump_of_two_amplitudes(self):
+        # phantom 18 as `oct-align phantom --seed 18 --corrupt` draws it:
+        # adjacent groups differ by 29 columns, which a radius of 15 cannot
+        # reach (it recovered with an error of 19.5 px)
+        v_ax, s_ax, motion = corrected_phantom(18, 19)
+        assert np.abs(np.diff(motion.transverse_truth)).max() == 29
+        assert TRANSVERSE_RADIUS == 30
+        for layer_mask in (True, False):
+            d = align_transverse(v_ax, s_ax, layer_mask=layer_mask)
+            assert motion_error(d, motion)[1] == 0.0
+
     def test_identical_projections_give_zero(self):
         vol, surf = generate_phantom(PhantomSpec(seed=0, noise_sigma=0.0,
                                                  speckle_sigma=0.0))

@@ -46,7 +46,7 @@ from .metrics import (
 )
 from .pipeline import run_pipeline
 from .postprocess import crop_rows, fix_surface_order, flatten_to_bm
-from .resample import resample_axial, resample_columns
+from .resample import resample_axial
 from .synth import (
     MotionSpec,
     PhantomSpec,

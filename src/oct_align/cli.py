@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import io, metrics
 from .align import AlignConfig, optimize_alignment, template_match_align
-from .errors import ConfigError, DimensionError, OctAlignError
+from .errors import ConfigError, DimensionError, OctAlignError, ValidationError
 from .losses import LossWeights, segmentation_loss, smoothness_weights
 from .pipeline import run_pipeline
 from .postprocess import crop_rows, flatten_to_bm
@@ -38,19 +39,35 @@ def _json_object(path, what: str) -> dict:
     return raw
 
 
+def _json_number(value) -> bool:
+    """Whether ``value`` is a finite JSON number; a bool is not one."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
+
+
 def _phantom_spec_from_json(path) -> PhantomSpec:
+    """The spec in ``path``.  Each value must fit its field's default: a JSON
+    integer for int fields, a finite number for float fields, a list of
+    finite numbers for tuple fields; else ConfigError names the key."""
     raw = _json_object(path, "phantom spec")
-    fields = {f.name for f in dataclasses.fields(PhantomSpec)}
-    unknown = set(raw) - fields
+    defaults = {f.name: f.default for f in dataclasses.fields(PhantomSpec)}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"{path}: unknown phantom spec keys {sorted(unknown)}")
-    try:
-        for key in ("band_intensity", "band_thickness_px", "spacing_um"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return PhantomSpec(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: phantom spec values have the wrong type: {exc}") from exc
+    for key, value in raw.items():
+        if isinstance(defaults[key], tuple):
+            kind = "a list of numbers"
+            ok = isinstance(value, list) and all(map(_json_number, value))
+        elif isinstance(defaults[key], int):
+            kind, ok = "an integer", type(value) is int
+        else:
+            kind, ok = "a finite number", _json_number(value)
+        if not ok:
+            raise ConfigError(f"{path}: phantom spec key {key!r} must be {kind}, "
+                              f"got {json.dumps(value)}")
+    return PhantomSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def cmd_phantom(args) -> int:
@@ -168,6 +185,9 @@ def cmd_eval(args) -> int:
                 f"{flag} surfaces are on a {surf.n_b}x{surf.n_a} (N_B x N_A) grid, "
                 f"the volume is {vol.n_b}x{vol.n_a}"
             )
+        if surf.n_surfaces and surf.positions.max() > vol.n_r:
+            raise ValidationError(f"{flag} surfaces reach row {surf.positions.max():g}, "
+                                  f"past the volume's last row {vol.n_r}")
     dz, dx = vol.spacing[0], vol.spacing[1]
     report_path = Path(args.report)
     hist_pred = report_path.with_name(report_path.stem + "_connectivity_pred.csv")

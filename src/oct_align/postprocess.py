@@ -6,7 +6,7 @@ import numpy as np
 
 from .core import OctVolume, SurfaceSet
 from .errors import ValidationError
-from .resample import resample_columns
+from .resample import resample_axial
 
 # Gaussian smoothing along rows, and median filter over (b, a), of the BM estimate
 BM_SIGMA = 2.0
@@ -56,13 +56,13 @@ def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
 def flatten_to_bm(volume: OctVolume):
     """Shift every A-scan so the estimated BM lands on row round(0.75 * R).
 
-    Returns the flattened volume and the per-(b, a) shift map that was
-    applied.  ``cmd_preprocess`` drops the map; it is returned for the
-    benchmark's replay (``perfbench/replay.py``), which unpacks it.
+    Returns the flattened volume and the (N_B, N_A) shift map, one shift
+    per A-scan, that ``resample_axial`` applied.  ``cmd_preprocess`` drops
+    the map; it is returned for the benchmark's replay
+    (``perfbench/replay.py``), which unpacks it.
     """
     shifts = estimate_bm_rows(volume) - round(0.75 * volume.n_r)
-    flat = resample_columns(volume.data, shifts)
-    return volume.with_data(flat), shifts
+    return resample_axial(volume, shifts), shifts
 
 
 def crop_rows(volume: OctVolume, surfaces, row_range: tuple[int, int]):

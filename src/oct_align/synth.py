@@ -288,8 +288,8 @@ def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
     """
     if motion.n_b != volume.n_b or surfaces.n_b != volume.n_b:
         raise DimensionError("motion, surfaces, and volume must agree on N_B")
-    data = resample_axial(volume.data, -motion.axial_truth)
-    data = shift_transverse(data, motion.transverse_truth)
+    data = shift_transverse(resample_axial(volume, -motion.axial_truth).data,
+                            motion.transverse_truth)
 
     rolled = shift_surfaces_transverse(surfaces.positions, motion.transverse_truth)
     shifted = rolled + motion.axial_truth[None, :, None]

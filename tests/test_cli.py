@@ -1,6 +1,7 @@
 import contextlib
 import io as text_io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -55,6 +56,28 @@ class TestPhantomCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_b", 24.5), ("n_b", True), ("seed", "x"), ("bump_count", None),  # int fields
+        ("noise_sigma", "0.1"), ("noise_sigma", False), ("speckle_sigma", None),  # float
+        ("noise_sigma", float("nan")), ("noise_sigma", 10**400),
+        ("band_intensity", [0.5, "a", 0.3]), ("spacing_um", "abc"),  # tuple fields
+        ("band_intensity", [0.5, True, 0.3]), ("spacing_um", {"x": 1.0}),
+    ])
+    def test_spec_value_of_the_wrong_kind_names_its_key(self, tmp_path, key, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: value}))
+        code, lines = run_quiet(["phantom", "--spec", spec, "--out", tmp_path / "o"])
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and repr(key) in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_spec_numbers_of_either_json_kind_fill_float_fields(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_b": 4, "n_a": 16, "n_r": 48, "noise_sigma": 0,
+                                    "band_intensity": [1, 0.5, 0.75]}))
+        assert run(["phantom", "--spec", spec, "--out", tmp_path / "o"]) == 0
 
     def test_spec_file_round_trip(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -542,6 +565,22 @@ class TestEvalCommand:
             err = json.loads(lines[0])
             assert err["error"] == "DimensionError"
             assert "2x2" in err["message"] and "3x4" in err["message"]
+            assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("which", ["--pred", "--gt"])
+    def test_surface_rows_past_the_volume_rejected(self, which):
+        with input_dir() as root:  # the volume has 8 rows
+            io.write_surfaces(root / "deep.csv", SurfaceSet(np.full((1, 3, 4), 1e6)))
+            io.write_surfaces(root / "last.csv", SurfaceSet(np.full((1, 3, 4), 8.0)))
+            argv = eval_argv(root)
+            argv[argv.index(which) + 1] = root / "last.csv"
+            assert run_quiet(argv)[0] == 0  # the last row itself is inside
+            shutil.rmtree(root / "out")
+            argv[argv.index(which) + 1] = root / "deep.csv"
+            code, lines = run_quiet(argv)
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "ValidationError" and which in err["message"]
             assert not (root / "out").exists()
 
     def test_surface_count_mismatch_writes_nothing(self):

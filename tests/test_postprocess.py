@@ -12,7 +12,7 @@ from oct_align.postprocess import (
     fix_surface_order,
     flatten_to_bm,
 )
-from oct_align.resample import resample_columns
+from oct_align.resample import resample_axial
 from oct_align.synth import PhantomSpec, generate_phantom
 
 
@@ -142,7 +142,7 @@ class TestFlatten:
     def test_unflatten_restores_within_interpolation_tolerance(self):
         vol, _ = two_band_volume(wavy=True)
         flat, shifts = flatten_to_bm(vol)
-        back = resample_columns(flat.data, -shifts)  # undoes the returned shift map
+        back = resample_axial(flat.data, -shifts)  # undoes the returned shift map
         band = int(np.ceil(np.abs(shifts).max())) + 1
         err = np.abs(back - vol.data)[:, :, band:-band]
         # piecewise-constant content: double interpolation bounded by half a jump
@@ -152,7 +152,7 @@ class TestFlatten:
         vol, _ = two_band_volume()
         flat, shifts = flatten_to_bm(vol)
         assert np.allclose(shifts, np.round(shifts))  # flat input, integer map
-        back = resample_columns(flat.data, -shifts)  # undoes the returned shift map
+        back = resample_axial(flat.data, -shifts)  # undoes the returned shift map
         band = int(np.abs(shifts).max()) + 1
         assert np.array_equal(back[:, :, band:-band], vol.data[:, :, band:-band])
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oct_align.core import OctVolume
 from oct_align.errors import DimensionError
-from oct_align.resample import resample_axial, resample_columns
+from oct_align.resample import resample_axial
 
 
 def test_zero_displacement_is_bit_identical(rng):
@@ -100,10 +102,10 @@ def test_rescaled_shift_composes_across_scales():
     assert np.abs(full - coarse)[..., band:-band].max() < 0.04
 
 
-def test_resample_columns_matches_per_column_loop(rng):
+def test_per_a_scan_shifts_match_per_column_loop(rng):
     data = rng.normal(size=(2, 3, 12))
     shifts = rng.uniform(-2, 2, size=(2, 3))
-    out = resample_columns(data, shifts)
+    out = resample_axial(data, shifts)
     for b in range(2):
         for a in range(3):
             single = resample_axial(
@@ -112,7 +114,7 @@ def test_resample_columns_matches_per_column_loop(rng):
             assert np.allclose(out[b, a], single[0, 0], atol=1e-12)
 
 
-def resample_columns_whole_volume(data, shifts):
+def per_a_scan_whole_volume(data, shifts):
     """Reference: one float64 copy of the volume and whole-volume index and
     weight arrays, gathered in one step."""
     data = np.asarray(data, dtype=np.float64)
@@ -126,15 +128,57 @@ def resample_columns_whole_volume(data, shifts):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_resample_columns_equals_the_whole_volume_formula(rng, dtype):
+def test_per_a_scan_shifts_equal_the_whole_volume_formula(rng, dtype):
     data = rng.normal(50.0, 20.0, size=(5, 40, 192)).astype(dtype)
     shifts = rng.uniform(-30, 30, size=(5, 40))
     shifts[0] = np.round(shifts[0])  # integer shifts gather without interpolating
-    out = resample_columns(data, shifts)
+    out = resample_axial(data, shifts)
     assert out.dtype == np.float64
-    assert np.array_equal(out, resample_columns_whole_volume(data, shifts))
+    assert np.array_equal(out, per_a_scan_whole_volume(data, shifts))
 
 
-def test_resample_columns_shape_guard(rng):
+@pytest.mark.parametrize("as_volume", [False, True])
+def test_repeated_columns_equal_per_b_scan_shifts_bitwise(rng, as_volume):
+    data = rng.normal(50.0, 20.0, size=(6, 16, 40)).astype(np.float32)
+    d = rng.uniform(-8, 8, size=6)
+    d[2] = 0.0  # an all-zero B-scan is copied in both forms
+    vol = OctVolume(data) if as_volume else data
+    per_b = resample_axial(vol, d)
+    per_a = resample_axial(vol, np.repeat(d[:, None], 16, axis=1))
+    if as_volume:
+        per_b, per_a = per_b.data, per_a.data
+    assert per_a.tobytes() == per_b.tobytes()
+
+
+@pytest.mark.parametrize("per_a_scan", [False, True])
+def test_volume_comes_back_float32_rounded_from_float64(rng, per_a_scan):
+    data = rng.normal(50.0, 20.0, size=(4, 8, 24)).astype(np.float32)
+    d = rng.uniform(-5, 5, size=(4, 8) if per_a_scan else 4)
+    out = resample_axial(OctVolume(data, spacing=(1.0, 2.0, 3.0)), d)
+    assert out.data.dtype == np.float32 and out.spacing == (1.0, 2.0, 3.0)
+    # the same rounding as casting the float64 result of the plain array
+    assert np.array_equal(out.data, resample_axial(data, d).astype(np.float32))
+
+
+@pytest.mark.parametrize("per_a_scan", [False, True])
+def test_no_whole_volume_float64_copy(rng, per_a_scan):
+    # float32 output plus one B-scan's temporaries: a whole-volume float64
+    # copy alone would add 2x the volume's bytes
+    vol = OctVolume(rng.normal(size=(32, 64, 96)).astype(np.float32))
+    d = rng.uniform(-5, 5, size=(32, 64) if per_a_scan else 32)
+    tracemalloc.start()
+    try:
+        resample_axial(vol, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * vol.data.nbytes
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1), (3, 2), (3, 4), (3, 3, 1)])
+def test_shift_shape_guard(rng, shape):
+    # the volume is 3x3 (N_B x N_A); only (3,) and (3, 3) are accepted
+    data = rng.normal(size=(3, 3, 4))
+    assert resample_axial(data, np.zeros((3, 3))).shape == data.shape
     with pytest.raises(DimensionError):
-        resample_columns(rng.normal(size=(2, 3, 4)), np.zeros((2, 4)))
+        resample_axial(data, np.zeros(shape))

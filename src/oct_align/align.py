@@ -32,7 +32,10 @@ interpolation enters the similarity.
 The chain scores all integer candidates of a step at once, each a slice
 of one edge-padded copy of the B-scan being moved, from prefix sums and one
 dot product per candidate (``_chain_scores``); that score picks the shift,
-breaks ties and feeds the parabola.
+breaks ties, feeds the parabola and sums to the unsupervised objective.
+One run of the chain (``_chain_estimates``) yields the template estimate,
+the unsupervised estimate and that objective, so a caller that needs
+both estimates runs it once.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, first_best
 from .errors import ConfigError, DimensionError, ValidationError
-from .resample import _interp_rows, resample_axial
+from .resample import resample_axial
 
 # image variance below this is treated as constant background (0/0 guard)
 VARIANCE_EPS = 1e-5
@@ -109,6 +112,12 @@ def global_ncc(img_a: np.ndarray, img_b: np.ndarray) -> float:
     return float((a * b).mean() / np.sqrt(va * vb))
 
 
+def _axial_field(d: np.ndarray) -> DisplacementField:
+    """Axial displacements ``d`` mean-centred, with no transverse motion."""
+    d = d - d.mean()
+    return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
+
+
 def solve_from_surfaces(surfaces) -> DisplacementField:
     """Closed-form minimizer of the supervised alignment term.
 
@@ -123,9 +132,7 @@ def solve_from_surfaces(surfaces) -> DisplacementField:
     if pos.shape[1] < 2:
         raise DimensionError("need at least two B-scans to align")
     step = (pos[:, 1:, :] - pos[:, :-1, :]).mean(axis=(0, 2))
-    d = np.concatenate([[0.0], np.cumsum(step)])
-    d -= d.mean()
-    return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
+    return _axial_field(np.concatenate([[0.0], np.cumsum(step)]))
 
 
 def _padded_copy(img: np.ndarray, span: int) -> np.ndarray:
@@ -167,11 +174,11 @@ def _chain_scores(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int) -> np.
 def _template_chain(data: np.ndarray, radius: int):
     """Sequential registration of each B-scan to its corrected predecessor.
 
-    Returns ``(steps, offsets)``: ``steps[b]`` is B-scan b's integer
-    estimate (the template chain) and ``offsets[b]`` the subpixel
-    correction of the link from B-scan b - 1 to b, in [-0.5, 0.5]
-    (``offsets[0]`` is 0).  ``steps + cumsum(offsets)`` is the refined
-    estimate.
+    Returns ``(steps, offsets, score)``: ``steps[b]`` is B-scan b's integer
+    estimate (the template chain), ``offsets[b]`` the subpixel correction
+    of the link from B-scan b - 1 to b, in [-0.5, 0.5] (``offsets[0]`` is
+    0), and ``score`` the summed NCC of the links at their chosen shifts.
+    ``steps + cumsum(offsets)`` is the refined estimate.
 
     The chain anchors the first B-scan at zero, so absolute estimates can
     span twice the per-B-scan amplitude; the candidate grid covers that.
@@ -180,7 +187,8 @@ def _template_chain(data: np.ndarray, radius: int):
     the B-scan, so ``data`` can be the stored float32 volume and is not
     copied whole) and keeps the first best in ``search_order`` (``first_best``).
     The block a step chooses is the next step's template as it is; after a
-    flat template the successor keeps shift 0 and its block at 0 is the next.
+    flat template the successor keeps shift 0, its block at 0 is the next
+    and the link adds nothing to ``score``, as ``global_ncc`` scores it 0.
 
     The offset is one parabola step through the same scores f at the
     chosen s and at s - 1 and s + 1: 0.5 (f(s-1) - f(s+1)) / c, clipped to
@@ -190,7 +198,7 @@ def _template_chain(data: np.ndarray, radius: int):
     """
     n_b, _, n_r = data.shape
     span = 2 * radius
-    steps, offsets = np.zeros(n_b), np.zeros(n_b)
+    steps, offsets, score = np.zeros(n_b), np.zeros(n_b), 0.0
     padded = _padded_copy(data[0], span)
     for b in range(1, n_b):
         lo = span + int(steps[b - 1])
@@ -203,25 +211,30 @@ def _template_chain(data: np.ndarray, radius: int):
         v = _chain_scores(t, vt, padded, n_r)
         s = int(first_best(v, span))
         steps[b] = s
+        score += v[span + s]
         if abs(s) < span:
             f_m, f_0, f_p = v[span + s - 1:span + s + 2]
             curv = f_m - 2.0 * f_0 + f_p
             if curv < 0:
                 offsets[b] = np.clip(0.5 * (f_m - f_p) / curv, -0.5, 0.5)
-    return steps, offsets
+    return steps, offsets, float(score)
 
 
-def _check_radius(volume: OctVolume, cfg: AlignConfig) -> None:
-    """ConfigError unless the axial search radius is below N_R: the searches
-    pad each B-scan by a multiple of it."""
+def _chain_estimates(volume: OctVolume, cfg: AlignConfig):
+    """One template chain of ``volume``: ``(template, unsupervised,
+    objective)``, the template estimate ``steps``, the unsupervised estimate
+    ``steps + cumsum(offsets)`` (both mean-centred) and minus the chain's
+    summed link NCC.  ConfigError unless the search radius is below N_R:
+    the chain pads each B-scan by a multiple of it."""
     if cfg.search_radius >= volume.n_r:
         raise ConfigError(f"search radius {cfg.search_radius} must be below N_R={volume.n_r}")
+    steps, offsets, score = _template_chain(volume.data, cfg.search_radius)
+    return _axial_field(steps), _axial_field(steps + np.cumsum(offsets)), -score
 
 
 def optimize_alignment(volume: OctVolume, surfaces=None,
                        cfg: AlignConfig | None = None,
-                       trace: list | None = None, *,
-                       chain: tuple[np.ndarray, np.ndarray] | None = None) -> DisplacementField:
+                       trace: list | None = None) -> DisplacementField:
     """Estimate axial displacements, mean-centered.
 
     With ``surfaces`` the result is ``solve_from_surfaces``, the exact
@@ -231,10 +244,9 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
     Without them, each adjacent pair's relative shift maximizes the pair's
     global NCC: the template chain's integer shift plus the link's parabola
     step (``_template_chain``), accumulated along the chain,
-    ``steps + cumsum(offsets)``.  ``trace`` receives minus the summed
-    global NCC of the adjacent pairs at the integer steps.  ``chain``
-    passes in an already computed ``_template_chain`` of this volume, so a
-    caller that also reports the template baseline computes it once.
+    ``steps + cumsum(offsets)``.  ``trace`` receives the chain's own
+    scores: minus the summed NCC of the adjacent pairs at the integer
+    steps, as ``_chain_scores`` rounds it.
     """
     cfg = cfg or AlignConfig()
     if not isinstance(volume, OctVolume):
@@ -250,22 +262,13 @@ def optimize_alignment(volume: OctVolume, surfaces=None,
             trace.append(surface_alignment_loss(pos, disp.axial))
         return disp
 
-    _check_radius(volume, cfg)
-    steps, offsets = _template_chain(volume.data, cfg.search_radius) if chain is None else chain
+    _, disp, objective = _chain_estimates(volume, cfg)
     if trace is not None:
-        data, total = volume.data, 0.0
-        for b in range(1, data.shape[0]):
-            total -= global_ncc(_interp_rows(data[b - 1], steps[b - 1]),
-                                _interp_rows(data[b], steps[b]))
-        trace.append(total)
-    d = steps - steps[0] + np.cumsum(offsets)  # a constant added to the chain cancels exactly
-    d -= d.mean()
-    return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
+        trace.append(objective)
+    return disp
 
 
-def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None, *,
-                         chain: tuple[np.ndarray, np.ndarray] | None = None
-                         ) -> DisplacementField:
+def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None) -> DisplacementField:
     """Sequential baseline: register each B-scan to its corrected predecessor.
 
     Integer shifts only, chosen to maximize global NCC against the previous
@@ -275,16 +278,11 @@ def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None, *,
     other way.
     The chain anchors the first B-scan, so candidates span twice the search
     radius; the cumulative result is mean-centered like the other solvers.
-    ``chain`` passes in an already computed ``_template_chain`` of this
-    volume; only its integer steps are used.
     """
     cfg = cfg or AlignConfig()
     if not isinstance(volume, OctVolume):
         raise DimensionError("template_match_align expects an OctVolume")
-    _check_radius(volume, cfg)
-    steps, _ = _template_chain(volume.data, cfg.search_radius) if chain is None else chain
-    d = steps - steps.mean()
-    return DisplacementField(axial=d, transverse=np.zeros(d.shape[0], dtype=np.int64))
+    return _chain_estimates(volume, cfg)[0]
 
 
 def apply_axial_correction(volume: OctVolume, surfaces: SurfaceSet, disp: DisplacementField):

@@ -155,17 +155,23 @@ def cmd_losses(args) -> int:
     surf = io.read_surfaces(args.surfaces)
     labels = io.read_labels(args.labels)
     wraw = _json_object(args.weights, "loss weights")
-    if "lambda_l" not in wraw and "lambda_base" not in wraw:
+    unknown = set(wraw) - {"lambda_base", "lambda_l"}
+    if unknown:
+        raise ConfigError(f"{args.weights}: unknown loss weight keys {sorted(unknown)}")
+    if not wraw:
         raise ConfigError(f"{args.weights}: need lambda_base or lambda_l")
-    try:
-        base = float(wraw.get("lambda_base", 0.0))
-        lam = np.asarray(wraw["lambda_l"], dtype=np.float64) if "lambda_l" in wraw else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.weights}: lambda_base and lambda_l must be numbers: {exc}") from exc
-    if lam is not None:
-        weights = LossWeights(lambda_base=base, lambda_l=lam)
+    base = wraw.get("lambda_base", 0.0)
+    if not _json_number(base):
+        raise ConfigError(f"{args.weights}: lambda_base must be a finite number, "
+                          f"got {json.dumps(base)}")
+    lam = wraw.get("lambda_l", [])
+    if not (isinstance(lam, list) and all(map(_json_number, lam))):
+        raise ConfigError(f"{args.weights}: lambda_l must be a list of finite numbers, "
+                          f"got {json.dumps(lam)}")
+    if "lambda_l" in wraw:
+        weights = LossWeights(lambda_base=base, lambda_l=np.asarray(lam, dtype=np.float64))
     else:
-        weights = smoothness_weights(surf, base)
+        weights = smoothness_weights(surf, float(base))
     class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
     breakdown = segmentation_loss(probs, class_probs, surf, labels, weights)
     breakdown["lambda_l"] = weights.lambda_l.tolist()
@@ -312,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OctAlignError, OSError) as exc:
+    except (OctAlignError, OSError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

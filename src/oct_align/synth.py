@@ -64,6 +64,9 @@ class PhantomSpec:
     def __post_init__(self):
         if self.n_b < 2 or self.n_a < 4 or self.n_r < 8:
             raise ValidationError(f"phantom dims too small: {(self.n_b, self.n_a, self.n_r)}")
+        if self.n_b * self.n_a * self.n_r * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(f"phantom dims too large for one float64 volume: "
+                                  f"{(self.n_b, self.n_a, self.n_r)}")
         if self.n_layers < 1:
             raise ValidationError("need at least one tissue band")
         th = self.thicknesses()

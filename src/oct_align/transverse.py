@@ -44,21 +44,12 @@ def mean_projection(volume: OctVolume, surfaces: SurfaceSet | None) -> np.ndarra
     if surfaces.n_b != volume.n_b or surfaces.n_a != volume.n_a:
         raise DimensionError("surfaces and volume disagree on (N_B, N_A)")
     surfaces.require_ordered()
-    n_r = volume.n_r
-    lo = np.ceil(surfaces.positions[0]).astype(np.int64)
-    hi = np.floor(surfaces.positions[-1]).astype(np.int64)
-    lo_c = np.clip(lo, 1, n_r)
-    hi_c = np.clip(hi, 0, n_r)
-    count = hi_c - lo_c + 1
+    rows = np.arange(1, volume.n_r + 1)
+    band = ((rows >= surfaces.positions[0][..., None])
+            & (rows <= surfaces.positions[-1][..., None]))
+    count = band.sum(axis=2)
     # summed in float64 straight from the stored values: no float64 copy
-    csum = np.cumsum(volume.data, axis=2, dtype=np.float64)
-
-    def through(k):
-        """Sum of the first k rows of every A-scan: entry k - 1, or 0.0 at k = 0."""
-        at = np.take_along_axis(csum, np.maximum(k - 1, 0)[..., None], axis=2)[..., 0]
-        return np.where(k > 0, at, 0.0)
-
-    sums = through(hi_c) - through(lo_c - 1)
+    sums = np.add.reduce(volume.data, axis=2, dtype=np.float64, where=band)
     empty = count < 1
     if empty.any():
         warnings.warn(

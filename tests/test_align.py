@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -192,44 +193,40 @@ class TestOptimizeAlignment:
         assert np.abs(np.abs(rel - np.rint(rel)) - 0.5).min() > 1e-3
         assert np.rint(rel).astype(int).tolist() == self.GOLDEN[seed]
 
-    def test_given_chain_matches_computed_chain(self):
-        vol, surf = generate_phantom(PhantomSpec(n_b=10, n_a=32, n_r=64, seed=5))
-        cvol, _, _ = simulate_motion(vol, surf, seed=6)
-        cfg = AlignConfig(search_radius=15)
-        chain = _template_chain(cvol.data, 15)
-        keep = [a.copy() for a in chain]
-        got = optimize_alignment(cvol, None, cfg, chain=chain)
-        got_tmp = template_match_align(cvol, cfg, chain=chain)
-        for a, b in zip(chain, keep):  # the caller's arrays are not modified
-            assert np.array_equal(a, b)
-        assert np.array_equal(got.axial, optimize_alignment(cvol, None, cfg).axial)
-        assert np.array_equal(got_tmp.axial, template_match_align(cvol, cfg).axial)
-
-    def test_trace_gets_one_value_per_call(self):
-        # minus the summed global NCC of the adjacent pairs at the integer steps
+    @pytest.mark.parametrize("flat_first", [False, True])
+    def test_trace_gets_one_value_per_call(self, flat_first):
+        # minus the summed global NCC of the adjacent pairs at the integer
+        # steps; a link after a flat template adds 0
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=3))
         cvol, _, _ = simulate_motion(vol, surf, seed=26)
-        steps, _ = _template_chain(cvol.data, 15)
+        if flat_first:
+            data = cvol.data.copy()
+            data[0] = 1.0
+            cvol = cvol.with_data(data)
+        steps, _, _ = _template_chain(cvol.data, 15)
         data = cvol.data.astype(np.float64)
         links = [global_ncc(_interp_rows(data[b - 1], steps[b - 1]),
                             _interp_rows(data[b], steps[b])) for b in range(1, 8)]
+        assert (links[0] == 0.0) == flat_first
         trace = []
         optimize_alignment(cvol, None, trace=trace)
         assert trace == [pytest.approx(-sum(links), rel=1e-12)]
 
+    def test_public_solvers_take_no_chain(self):
+        assert list(inspect.signature(optimize_alignment).parameters) == [
+            "volume", "surfaces", "cfg", "trace"]
+        assert list(inspect.signature(template_match_align).parameters) == ["volume", "cfg"]
+
     def test_a_constant_added_to_every_displacement_changes_nothing(self):
         # an item whose midrange-centred chain lies 0.5 px off the integer
-        # grid: a constant added to the chain leaves the estimate as it is, a
-        # constant added to the motion moves it by the resampling's
-        # interpolation only, and either way the estimate beats the integer
-        # chain
+        # grid: a constant added to the motion moves the estimate by the
+        # resampling's interpolation only, and either way the estimate beats
+        # the integer chain
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=0))
         cvol, _, motion = simulate_motion(vol, surf, seed=40)
-        steps, offsets = _template_chain(cvol.data, 15)
+        steps, _, _ = _template_chain(cvol.data, 15)
         assert (steps.max() + steps.min()) % 2 == 1
-        got = optimize_alignment(cvol, None, chain=(steps, offsets))
-        assert np.array_equal(optimize_alignment(cvol, None, chain=(steps + 0.5, offsets)).axial,
-                              got.axial)
+        got = optimize_alignment(cvol, None)
         assert motion_error(got, motion)[0] < motion_error(template_match_align(cvol), motion)[0]
         shifted = MotionSpec(motion.axial_truth + 0.5, motion.transverse_truth,
                              motion.group_boundaries)
@@ -273,7 +270,7 @@ class TestSubpixelChain:
         # resampled B-scans to within 1e-12
         vol, surf = generate_phantom(PhantomSpec(seed=seed))
         cvol, _, _ = simulate_motion(vol, surf, seed=seed + 100)
-        steps, offsets = _template_chain(cvol.data, 15)
+        steps, offsets, _ = _template_chain(cvol.data, 15)
         assert offsets[0] == 0.0
         assert np.abs(offsets).max() <= 0.5
         assert np.count_nonzero(offsets) > cvol.n_b // 2
@@ -284,15 +281,15 @@ class TestSubpixelChain:
         # the truth 6 px lies outside the range [-4, 4] of radius 2, so the
         # chain picks the edge 4, whose outer neighbor is off the padded copy;
         # at radius 4 a truth of 5.7 px is picked at 6 and refined
-        steps, offsets = _template_chain(smooth_pair(6.0), 2)
+        steps, offsets, _ = _template_chain(smooth_pair(6.0), 2)
         assert steps[1] == 4.0 and offsets[1] == 0.0
-        steps, offsets = _template_chain(smooth_pair(5.7), 4)
+        steps, offsets, _ = _template_chain(smooth_pair(5.7), 4)
         assert steps[1] == 6.0 and offsets[1] == pytest.approx(-0.3, abs=0.05)
 
     def test_a_flat_template_keeps_offset_zero(self, rng):
         img = rng.normal(size=(12, 20))
         data = np.stack([np.ones((12, 20)), img, _interp_rows(img, -0.5)])
-        steps, offsets = _template_chain(data, 3)
+        steps, offsets, _ = _template_chain(data, 3)
         assert steps[1] == 0.0 and offsets[1] == 0.0
         assert offsets[2] != 0.0  # the next link, from a textured template, is refined
 
@@ -302,7 +299,7 @@ class TestSubpixelChain:
         texture = rng.normal(size=(16, 64))
         axial = rng.uniform(-6.0, 6.0, 30)
         data = np.stack([_interp_rows(texture, -a) for a in axial])
-        _, offsets = _template_chain(data, 8)
+        _, offsets, _ = _template_chain(data, 8)
         assert 0.4 < np.abs(offsets).max() <= 0.5
 
     def test_fractional_steps_beat_the_integer_chain(self):
@@ -325,7 +322,7 @@ class TestSubpixelChain:
         # parabola step recovers the fraction to within its pixel-locking
         # bias, far below what the integer chain rounds away
         truth = 3.0 + frac
-        steps, offsets = _template_chain(smooth_pair(truth), 5)
+        steps, offsets, _ = _template_chain(smooth_pair(truth), 5)
         assert steps[1] == 3.0
         assert np.sign(offsets[1]) == np.sign(frac)
         assert abs(steps[1] + offsets[1] - truth) < 0.01
@@ -338,7 +335,7 @@ class TestSubpixelChain:
         data = np.zeros((2, 16, 64))
         data[0][:, 35:37] = 1.0
         data[1][:, 40] = 1.0
-        steps, offsets = _template_chain(data, 5)
+        steps, offsets, _ = _template_chain(data, 5)
         assert steps[1] == 4.0 and offsets[1] == 0.5
         assert np.array_equal(steps, exhaustive_chain(data, 5))
         assert np.array_equal(offsets, reference_offsets(data, steps, 5))
@@ -414,7 +411,8 @@ class TestChainCandidates:
 
     def test_the_chain_never_calls_global_ncc(self, monkeypatch):
         # each candidate is scored once, by _chain_scores: on a phantom and
-        # on exact ties alike, the chain runs with global_ncc refused
+        # on exact ties alike, the chain runs with global_ncc refused, and so
+        # does the unsupervised trace, which is the chain's own scores
         def refuse(*_):
             raise AssertionError("the template chain called global_ncc")
 
@@ -424,10 +422,13 @@ class TestChainCandidates:
         ties[0][:, 35] = 1.0
         ties[1][:, 20:51:10] = 1.0
         monkeypatch.setattr(align, "global_ncc", refuse)
-        steps, offsets = _template_chain(cvol.data, 15)
+        steps, offsets, _ = _template_chain(cvol.data, 15)
         assert np.array_equal(steps, exhaustive_chain(cvol.data.astype(np.float64), 15))
         assert np.count_nonzero(offsets) > 0
         assert _template_chain(ties, 5)[0][1] == -5.0
+        trace = []
+        optimize_alignment(cvol, None, trace=trace)
+        assert len(trace) == 1 and trace[0] < 0
 
 
 def exhaustive_chain(data, radius):
@@ -489,7 +490,7 @@ class TestTemplateMatch:
         vol, surf = generate_phantom(PhantomSpec(n_b=8, n_a=24, n_r=64, seed=seed))
         cvol, _, _ = simulate_motion(vol, surf, seed=seed + 40)
         data = cvol.data.astype(dtype) * dtype(scale) + dtype(offset)
-        steps, offsets = _template_chain(data, 15)
+        steps, offsets, _ = _template_chain(data, 15)
         data = data.astype(np.float64)
         assert np.array_equal(steps, exhaustive_chain(data, 15))
         np.testing.assert_allclose(offsets, reference_offsets(data, steps, 15), rtol=0, atol=1e-12)
@@ -505,7 +506,7 @@ class TestTemplateMatch:
         data = np.stack([(1.0 + 0.2 * b) * _interp_rows(texture, -axial[b]) + 0.1 * b
                          for b in range(8)])
         data = (data + offset).astype(dtype)
-        steps, offsets = _template_chain(data, 8)
+        steps, offsets, _ = _template_chain(data, 8)
         data = data.astype(np.float64)
         assert np.array_equal(steps, axial)
         assert np.array_equal(steps, exhaustive_chain(data, 8))
@@ -520,7 +521,7 @@ class TestTemplateMatch:
         data[1] = 0.7
         v = chain_scores(data, 3)
         assert v.shape == (13,) and not v.any() and not direct_scores(data, 3).any()
-        steps, offsets = _template_chain(data, 3)
+        steps, offsets, _ = _template_chain(data, 3)
         assert not steps.any() and not offsets.any()
 
     def test_ties_go_to_the_first_candidate_in_search_order(self):
@@ -534,7 +535,7 @@ class TestTemplateMatch:
         data[1][:, 20:51:10] = 1.0
         scores = [global_ncc(data[0], _interp_rows(data[1], float(s))) for s in (-5, 5)]
         assert scores[0] == scores[1] > 0.4
-        chain, _ = _template_chain(data, 5)
+        chain, _, _ = _template_chain(data, 5)
         assert chain[1] == -5.0
         assert np.array_equal(chain, exhaustive_chain(data, 5))
 
@@ -548,7 +549,7 @@ class TestTemplateMatch:
     def test_flat_template_keeps_shift_zero(self, rng):
         img = rng.normal(size=(12, 20))
         data = np.stack([np.ones((12, 20)), img, img])
-        chain, _ = _template_chain(data, 3)
+        chain, _, _ = _template_chain(data, 3)
         assert chain[1] == 0.0 and chain[2] == 0.0
 
 
@@ -561,7 +562,6 @@ def test_run_volume_computes_the_chain_once(monkeypatch):
         return _template_chain(*args, **kwargs)
 
     monkeypatch.setattr(align, "_template_chain", counted)
-    monkeypatch.setattr(pipeline, "_template_chain", counted)
     record = pipeline.run_volume(params)["record"]
     assert len(calls) == 1
     monkeypatch.undo()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oct_align import io
+from oct_align import cli, io
 from oct_align.align import solve_from_surfaces
 from oct_align.cli import main
 from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
@@ -72,6 +72,24 @@ class TestPhantomCommand:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError" and repr(key) in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_spec_too_large_for_one_volume_fails_before_allocating(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_b": 10**20}))
+        code, lines = run_quiet(["phantom", "--spec", spec, "--out", tmp_path / "o"])
+        assert_one_line_error(code, lines)
+        assert json.loads(lines[0])["error"] == "ValidationError"
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_memory_is_one_line(self, tmp_path, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 116. TiB")
+
+        monkeypatch.setattr(cli, "generate_phantom", exhausted)
+        code, lines = run_quiet(["phantom", "--seed", 0, "--out", tmp_path / "o"])
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err == {"error": "MemoryError", "message": "Unable to allocate 116. TiB"}
 
     def test_spec_numbers_of_either_json_kind_fill_float_fields(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -511,15 +529,24 @@ class TestLossesCommand:
         assert err["error"] == "DimensionError"
         assert f"{n_b}x{n_a}x{n_r}" in err["message"] and "3x4x10" in err["message"]
 
-    @pytest.mark.parametrize("text", [
-        '{"lambda_base": 0.1',            # truncated: not valid JSON
-        '{"lambda_base": "x"}',           # not a number
-        '"lambda_l"',                     # valid JSON, not an object
-        '{"lambda_l": ["a", 1]}',         # not a vector of numbers
-        '{"lambda_base": null}',
-        '{"weight": 1}',                  # neither key
+    @pytest.mark.parametrize("text, named", [
+        ('{"lambda_base": 0.1', "JSON"),                  # truncated: not valid JSON
+        ('{"lambda_base": "x"}', "lambda_base"),          # not a number
+        ('{"lambda_base": "0.1"}', "lambda_base"),        # a number's string
+        ('{"lambda_base": true}', "lambda_base"),         # a bool is not a number
+        ('{"lambda_base": 1e400}', "lambda_base"),        # not finite
+        ('"lambda_l"', "object"),                         # valid JSON, not an object
+        ('{"lambda_l": ["a", 1]}', "lambda_l"),           # not a vector of numbers
+        ('{"lambda_l": ["1", "2", "3", "4"]}', "lambda_l"),
+        ('{"lambda_l": [true, 1, 1, 1]}', "lambda_l"),
+        ('{"lambda_l": "1234"}', "lambda_l"),             # a string, not a list
+        ('{"lambda_l": null}', "lambda_l"),
+        ('{"lambda_base": null}', "lambda_base"),
+        ('{"weight": 1}', "weight"),                      # neither key
+        ('{"lambda_base": 0.1, "lambda_L": [1]}', "lambda_L"),  # an unknown key
+        ('{}', "need"),
     ])
-    def test_malformed_weights_report_config_error(self, tmp_path, capsys, text):
+    def test_malformed_weights_report_config_error(self, tmp_path, capsys, text, named):
         from oct_align.core import SurfaceSet
 
         gt = np.full((1, 2, 3), 4.0)
@@ -538,6 +565,7 @@ class TestLossesCommand:
         err = json.loads(lines[0])
         assert set(err) == {"error", "message"}
         assert err["error"] == "ConfigError"
+        assert named in err["message"].replace(str(wpath), "")
 
 
 class TestEvalCommand:
@@ -628,6 +656,13 @@ class TestPipelineCommand:
                                  "--repeats", 1, "--out", tmp_path])
         assert_one_line_error(code, lines)
         assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_dims_too_large_for_one_volume_fail_before_allocating(self, tmp_path):
+        code, lines = run_quiet(["pipeline", "--nb", 10**20, "--volumes", 1, "--repeats", 1,
+                                 "--out", tmp_path])
+        assert_one_line_error(code, lines)
+        assert json.loads(lines[0])["error"] == "ValidationError"
         assert not (tmp_path / "report.json").exists()
 
     def test_report_does_not_depend_on_jobs(self):

@@ -36,6 +36,14 @@ class TestPhantomSpec:
         with pytest.raises(ValidationError):
             PhantomSpec(n_r=32, band_thickness_px=(12.0, 12.0, 12.0))
 
+    def test_dims_beyond_one_addressable_volume_rejected(self):
+        # n_b * n_a * n_r float64 values must fit np.intp bytes; checked
+        # before anything is allocated
+        with pytest.raises(ValidationError, match="too large"):
+            PhantomSpec(n_b=10**20)
+        with pytest.raises(ValidationError, match="too large"):
+            PhantomSpec(n_b=2**20, n_a=2**20, n_r=2**20)
+
     def test_nonpositive_thickness_rejected(self):
         with pytest.raises(ValidationError):
             PhantomSpec(band_thickness_px=(10.0, -1.0, 10.0))

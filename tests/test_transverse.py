@@ -124,13 +124,15 @@ class TestMeanProjection:
         assert np.array_equal(proj, sums / (hi_c - lo_c + 1))
 
     def test_empty_band_flagged_and_zero(self):
-        data = np.full((2, 2, 8), 0.5)
+        data = np.tile(np.arange(32.0).reshape(1, 4, 8), (2, 1, 1))
         vol = OctVolume(data)
-        # band (3.6, 3.4) contains no integer rows
-        surf = SurfaceSet(np.stack([np.full((2, 2), 3.6), np.full((2, 2), 3.9)]))
-        with pytest.warns(EmptyBandWarning):
-            proj = mean_projection(vol, surf)
-        assert (proj == 0).all()
+        # band (3.6, 3.9) contains no integer rows; band (9.5, 12) lies wholly
+        # below the last row 8, so it must not read row 8
+        for first, last in ((3.6, 3.9), (9.5, 12.0)):
+            surf = SurfaceSet(np.stack([np.full((2, 4), first), np.full((2, 4), last)]))
+            with pytest.warns(EmptyBandWarning, match="8 A-scans"):
+                proj = mean_projection(vol, surf)
+            assert (proj == 0).all()
 
     def test_without_surfaces_whole_column(self, rng):
         data = rng.uniform(size=(2, 3, 8))

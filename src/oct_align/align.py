@@ -47,6 +47,9 @@ import numpy as np
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, first_best
 from .errors import ConfigError, DimensionError, ValidationError
 from .resample import resample_axial
+from .synth import MAX_MOTION_PX
+
+SEARCH_RADIUS = int(MAX_MOTION_PX)  # a per-B-scan axial shift spans the motion amplitude
 
 # image variance below this is treated as constant background (0/0 guard)
 VARIANCE_EPS = 1e-5
@@ -58,7 +61,7 @@ class AlignConfig:
     is validated but changes no result: no solver iterates.  It stays
     because the benchmark's ``clinical`` workload still passes it."""
 
-    search_radius: int = 15
+    search_radius: int = SEARCH_RADIUS
     max_iters: int = 10
 
     def __post_init__(self):
@@ -69,10 +72,8 @@ class AlignConfig:
 
 
 def _positions(surfaces) -> np.ndarray:
-    """as_positions, with a single (N_B, N_A) surface promoted to (1, N_B, N_A)."""
+    """as_positions, required to be (L, N_B, N_A)."""
     pos = as_positions(surfaces)
-    if pos.ndim == 2:
-        pos = pos[None]
     if pos.ndim != 3:
         raise DimensionError(f"expected (l, b, a) surface positions, got {pos.shape}")
     return pos

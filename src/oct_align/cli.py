@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io, metrics
-from .align import AlignConfig, optimize_alignment, template_match_align
+from .align import SEARCH_RADIUS, AlignConfig, optimize_alignment, template_match_align
 from .errors import ConfigError, DimensionError, OctAlignError, ValidationError
 from .losses import LossWeights, segmentation_loss, smoothness_weights
 from .pipeline import run_pipeline
@@ -83,7 +83,7 @@ def cmd_phantom(args) -> int:
         cvol, csurf, motion = simulate_motion(vol, surf, seed=mseed)
         io.write_volume(out / "volume_corrupt.bin", cvol)
         io.write_surfaces(out / "surfaces_corrupt.csv", csurf)
-        io.write_displacements(out / "motion.csv", motion.as_displacement())
+        io.write_displacements(out / "motion.csv", motion)
         written += ["volume_corrupt.bin", "surfaces_corrupt.csv", "motion.csv"]
     print(json.dumps({"out": str(out), "files": written}))
     return 0
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--surfaces", default=None)
     sp.add_argument("--mode", choices=("supervised", "unsupervised", "template"),
                     default="supervised")
-    sp.add_argument("--radius", type=int, default=15)
+    sp.add_argument("--radius", type=int, default=SEARCH_RADIUS)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_align)
 
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--na", type=int, default=64)
     sp.add_argument("--nr", type=int, default=96)
     sp.add_argument("--layers", type=int, default=3)
-    sp.add_argument("--radius", type=int, default=15)
+    sp.add_argument("--radius", type=int, default=SEARCH_RADIUS)
     sp.add_argument("--transverse-radius", type=int, default=TRANSVERSE_RADIUS)
     sp.add_argument("--jobs", type=int, default=1, help="parallel volume workers")
     sp.add_argument("--out", required=True, help="directory for report.json")

@@ -1,9 +1,9 @@
 """Segmentation and alignment losses with hand-derived gradients.
 
-All functions accept plain arrays (leading surface dimensions broadcast
-naturally), or a SurfaceSet for surfaces and a LabelMap for labels.  Row
-indices are 1-based everywhere.  Gradients are exact derivatives of the
-implemented formulas.
+Surfaces may be plain arrays (leading surface dimensions broadcast
+naturally) or a SurfaceSet; labels are always a LabelMap.  Row indices are
+1-based everywhere.  Gradients are exact derivatives of the implemented
+formulas.
 """
 
 from __future__ import annotations
@@ -33,34 +33,34 @@ def soft_argmax(q) -> np.ndarray:
     return p @ rows
 
 
-def _int_gt(gt, n_rows: int) -> np.ndarray:
+def _pick(q, gt):
+    """The distributions as float64, the 0-based ground-truth row index of
+    each A-scan, shaped for ``*_along_axis``, and the probability there."""
+    p = np.asarray(q, dtype=np.float64)
     g = as_positions(gt)
     if np.any(g != np.round(g)):
         raise ValidationError("ground-truth rows must be integers")
     gi = g.astype(np.int64)
-    if gi.size and (gi.min() < 1 or gi.max() > n_rows):
-        raise ValidationError(f"ground-truth rows must lie in [1, {n_rows}]")
-    return gi
+    if gi.size and (gi.min() < 1 or gi.max() > p.shape[-1]):
+        raise ValidationError(f"ground-truth rows must lie in [1, {p.shape[-1]}]")
+    if gi.shape != p.shape[:-1]:
+        raise DimensionError(f"gt shape {gi.shape} does not match {p.shape[:-1]}")
+    idx = gi[..., None] - 1
+    return p, idx, np.take_along_axis(p, idx, axis=-1)[..., 0]
 
 
 def cross_entropy(q, gt) -> float:
     """-sum log q(r_gt) with probabilities floored at 1e-12 before the log."""
-    p = np.asarray(q, dtype=np.float64)
-    gi = _int_gt(gt, p.shape[-1])
-    if gi.shape != p.shape[:-1]:
-        raise DimensionError(f"gt shape {gi.shape} does not match {p.shape[:-1]}")
-    picked = np.take_along_axis(p, gi[..., None] - 1, axis=-1)[..., 0]
+    _, _, picked = _pick(q, gt)
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).sum())
 
 
 def grad_cross_entropy(q, gt) -> np.ndarray:
     """d(cross_entropy)/dq, -1/q at the ground-truth row; checked by criterion 4."""
-    p = np.asarray(q, dtype=np.float64)
-    gi = _int_gt(gt, p.shape[-1])
-    picked = np.take_along_axis(p, gi[..., None] - 1, axis=-1)[..., 0]
+    p, idx, picked = _pick(q, gt)
     slope = np.where(picked > LOG_FLOOR, -1.0 / np.maximum(picked, LOG_FLOOR), 0.0)
     out = np.zeros_like(p)
-    np.put_along_axis(out, gi[..., None] - 1, slope[..., None], axis=-1)
+    np.put_along_axis(out, idx, slope[..., None], axis=-1)
     return out
 
 
@@ -109,23 +109,18 @@ def grad_smoothness(s) -> np.ndarray:
     return out
 
 
-def dice_cross_entropy(class_probs, labels) -> float:
+def dice_cross_entropy(class_probs, labels: LabelMap) -> float:
     """Mean voxel cross-entropy plus one minus the mean soft Dice over classes."""
     p = np.asarray(class_probs, dtype=np.float64)
-    if isinstance(labels, LabelMap):
-        lab = labels.labels
-        expected = labels.n_surfaces + 1
-    else:
-        lab = np.asarray(labels)
-        expected = int(lab.max()) + 1 if lab.size else 1
+    lab = labels.labels
     if p.ndim != lab.ndim + 1 or p.shape[1:] != lab.shape:
         raise DimensionError(f"class probs {p.shape} do not match labels {lab.shape}")
-    if p.shape[0] != expected and (isinstance(labels, LabelMap) or p.shape[0] < expected):
+    n_classes = labels.n_surfaces + 1
+    if p.shape[0] != n_classes:
         raise ValidationError(
             f"class count mismatch: {p.shape[0]} probability classes for "
-            f"{expected} label classes"
+            f"{n_classes} label classes"
         )
-    n_classes = p.shape[0]
     sums = p.sum(axis=0)
     if not (np.abs(sums - 1.0).max() <= 1e-6):  # a nan sum fails too
         raise ValidationError("class probabilities must sum to 1 per voxel")
@@ -200,7 +195,8 @@ def smoothness_weights(gt_surfaces, lambda_base: float) -> LossWeights:
     return LossWeights(lambda_base=lambda_base, lambda_l=np.mean(per_volume, axis=0))
 
 
-def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeights) -> dict:
+def segmentation_loss(q, class_probs, gt_surfaces, gt_labels: LabelMap,
+                      weights: LossWeights) -> dict:
     """Total segmentation objective and its per-term breakdown.
 
     total = dice_ce + cross_entropy + smooth_l1 + sum_l lambda_l * smoothness.
@@ -213,7 +209,7 @@ def segmentation_loss(q, class_probs, gt_surfaces, gt_labels, weights: LossWeigh
     gt = as_positions(gt_surfaces)
     if p.shape[:-1] != gt.shape:
         raise DimensionError(f"distributions {p.shape} do not match gt {gt.shape}")
-    lab = gt_labels.labels if isinstance(gt_labels, LabelMap) else np.asarray(gt_labels)
+    lab = gt_labels.labels
     if lab.shape != p.shape[1:]:
         raise DimensionError(
             f"labels are on a {'x'.join(map(str, lab.shape))} (N_B x N_A x N_R) grid, "

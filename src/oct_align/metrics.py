@@ -13,7 +13,6 @@ from .align import global_ncc
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, most_frequent_int
 from .errors import DimensionError, ValidationError
 from .io import atomic_path
-from .synth import MotionSpec
 
 
 def _as_list(x):
@@ -170,25 +169,22 @@ def write_histogram_csv(path, counts, edges) -> None:
             f.write(f"{lo:.17g},{hi:.17g},{int(c)}\n")
 
 
-def motion_error(est: DisplacementField, truth) -> tuple[float, float]:
+def motion_error(est: DisplacementField, truth: DisplacementField) -> tuple[float, float]:
     """Mean absolute recovery error per axis after gauge normalization.
 
-    Axial vectors are mean-centered and transverse vectors mode-centered
-    (both estimate and truth) before comparison, because the alignment
-    objectives cannot see a global shift.  Returns (axial_px, transverse_px).
+    ``truth`` is a DisplacementField; a ``synth.MotionSpec`` is one.  Axial
+    vectors are mean-centered and transverse vectors mode-centered (both
+    estimate and truth) before comparison, because the alignment objectives
+    cannot see a global shift.  Returns (axial_px, transverse_px).
     """
-    if isinstance(truth, MotionSpec):
-        t_ax, t_tr = truth.axial_truth, truth.transverse_truth
-    elif isinstance(truth, DisplacementField):
-        t_ax, t_tr = truth.axial, truth.transverse
-    else:
-        raise ValidationError("truth must be a MotionSpec or DisplacementField")
-    if est.n_b != t_ax.shape[0]:
-        raise DimensionError(f"estimate has N_B={est.n_b}, truth has {t_ax.shape[0]}")
+    if not isinstance(truth, DisplacementField):
+        raise ValidationError("truth must be a DisplacementField")
+    if est.n_b != truth.n_b:
+        raise DimensionError(f"estimate has N_B={est.n_b}, truth has {truth.n_b}")
     ax_err = np.abs(
-        (est.axial - est.axial.mean()) - (t_ax - t_ax.mean())
+        (est.axial - est.axial.mean()) - (truth.axial - truth.axial.mean())
     ).mean()
     e_tr = est.transverse - most_frequent_int(est.transverse)
-    g_tr = t_tr - most_frequent_int(t_tr)
+    g_tr = truth.transverse - most_frequent_int(truth.transverse)
     tr_err = np.abs(e_tr - g_tr).mean()
     return float(ax_err), float(tr_err)

@@ -18,7 +18,13 @@ import time
 
 import numpy as np
 
-from .align import AlignConfig, _chain_estimates, apply_axial_correction, optimize_alignment
+from .align import (
+    SEARCH_RADIUS,
+    AlignConfig,
+    _chain_estimates,
+    apply_axial_correction,
+    optimize_alignment,
+)
 from .errors import ConfigError
 from .metrics import adjacent_ncc, motion_error
 from .synth import PhantomSpec, generate_phantom, simulate_motion
@@ -103,7 +109,7 @@ def _mean_std(values) -> dict:
 
 def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
                  dims: tuple[int, int, int] = (24, 64, 96), n_layers: int = 3,
-                 radius: int = 15, transverse_radius: int = TRANSVERSE_RADIUS,
+                 radius: int = SEARCH_RADIUS, transverse_radius: int = TRANSVERSE_RADIUS,
                  jobs: int = 1, align_overrides: dict | None = None):
     """Run the synthetic suite; returns (report, timings).
 
@@ -130,7 +136,8 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(run_volume, work))
     else:
         results = [run_volume(w) for w in work]
@@ -151,9 +158,10 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
         for method in methods:
             errs = column(f"{axis}_err_px", method)
             summary[method] = _mean_std(errs)
-            for row in per_phantom:
-                sub = [e for e, rec in zip(errs, records) if rec["phantom"] == row["phantom"]]
-                row[f"{axis}_{method}_mean_px"] = float(np.mean(sub))
+            # the items run phantom-major: row i holds phantom i's repeats
+            means = np.reshape(errs, (volumes, repeats)).mean(axis=1)
+            for row, mean in zip(per_phantom, means):
+                row[f"{axis}_{method}_mean_px"] = float(mean)
 
     report = {
         "schema": REPORT_SCHEMA,

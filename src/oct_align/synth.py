@@ -110,8 +110,10 @@ class PhantomSpec:
 
 
 @dataclass(frozen=True)
-class MotionSpec:
-    """Ground-truth simulated motion, the recovery oracle.
+class MotionSpec(DisplacementField):
+    """Ground-truth simulated motion, the recovery oracle: a
+    ``DisplacementField`` within +/-MAX_MOTION_PX on both axes, plus its
+    transverse groups.
 
     ``group_boundaries`` holds the 0-based start index of each transverse
     group (first element 0).  The protocol sampler always draws 3 to 5
@@ -119,45 +121,29 @@ class MotionSpec:
     for forced-identity tests.
     """
 
-    axial_truth: np.ndarray
-    transverse_truth: np.ndarray
     group_boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        ax = np.ascontiguousarray(self.axial_truth, dtype=np.float64)
-        tr = np.asarray(self.transverse_truth)
-        if ax.ndim != 1 or tr.ndim != 1 or ax.shape != tr.shape:
-            raise DimensionError("axial and transverse truth must be equal-length vectors")
-        if not np.all(np.isfinite(ax)) or np.abs(ax).max(initial=0.0) > MAX_MOTION_PX:
-            raise ValidationError(f"|axial truth| must be <= {MAX_MOTION_PX} px and finite")
-        trf = tr.astype(np.float64)
-        if np.any(trf != np.round(trf)) or np.abs(trf).max(initial=0.0) > MAX_MOTION_PX:
-            raise ValidationError(f"transverse truth must be integers within +/-{MAX_MOTION_PX} px")
-        tri = np.ascontiguousarray(np.round(trf), dtype=np.int64)
+        super().__post_init__()
+        if max(np.abs(self.axial).max(initial=0.0),
+               np.abs(self.transverse).max(initial=0)) > MAX_MOTION_PX:
+            raise ValidationError(f"motion truth must lie within +/-{MAX_MOTION_PX} px")
         bounds = tuple(int(i) for i in self.group_boundaries)
-        n_b = ax.shape[0]
         if not bounds or bounds[0] != 0 or any(
             b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ) or bounds[-1] >= n_b:
+        ) or bounds[-1] >= self.n_b:
             raise ValidationError("group boundaries must start at 0 and increase within N_B")
         if len(bounds) > 5:
             raise ValidationError("at most 5 transverse groups")
-        edges = list(bounds) + [n_b]
+        edges = list(bounds) + [self.n_b]
         for lo, hi in zip(edges, edges[1:]):
-            if np.unique(tri[lo:hi]).size != 1:
+            if np.unique(self.transverse[lo:hi]).size != 1:
                 raise ValidationError("transverse shift must be constant within each group")
-        ax.flags.writeable = False
-        tri.flags.writeable = False
-        object.__setattr__(self, "axial_truth", ax)
-        object.__setattr__(self, "transverse_truth", tri)
         object.__setattr__(self, "group_boundaries", bounds)
 
-    @property
-    def n_b(self) -> int:
-        return self.axial_truth.shape[0]
-
     def as_displacement(self) -> DisplacementField:
-        return DisplacementField(axial=self.axial_truth, transverse=self.transverse_truth)
+        """The plain field with the same arrays; ``perfbench/workloads.py`` calls it."""
+        return DisplacementField(axial=self.axial, transverse=self.transverse)
 
 
 def _smooth_field(rng, n_b, n_a, count, max_cycles, amplitude):
@@ -252,8 +238,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
             )
             shadow = np.maximum(shadow, cover)
         attn = 1.0 - (1.0 - spec.vessel_attenuation) * shadow
-        below_top = np.arange(1, n_r + 1)[None, None, :] >= surf[0][..., None]
-        img = img * np.where(below_top, attn[..., None], 1.0)
+        img = img * np.where(labels.labels > 0, attn[..., None], 1.0)
 
     if spec.speckle_sigma > 0:
         img = img * np.clip(rng.normal(1.0, spec.speckle_sigma, img.shape), 0.0, None)
@@ -291,11 +276,10 @@ def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
     """
     if motion.n_b != volume.n_b or surfaces.n_b != volume.n_b:
         raise DimensionError("motion, surfaces, and volume must agree on N_B")
-    data = shift_transverse(resample_axial(volume, -motion.axial_truth).data,
-                            motion.transverse_truth)
+    data = shift_transverse(resample_axial(volume, -motion.axial).data, motion.transverse)
 
-    rolled = shift_surfaces_transverse(surfaces.positions, motion.transverse_truth)
-    shifted = rolled + motion.axial_truth[None, :, None]
+    rolled = shift_surfaces_transverse(surfaces.positions, motion.transverse)
+    shifted = rolled + motion.axial[None, :, None]
     if shifted.min() < 1.0 or shifted.max() > volume.n_r:
         raise ValidationError(
             "corrupted surfaces left the row range; the phantom margins are too "

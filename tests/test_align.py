@@ -72,6 +72,8 @@ class TestSurfaceAlignmentLoss:
     def test_length_mismatch(self, rng):
         with pytest.raises(DimensionError):
             surface_alignment_loss(rng.uniform(1, 5, (1, 3, 2)), np.zeros(4))
+        with pytest.raises(DimensionError):  # one surface is still (1, N_B, N_A)
+            surface_alignment_loss(rng.uniform(1, 5, (3, 2)), np.zeros(3))
 
 
 class TestSolveFromSurfaces:
@@ -228,7 +230,7 @@ class TestOptimizeAlignment:
         assert (steps.max() + steps.min()) % 2 == 1
         got = optimize_alignment(cvol, None)
         assert motion_error(got, motion)[0] < motion_error(template_match_align(cvol), motion)[0]
-        shifted = MotionSpec(motion.axial_truth + 0.5, motion.transverse_truth,
+        shifted = MotionSpec(motion.axial + 0.5, motion.transverse,
                              motion.group_boundaries)
         cvol2, _ = apply_motion(vol, surf, shifted)
         got2 = optimize_alignment(cvol2, None)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import contextlib
+import inspect
 import io as text_io
 import json
 import shutil
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oct_align import cli, io
-from oct_align.align import solve_from_surfaces
+from oct_align.align import SEARCH_RADIUS, AlignConfig, solve_from_surfaces
 from oct_align.cli import main
 from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
 from oct_align.metrics import motion_error
@@ -670,3 +672,39 @@ class TestPipelineCommand:
         serial, _ = run_pipeline(jobs=1, **kwargs)
         parallel, _ = run_pipeline(jobs=2, **kwargs)
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_jobs_start_at_most_one_worker_per_item(self, monkeypatch):
+        # the pool forks every worker up front, so --jobs 5000 on two items
+        # must ask for two; the stand-in records that and starts no process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        kwargs = dict(seed=3, volumes=1, repeats=2, dims=(8, 32, 96))
+        pooled, _ = run_pipeline(jobs=5000, **kwargs)
+        assert asked == [2]
+        serial, _ = run_pipeline(jobs=1, **kwargs)
+        assert json.dumps(pooled, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_every_axial_radius_default_is_the_motion_amplitude():
+    parser = cli.build_parser()
+    align_args = parser.parse_args(["align", "--vol", "v", "--out", "o"])
+    pipeline_args = parser.parse_args(["pipeline", "--out", "o"])
+    assert SEARCH_RADIUS == 15
+    assert AlignConfig().search_radius == SEARCH_RADIUS
+    assert inspect.signature(run_pipeline).parameters["radius"].default == SEARCH_RADIUS
+    assert align_args.radius == SEARCH_RADIUS
+    assert pipeline_args.radius == SEARCH_RADIUS

@@ -98,6 +98,14 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             cross_entropy(q, np.full((1, 1), 2.5))
 
+    @pytest.mark.parametrize("fn", [cross_entropy, grad_cross_entropy])
+    def test_gt_off_the_distribution_grid_rejected(self, rng, fn):
+        # one gt row per A-scan: neither broadcast nor a missing surface axis
+        q = random_distribution(rng, (2, 3, 4, 10))
+        for shape in ((1, 3, 4), (3, 4)):
+            with pytest.raises(DimensionError, match="gt shape"):
+                fn(q, np.full(shape, 5.0))
+
 
 class TestSmoothL1:
     def test_zero_residual(self):
@@ -294,9 +302,9 @@ class TestSegmentationLoss:
     def test_labels_off_the_distribution_grid_rejected(self, rng, with_class_probs):
         q, p, gt, m = self._case(rng)
         weights = LossWeights(0.1, np.array([0.02, 0.03]))
-        for labels in (LabelMap(m.labels[:, :-1], 2), m.labels[..., :-1]):
-            with pytest.raises(DimensionError, match="labels are on a"):
-                segmentation_loss(q, p if with_class_probs else None, gt, labels, weights)
+        with pytest.raises(DimensionError, match="labels are on a"):
+            segmentation_loss(q, p if with_class_probs else None, gt,
+                              LabelMap(m.labels[:, :-1], 2), weights)
 
     def test_total_is_sum_of_independently_computed_terms(self, rng):
         q, p, gt, m = self._case(rng)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oct_align.core import surfaces_to_labels
-from oct_align.errors import ValidationError
+from oct_align.core import DisplacementField, surfaces_to_labels
+from oct_align.errors import DimensionError, ValidationError
 from oct_align.resample import resample_axial
 from oct_align.synth import (
     MotionSpec,
@@ -19,10 +19,10 @@ from oct_align.synth import (
 def invert_motion(volume, surfaces, motion):
     """Perfect inverse correction using the ground truth: undo the
     transverse roll, then resample by the axial truth."""
-    data = shift_transverse(volume.data.astype(np.float64), -motion.transverse_truth)
-    data = resample_axial(data, motion.axial_truth)
-    pos = surfaces.positions - motion.axial_truth[None, :, None]
-    unrolled = shift_surfaces_transverse(pos, -motion.transverse_truth)
+    data = shift_transverse(volume.data.astype(np.float64), -motion.transverse)
+    data = resample_axial(data, motion.axial)
+    pos = surfaces.positions - motion.axial[None, :, None]
+    unrolled = shift_surfaces_transverse(pos, -motion.transverse)
     return volume.with_data(data), surfaces.with_positions(unrolled)
 
 
@@ -106,8 +106,13 @@ class TestMotionSpec:
     def test_protocol_sampler_bounds(self, rng):
         for seed in range(10):
             m = sample_motion(np.random.default_rng(seed), n_b=24)
-            assert np.abs(m.axial_truth).max() <= 15.0
-            assert np.abs(m.transverse_truth).max() <= 15
+            assert isinstance(m, DisplacementField)
+            plain = m.as_displacement()
+            assert type(plain) is DisplacementField
+            assert np.array_equal(plain.axial, m.axial)
+            assert np.array_equal(plain.transverse, m.transverse)
+            assert np.abs(m.axial).max() <= 15.0
+            assert np.abs(m.transverse).max() <= 15
             assert 3 <= len(m.group_boundaries) <= 5
 
     def test_group_constancy_enforced(self):
@@ -117,6 +122,12 @@ class TestMotionSpec:
     def test_amplitude_cap_enforced(self):
         with pytest.raises(ValidationError):
             MotionSpec(np.array([0.0, 16.0]), np.zeros(2, dtype=np.int64), (0,))
+        # and, as for any DisplacementField, whole-pixel transverse shifts of
+        # the axial vector's length
+        with pytest.raises(ValidationError):
+            MotionSpec(np.zeros(2), np.array([0.5, 0.5]), (0,))
+        with pytest.raises(DimensionError):
+            MotionSpec(np.zeros(3), np.zeros(2, dtype=np.int64), (0,))
 
 
 class TestApplyMotion:
@@ -159,7 +170,7 @@ class TestInverseCorrection:
         vol, surf = generate_phantom(PhantomSpec(seed=6))
         cvol, csurf, motion = simulate_motion(vol, surf, seed=11)
         _, s_back = invert_motion(cvol, csurf, motion)
-        margin = int(np.abs(motion.transverse_truth).max())
+        margin = int(np.abs(motion.transverse).max())
         n_a = vol.n_a
         inner = slice(margin, n_a - margin)
         assert np.allclose(
@@ -189,8 +200,8 @@ class TestInverseCorrection:
         vol, surf = generate_phantom(spec)
         cvol, csurf, motion = simulate_motion(vol, surf, seed=13)
         v_back, _ = invert_motion(cvol, csurf, motion)
-        band = int(np.ceil(np.abs(motion.axial_truth).max())) + 1
-        margin = int(np.abs(motion.transverse_truth).max())
+        band = int(np.ceil(np.abs(motion.axial).max())) + 1
+        margin = int(np.abs(motion.transverse).max())
         err = np.abs(v_back.data.astype(np.float64) - vol.data)[
             :, margin:vol.n_a - margin, band:-band
         ]
@@ -228,4 +239,4 @@ def test_simulate_motion_is_seed_deterministic():
     a = simulate_motion(vol, surf, seed=5)
     b = simulate_motion(vol, surf, seed=5)
     assert np.array_equal(a[0].data, b[0].data)
-    assert np.array_equal(a[2].axial_truth, b[2].axial_truth)
+    assert np.array_equal(a[2].axial, b[2].axial)

@@ -200,7 +200,7 @@ class TestAlignTransverse:
         # adjacent groups differ by 29 columns, which a radius of 15 cannot
         # reach (it recovered with an error of 19.5 px)
         v_ax, s_ax, motion = corrected_phantom(18, 19)
-        assert np.abs(np.diff(motion.transverse_truth)).max() == 29
+        assert np.abs(np.diff(motion.transverse)).max() == 29
         assert TRANSVERSE_RADIUS == 30
         for layer_mask in (True, False):
             d = align_transverse(v_ax, s_ax, layer_mask=layer_mask)

@@ -79,21 +79,24 @@ def _positions(surfaces) -> np.ndarray:
     return pos
 
 
+def _residual(surfaces, axial) -> np.ndarray:
+    """(r_{b+1} - r_b) - (d_{b+1} - d_b) for every surface, adjacent B-scan
+    pair and A-scan, shape (L, N_B - 1, N_A).  DimensionError unless the
+    surfaces are (L, N_B, N_A) and ``axial`` is a vector of length N_B."""
+    pos = _positions(surfaces)
+    d = np.asarray(axial, dtype=np.float64)
+    if d.ndim != 1 or d.shape[0] != pos.shape[1]:
+        raise DimensionError(f"axial length {d.shape} does not match N_B={pos.shape[1]}")
+    return (pos[:, 1:, :] - pos[:, :-1, :]) - (d[1:] - d[:-1])[None, :, None]
+
+
 def surface_alignment_loss(surfaces, axial) -> float:
     """Sum over adjacent B-scans of the squared displacement-corrected surface gap.
 
     Equals sum_{b<N_B} sum_{a,l} ((r_{b,a,l} - d_b) - (r_{b+1,a,l} - d_{b+1}))^2.
     Adding a constant to all displacements leaves the value unchanged.
     """
-    pos = _positions(surfaces)
-    d = np.asarray(axial, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != pos.shape[1]:
-        raise DimensionError(f"axial length {d.shape} does not match N_B={pos.shape[1]}")
-    if pos.shape[1] < 2 or pos.shape[0] == 0:
-        return 0.0
-    dr = pos[:, 1:, :] - pos[:, :-1, :]
-    e = d[1:] - d[:-1]
-    return float(((dr - e[None, :, None]) ** 2).sum())
+    return float((_residual(surfaces, axial) ** 2).sum())
 
 
 def global_ncc(img_a: np.ndarray, img_b: np.ndarray) -> float:

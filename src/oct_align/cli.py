@@ -10,11 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import io, metrics
 from .align import SEARCH_RADIUS, AlignConfig, optimize_alignment, template_match_align
@@ -27,8 +24,10 @@ from .synth import PhantomSpec, generate_phantom, simulate_motion
 from .transverse import TRANSVERSE_RADIUS, align_transverse
 
 
-def _json_object(path, what: str) -> dict:
-    """The JSON object stored in ``path``, or ConfigError naming ``what``."""
+def _json_fields(path, what: str, defaults: dict) -> dict:
+    """The JSON object in ``path``, its lists as tuples.  ConfigError unless
+    every key is one of ``defaults`` and every value has its default's
+    kind (``io.json_kind_ok``); the message names ``what`` or the key."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -36,42 +35,40 @@ def _json_object(path, what: str) -> dict:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: {what} must be a JSON object")
-    return raw
-
-
-def _json_number(value) -> bool:
-    """Whether ``value`` is a finite JSON number; a bool is not one."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond float range
-        return False
-
-
-def _phantom_spec_from_json(path) -> PhantomSpec:
-    """The spec in ``path``.  Each value must fit its field's default: a JSON
-    integer for int fields, a finite number for float fields, a list of
-    finite numbers for tuple fields; else ConfigError names the key."""
-    raw = _json_object(path, "phantom spec")
-    defaults = {f.name: f.default for f in dataclasses.fields(PhantomSpec)}
     unknown = set(raw) - set(defaults)
     if unknown:
-        raise ConfigError(f"{path}: unknown phantom spec keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown {what} keys {sorted(unknown)}")
     for key, value in raw.items():
-        if isinstance(defaults[key], tuple):
-            kind = "a list of numbers"
-            ok = isinstance(value, list) and all(map(_json_number, value))
-        elif isinstance(defaults[key], int):
-            kind, ok = "an integer", type(value) is int
-        else:
-            kind, ok = "a finite number", _json_number(value)
-        if not ok:
-            raise ConfigError(f"{path}: phantom spec key {key!r} must be {kind}, "
+        default = defaults[key]
+        if not io.json_kind_ok(value, default):
+            kind = ("a list of finite numbers" if isinstance(default, tuple)
+                    else "an integer" if isinstance(default, int) else "a finite number")
+            raise ConfigError(f"{path}: {what} key {key!r} must be {kind}, "
                               f"got {json.dumps(value)}")
-    return PhantomSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
+def _surfaces_on(path, vol, flag: str):
+    """The surfaces in ``path``, on ``vol``'s (N_B, N_A) grid and no deeper
+    than its last row; else DimensionError or ValidationError naming ``flag``."""
+    surf = io.read_surfaces(path)
+    if (surf.n_b, surf.n_a) != (vol.n_b, vol.n_a):
+        raise DimensionError(
+            f"{flag} surfaces are on a {surf.n_b}x{surf.n_a} (N_B x N_A) grid, "
+            f"the volume is {vol.n_b}x{vol.n_a}"
+        )
+    if surf.positions.max() > vol.n_r:
+        raise ValidationError(f"{flag} surfaces reach row {surf.positions.max():g}, "
+                              f"past the volume's last row {vol.n_r}")
+    return surf
 
 
 def cmd_phantom(args) -> int:
-    spec = _phantom_spec_from_json(args.spec) if args.spec else PhantomSpec(seed=args.seed)
+    if args.spec:
+        defaults = {f.name: f.default for f in dataclasses.fields(PhantomSpec)}
+        spec = PhantomSpec(**_json_fields(args.spec, "phantom spec", defaults))
+    else:
+        spec = PhantomSpec(seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vol, surf = generate_phantom(spec)
@@ -105,7 +102,7 @@ def cmd_align(args) -> int:
     if args.mode == "supervised":
         if not args.surfaces:
             raise ConfigError("supervised mode needs --surfaces")
-        disp = optimize_alignment(vol, io.read_surfaces(args.surfaces), cfg)
+        disp = optimize_alignment(vol, _surfaces_on(args.surfaces, vol, "--surfaces"), cfg)
     elif args.mode == "unsupervised":
         disp = optimize_alignment(vol, None, cfg)
     else:
@@ -117,7 +114,7 @@ def cmd_align(args) -> int:
 
 def cmd_transverse(args) -> int:
     vol = io.read_volume(args.vol)
-    surf = io.read_surfaces(args.surfaces) if args.surfaces else None
+    surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
     disp = align_transverse(vol, surf, radius=args.radius,
                             layer_mask=not args.no_layer_mask)
     io.write_displacements(args.out, disp)
@@ -135,7 +132,7 @@ def _parse_crop(text: str) -> tuple[int, int]:
 
 def cmd_preprocess(args) -> int:
     vol = io.read_volume(args.vol)
-    surf = io.read_surfaces(args.surfaces) if args.surfaces else None
+    surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
     if args.flatten:
         vol, _shifts = flatten_to_bm(vol)
     if args.crop:
@@ -154,22 +151,12 @@ def cmd_losses(args) -> int:
     probs = io.read_distributions(args.q)
     surf = io.read_surfaces(args.surfaces)
     labels = io.read_labels(args.labels)
-    wraw = _json_object(args.weights, "loss weights")
-    unknown = set(wraw) - {"lambda_base", "lambda_l"}
-    if unknown:
-        raise ConfigError(f"{args.weights}: unknown loss weight keys {sorted(unknown)}")
+    wraw = _json_fields(args.weights, "loss weights", {"lambda_base": 0.0, "lambda_l": ()})
     if not wraw:
         raise ConfigError(f"{args.weights}: need lambda_base or lambda_l")
     base = wraw.get("lambda_base", 0.0)
-    if not _json_number(base):
-        raise ConfigError(f"{args.weights}: lambda_base must be a finite number, "
-                          f"got {json.dumps(base)}")
-    lam = wraw.get("lambda_l", [])
-    if not (isinstance(lam, list) and all(map(_json_number, lam))):
-        raise ConfigError(f"{args.weights}: lambda_l must be a list of finite numbers, "
-                          f"got {json.dumps(lam)}")
     if "lambda_l" in wraw:
-        weights = LossWeights(lambda_base=base, lambda_l=np.asarray(lam, dtype=np.float64))
+        weights = LossWeights(lambda_base=base, lambda_l=wraw["lambda_l"])
     else:
         weights = smoothness_weights(surf, float(base))
     class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
@@ -182,18 +169,9 @@ def cmd_losses(args) -> int:
 def cmd_eval(args) -> int:
     """Write report.json and the two connectivity CSVs beside it; every
     metric is computed before the first file is written."""
-    pred = io.read_surfaces(args.pred)
-    gt = io.read_surfaces(args.gt)
     vol = io.read_volume(args.vol)
-    for flag, surf in (("--pred", pred), ("--gt", gt)):
-        if (surf.n_b, surf.n_a) != (vol.n_b, vol.n_a):
-            raise DimensionError(
-                f"{flag} surfaces are on a {surf.n_b}x{surf.n_a} (N_B x N_A) grid, "
-                f"the volume is {vol.n_b}x{vol.n_a}"
-            )
-        if surf.n_surfaces and surf.positions.max() > vol.n_r:
-            raise ValidationError(f"{flag} surfaces reach row {surf.positions.max():g}, "
-                                  f"past the volume's last row {vol.n_r}")
+    pred = _surfaces_on(args.pred, vol, "--pred")
+    gt = _surfaces_on(args.gt, vol, "--gt")
     dz, dx = vol.spacing[0], vol.spacing[1]
     report_path = Path(args.report)
     hist_pred = report_path.with_name(report_path.stem + "_connectivity_pred.csv")

@@ -1,18 +1,20 @@
-"""On-disk formats: binary volumes with a JSON header line, and CSV tables.
+"""On-disk formats: binary files with a JSON header line, and CSV tables.
 
-Volume file: one UTF-8 JSON line ``{"n_b":..., "n_a":..., "n_r":...,
-"spacing_um":[dz,dx,dy], "dtype":"f32le"}`` terminated by ``\\n``, followed
-by the raw little-endian float32 payload in (b, a, r) row-major order.
+Binary container: one UTF-8 JSON header line with sorted keys, ending in
+``\\n``, then the raw payload array in the header's ``"dtype"``,
+row-major.  ``_write_binary`` and ``_read_binary`` write and read every
+binary format; the reader checks the header's keys, dtype and nonnegative
+integer dimensions, and the payload size they imply against the file's
+size before it reads (or allocates) the payload straight into its array.
+Volume header: ``n_b, n_a, n_r, spacing_um: [dz, dx, dy]``, dtype
+``f32le``, payload in (b, a, r) order.  Surface-distribution files
+(``n_l`` and the grid, ``f64le``, values checked finite and nonnegative)
+and label-map files (the grid and ``n_surfaces``, ``u8``) add a ``kind``
+key; they exist so the loss CLI can read its inputs.  Header values
+follow the one JSON kind rule of ``json_kind_ok``.
 
 Surface CSV: header ``surface,b,a,r`` with 1-based indices and fractional
 row positions.  Displacement CSV: header ``b,axial,transverse``.
-
-Surface-distribution and label-map binaries follow the volume layout with
-their own header keys; they exist so the loss CLI can read its inputs.
-Every binary reader checks the payload size the header implies against
-the file's size before it reads (or allocates) the payload, then reads the
-payload straight into its array.  Distribution values are checked to be
-finite and nonnegative on reading.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ import numpy as np
 
 from .core import DisplacementField, LabelMap, OctVolume, SurfaceSet
 from .errors import FormatError, ValidationError
-
-_VOLUME_DTYPE = "f32le"
-
 
 # the process umask, read once: mkstemp creates 0600 files, and a renamed
 # temp file should get the mode a plain open() would have given the target
@@ -59,41 +58,63 @@ def atomic_path(path):
         raise
 
 
-def _write_header_payload(path, header: dict, payload: bytes) -> None:
-    with atomic_path(path) as tmp, open(tmp, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(payload)
-
-
-def _read_header(path, f, required_keys) -> dict:
-    """The JSON header line at the start of the open binary file ``f``."""
-    line = f.readline()
-    if not line.endswith(b"\n"):
-        raise FormatError(f"{path}: missing header line")
+def json_kind_ok(value, default) -> bool:
+    """Whether the parsed JSON ``value`` has the kind of ``default``: an
+    integer for an int, a finite number for a float, a list of finite
+    numbers for a tuple.  A bool is never one, and nothing is converted."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(json_kind_ok(v, 0.0) for v in value)
+    if isinstance(default, int):
+        return type(value) is int  # bool is a subclass of int
     try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header must be a JSON object")
-    missing = [k for k in required_keys if k not in header]
-    if missing:
-        raise FormatError(f"{path}: header missing keys {missing}")
-    return header
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
 
 
 def _header_ints(path, header: dict, keys) -> tuple[int, ...]:
-    """The header's dimension fields as nonnegative ints, or FormatError.
-
-    Only JSON integers are dimensions: a float (4.0 or 4.9), a string
-    (" 4 ") or a boolean is rejected, not converted.
-    """
+    """The header's ``keys`` as nonnegative JSON integers, or FormatError."""
     values = tuple(header[k] for k in keys)
-    if any(type(v) is not int for v in values):  # bool is a subclass of int
+    if not all(json_kind_ok(v, 0) for v in values):
         raise FormatError(f"{path}: header fields {list(keys)} must be integers, got {values!r}")
     if min(values) < 0:
         raise FormatError(f"{path}: header fields {list(keys)} must be nonnegative, got {values}")
     return values
+
+
+# header dtype -> the payload's numpy dtype
+_DTYPES = {"f32le": "<f4", "f64le": "<f8", "u8": "u1"}
+
+
+def _write_binary(path, header: dict, array, dtype: str) -> None:
+    """``header`` with ``"dtype": dtype`` as one sorted JSON line, then
+    ``array`` as that dtype in C order."""
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps({**header, "dtype": dtype}, sort_keys=True).encode("utf-8") + b"\n")
+        f.write(np.asarray(array, _DTYPES[dtype]).tobytes())
+
+
+def _read_binary(path, dtype: str, dims, extra=()):
+    """``(header, payload)`` of the binary file ``path``: FormatError unless
+    the header is a JSON object holding ``dims``, ``extra`` and ``dtype``,
+    the ``dims`` are nonnegative integers and the payload fills an array
+    of that shape exactly."""
+    with open(path, "rb") as f:
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise FormatError(f"{path}: missing header line")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header must be a JSON object")
+        missing = [k for k in (*dims, *extra, "dtype") if k not in header]
+        if missing:
+            raise FormatError(f"{path}: header missing keys {missing}")
+        if header["dtype"] != dtype:
+            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
+        return header, _read_payload(path, f, _DTYPES[dtype], _header_ints(path, header, dims))
 
 
 def _read_payload(path, f, np_dtype, shape) -> np.ndarray:
@@ -120,29 +141,21 @@ def _read_payload(path, f, np_dtype, shape) -> np.ndarray:
     return out
 
 
+_GRID = ("n_b", "n_a", "n_r")
+
+
 def write_volume(path, volume: OctVolume) -> None:
-    header = {
-        "n_b": volume.n_b,
-        "n_a": volume.n_a,
-        "n_r": volume.n_r,
-        "spacing_um": list(volume.spacing),
-        "dtype": _VOLUME_DTYPE,
-    }
-    _write_header_payload(path, header, volume.data.astype("<f4").tobytes(order="C"))
+    header = dict(zip(_GRID, volume.data.shape), spacing_um=list(volume.spacing))
+    _write_binary(path, header, volume.data, "f32le")
 
 
 def read_volume(path) -> OctVolume:
-    with open(path, "rb") as f:
-        header = _read_header(path, f, ("n_b", "n_a", "n_r", "spacing_um", "dtype"))
-        if header["dtype"] != _VOLUME_DTYPE:
-            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-        dims = _header_ints(path, header, ("n_b", "n_a", "n_r"))
-        try:
-            spacing = tuple(float(x) for x in header["spacing_um"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: spacing_um must be a list of numbers: {exc}") from exc
-        data = _read_payload(path, f, "<f4", dims)
-    return OctVolume(data=data, spacing=spacing)
+    header, data = _read_binary(path, "f32le", _GRID, extra=("spacing_um",))
+    spacing = header["spacing_um"]
+    if not json_kind_ok(spacing, ()):
+        raise FormatError(f"{path}: spacing_um must be a list of finite numbers, "
+                          f"got {json.dumps(spacing)}")
+    return OctVolume(data=data, spacing=tuple(spacing))
 
 
 def _read_table(path, header: str, what: str) -> np.ndarray:
@@ -246,25 +259,15 @@ def write_distributions(path, probs: np.ndarray) -> None:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 4:
         raise FormatError(f"distributions must be 4D (l, b, a, r), got {probs.shape}")
-    n_l, n_b, n_a, n_r = probs.shape
-    header = {
-        "kind": "surface_distribution",
-        "n_l": n_l, "n_b": n_b, "n_a": n_a, "n_r": n_r,
-        "dtype": "f64le",
-    }
-    _write_header_payload(path, header, probs.astype("<f8").tobytes(order="C"))
+    header = dict(zip(("n_l", *_GRID), probs.shape), kind="surface_distribution")
+    _write_binary(path, header, probs, "f64le")
 
 
 def read_distributions(path) -> np.ndarray:
     """Read a distribution file; ValidationError unless every value is finite
     and nonnegative (one min and one max: a nan fails both, no temporary
     array).  The losses check that each vector sums to 1 along their axis."""
-    with open(path, "rb") as f:
-        header = _read_header(path, f, ("n_l", "n_b", "n_a", "n_r", "dtype"))
-        if header["dtype"] != "f64le":
-            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-        dims = _header_ints(path, header, ("n_l", "n_b", "n_a", "n_r"))
-        probs = _read_payload(path, f, "<f8", dims)
+    _, probs = _read_binary(path, "f64le", ("n_l", *_GRID))
     if probs.size and not (probs.min() >= 0.0 and probs.max() < np.inf):
         raise ValidationError(f"{path}: probabilities must be finite and nonnegative")
     return probs
@@ -272,28 +275,16 @@ def read_distributions(path) -> np.ndarray:
 
 def write_labels(path, label_map: LabelMap) -> None:
     """Store a label map as u8; the benchmark writes its loss inputs with it."""
-    header = {
-        "kind": "label_map",
-        "n_b": label_map.labels.shape[0],
-        "n_a": label_map.labels.shape[1],
-        "n_r": label_map.labels.shape[2],
-        "n_surfaces": label_map.n_surfaces,
-        "dtype": "u8",
-    }
     if label_map.n_surfaces > 255:
         raise FormatError("label files support at most 255 surfaces")
-    _write_header_payload(path, header, label_map.labels.astype(np.uint8).tobytes(order="C"))
+    header = dict(zip(_GRID, label_map.labels.shape), kind="label_map",
+                  n_surfaces=label_map.n_surfaces)
+    _write_binary(path, header, label_map.labels, "u8")
 
 
 def read_labels(path) -> LabelMap:
-    with open(path, "rb") as f:
-        header = _read_header(path, f, ("n_b", "n_a", "n_r", "n_surfaces", "dtype"))
-        if header["dtype"] != "u8":
-            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-        n_b, n_a, n_r, n_surfaces = _header_ints(
-            path, header, ("n_b", "n_a", "n_r", "n_surfaces")
-        )
-        labels = _read_payload(path, f, np.uint8, (n_b, n_a, n_r))
+    header, labels = _read_binary(path, "u8", _GRID, extra=("n_surfaces",))
+    (n_surfaces,) = _header_ints(path, header, ("n_surfaces",))
     return LabelMap(labels=labels.astype(np.int16), n_surfaces=n_surfaces)
 
 

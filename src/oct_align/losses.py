@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import surface_alignment_loss
+from .align import _residual, surface_alignment_loss
 from .core import LabelMap, as_positions
 from .errors import DimensionError, ValidationError
 
@@ -260,14 +260,8 @@ def alignment_loss_semi(gt, pred, axial, annotated) -> float:
 
 def grad_alignment(surfaces, axial) -> np.ndarray:
     """d(surface_alignment_loss)/d(axial); checked by acceptance criterion 4."""
-    pos = as_positions(surfaces)
-    d = np.asarray(axial, dtype=np.float64)
-    out = np.zeros_like(d)
-    if pos.shape[1] < 2 or pos.shape[0] == 0:
-        return out
-    dr = pos[:, 1:, :] - pos[:, :-1, :]
-    e = d[1:] - d[:-1]
-    g_e = 2.0 * (e[None, :, None] - dr).sum(axis=(0, 2))
+    g_e = -2.0 * _residual(surfaces, axial).sum(axis=(0, 2))
+    out = np.zeros(len(axial))
     out[1:] += g_e
     out[:-1] -= g_e
     return out
@@ -280,16 +274,12 @@ def grad_alignment_semi(gt, pred, axial, annotated):
     ground truth instead of the prediction.  Checked by acceptance criterion 4.
     """
     mix = mixed_surfaces(gt, pred, annotated)
-    d = np.asarray(axial, dtype=np.float64)
     mask = np.asarray(annotated, dtype=bool)
-    g_d = grad_alignment(mix, d)
+    g_d = grad_alignment(mix, axial)
+    resid = 2.0 * _residual(mix, axial)
     g_r = np.zeros_like(mix)
-    if mix.shape[1] >= 2 and mix.shape[0]:
-        resid = (mix[:, :-1, :] - d[None, :-1, None]) - (
-            mix[:, 1:, :] - d[None, 1:, None]
-        )
-        g_r[:, :-1, :] += 2.0 * resid
-        g_r[:, 1:, :] -= 2.0 * resid
+    g_r[:, :-1, :] -= resid
+    g_r[:, 1:, :] += resid
     g_r[:, mask, :] = 0.0
     return g_d, g_r
 

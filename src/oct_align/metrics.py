@@ -12,7 +12,7 @@ import numpy as np
 from .align import global_ncc
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, most_frequent_int
 from .errors import DimensionError, ValidationError
-from .io import atomic_path
+from .io import _write_table
 
 
 def _as_list(x):
@@ -163,10 +163,8 @@ def connectivity_histogram(surfaces: SurfaceSet):
 
 
 def write_histogram_csv(path, counts, edges) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        f.write("bin_lo,bin_hi,count\n")
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            f.write(f"{lo:.17g},{hi:.17g},{int(c)}\n")
+    table = np.column_stack([edges[:-1], edges[1:], counts])
+    _write_table(path, "bin_lo,bin_hi,count", "%.17g,%.17g,%d\n", table)
 
 
 def motion_error(est: DisplacementField, truth: DisplacementField) -> tuple[float, float]:

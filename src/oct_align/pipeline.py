@@ -49,8 +49,9 @@ def motion_seed(seed: int, index: int, repeat: int) -> int:
 
 def run_volume(params: tuple) -> dict:
     """One phantom/corruption work item; top-level so process pools can pickle it.
-    ``params`` is ``run_pipeline``'s 8-tuple, also unpacked by ``perfbench/replay.py``."""
-    seed, index, repeat, dims, n_layers, radius, t_radius, cfg_kwargs = params
+    ``params`` is ``run_pipeline``'s tuple (seed, phantom index, repeat,
+    dims, n_layers, AlignConfig, transverse radius)."""
+    seed, index, repeat, dims, n_layers, cfg, t_radius = params
     t = {}
     spec = PhantomSpec(
         n_b=dims[0], n_a=dims[1], n_r=dims[2], n_layers=n_layers,
@@ -58,7 +59,6 @@ def run_volume(params: tuple) -> dict:
     )
     vol, surf = generate_phantom(spec)
     cvol, csurf, motion = simulate_motion(vol, surf, seed=motion_seed(seed, index, repeat))
-    cfg = AlignConfig(search_radius=radius, **cfg_kwargs)
 
     t0 = time.perf_counter()
     d_sup = optimize_alignment(cvol, csurf, cfg)
@@ -124,15 +124,13 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
     for name, value in (("volumes", volumes), ("repeats", repeats), ("jobs", jobs)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    # each item's chain raises this too, but only after its phantom is built
+    # a bad config or radius fails here, before any phantom is built or
+    # worker started; each item's chain would reject the radius only later
+    cfg = AlignConfig(search_radius=radius, **(align_overrides or {}))
     if radius >= dims[2]:
         raise ConfigError(f"search radius {radius} must be below N_R={dims[2]}")
-    work = [
-        (seed, i, j, tuple(dims), n_layers, radius, transverse_radius,
-         dict(align_overrides or {}))
-        for i in range(volumes)
-        for j in range(repeats)
-    ]
+    work = [(seed, i, j, tuple(dims), n_layers, cfg, transverse_radius)
+            for i in range(volumes) for j in range(repeats)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

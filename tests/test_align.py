@@ -74,6 +74,11 @@ class TestSurfaceAlignmentLoss:
             surface_alignment_loss(rng.uniform(1, 5, (1, 3, 2)), np.zeros(4))
         with pytest.raises(DimensionError):  # one surface is still (1, N_B, N_A)
             surface_alignment_loss(rng.uniform(1, 5, (3, 2)), np.zeros(3))
+        # the gradient checks the same shapes, not numpy's indexing
+        with pytest.raises(DimensionError, match="surface positions"):
+            grad_alignment(rng.uniform(1, 5, (3, 4)), np.zeros(3))
+        with pytest.raises(DimensionError, match="N_B=3"):
+            grad_alignment(rng.uniform(1, 5, (2, 3, 4)), np.zeros(5))
 
 
 class TestSolveFromSurfaces:
@@ -556,7 +561,7 @@ class TestTemplateMatch:
 
 
 def test_run_volume_computes_the_chain_once(monkeypatch):
-    params = (3, 1, 0, (10, 32, 64), 3, 15, 30, {})
+    params = (3, 1, 0, (10, 32, 64), 3, AlignConfig(search_radius=15), 30)
     calls = []
 
     def counted(*args, **kwargs):
@@ -577,6 +582,16 @@ def test_run_volume_computes_the_chain_once(monkeypatch):
         "unsupervised": motion_error(optimize_alignment(cvol, None, cfg), motion)[0],
         "template": motion_error(template_match_align(cvol, cfg), motion)[0],
     }
+
+
+@pytest.mark.parametrize("kwargs", [{"radius": 0}, {"align_overrides": {"max_iters": 0}}])
+def test_bad_align_config_fails_before_any_phantom(monkeypatch, kwargs):
+    def no_phantom(spec):
+        raise AssertionError("a phantom was built")
+
+    monkeypatch.setattr(pipeline, "generate_phantom", no_phantom)
+    with pytest.raises(ValidationError):
+        pipeline.run_pipeline(volumes=1, repeats=1, dims=(8, 32, 96), **kwargs)
 
 
 class TestNccPairedComparison:

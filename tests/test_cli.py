@@ -332,6 +332,18 @@ class TestMalformedInputFuzz:
             assert_one_line_error(*run_quiet(apply_argv(root)))
             assert not (root / "out.bin").exists()
 
+    @pytest.mark.parametrize("spacing", [["3.24", "6.7", "67"], [True, 1, 1]])
+    def test_spacing_of_strings_or_bools_rejected(self, spacing):
+        with input_dir() as root:
+            header, payload = (root / "vol.bin").read_bytes().split(b"\n", 1)
+            fields = {**json.loads(header), "spacing_um": spacing}
+            (root / "vol.bin").write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+            code, lines = run_quiet(apply_argv(root))
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "FormatError" and "spacing_um" in err["message"]
+            assert not (root / "out.bin").exists()
+
     @settings(max_examples=20, deadline=None)
     @given(header=st.one_of(
         st.binary(max_size=40).filter(lambda b: b"\n" not in b),
@@ -396,6 +408,45 @@ class TestTransverseCommand:
         truth = io.read_displacements(tmp_path / "motion.csv")
         assert np.abs(np.diff(truth.transverse)).max() == 29
         assert motion_error(io.read_displacements(tmp_path / "t.csv"), truth)[1] == 0.0
+
+
+class TestSurfacesOnTheVolume:
+    """Every command that reads surfaces checks them against its volume."""
+
+    @pytest.mark.parametrize("argv", [
+        ["align", "--mode", "supervised"],
+        ["transverse", "--radius", 2],
+        ["preprocess", "--crop", "2:7"],
+    ])
+    def test_surfaces_off_the_volume_grid_rejected(self, argv):
+        with input_dir() as root:  # the volume is 3x4 (N_B x N_A)
+            io.write_surfaces(root / "small.csv", SurfaceSet(np.full((1, 2, 3), 4.0)))
+            code, lines = run_quiet([*argv, "--vol", root / "vol.bin", "--surfaces",
+                                     root / "small.csv", "--out", root / "out",
+                                     *(["--out-surfaces", root / "out.csv"]
+                                       if argv[0] == "preprocess" else [])])
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "DimensionError" and "--surfaces" in err["message"]
+            assert "2x3" in err["message"] and "3x4" in err["message"]
+            assert not (root / "out").exists() and not (root / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["align", "--mode", "supervised"],
+        ["transverse", "--radius", 2],
+    ])
+    def test_surface_rows_past_the_volume_rejected(self, argv):
+        with input_dir() as root:  # the volume has 8 rows
+            for rows, name in ((8.0, "last.csv"), (9.0, "deep.csv")):
+                io.write_surfaces(root / name, SurfaceSet(np.full((1, 3, 4), rows)))
+            base = [*argv, "--vol", root / "vol.bin", "--out", root / "out", "--surfaces"]
+            assert run_quiet([*base, root / "last.csv"]) == (0, [])
+            (root / "out").unlink()
+            code, lines = run_quiet([*base, root / "deep.csv"])
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "ValidationError" and "--surfaces" in err["message"]
+            assert not (root / "out").exists()
 
 
 class TestPreprocessCommand:

@@ -126,6 +126,33 @@ BINARY_FILES = {
 }
 
 
+# each binary writer on a tiny input, with the exact bytes it writes
+EXACT_BYTES = {
+    "volume": (
+        lambda p: io.write_volume(p, OctVolume(np.array([[[1.0, 2.0]], [[0.5, -1.0]]]))),
+        b'{"dtype": "f32le", "n_a": 1, "n_b": 2, "n_r": 2, '
+        b'"spacing_um": [3.24, 6.7, 67.0]}\n'
+        + bytes.fromhex("0000803f 00000040 0000003f 000080bf")),
+    "distributions": (
+        lambda p: io.write_distributions(p, np.array([[[[0.25, 0.75]]]])),
+        b'{"dtype": "f64le", "kind": "surface_distribution", '
+        b'"n_a": 1, "n_b": 1, "n_l": 1, "n_r": 2}\n'
+        + bytes.fromhex("000000000000d03f 000000000000e83f")),
+    "labels": (
+        lambda p: io.write_labels(p, LabelMap(np.array([[[0, 1, 1]], [[0, 0, 2]]]), 2)),
+        b'{"dtype": "u8", "kind": "label_map", "n_a": 1, "n_b": 2, "n_r": 3, '
+        b'"n_surfaces": 2}\n'
+        + bytes.fromhex("000101 000002")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BYTES))
+def test_binary_writers_write_exact_bytes(tmp_path, name):
+    write, want = EXACT_BYTES[name]
+    write(tmp_path / "f.bin")
+    assert (tmp_path / "f.bin").read_bytes() == want
+
+
 @pytest.mark.parametrize("name", sorted(BINARY_FILES))
 @pytest.mark.parametrize("change", ["one item short", "one trailing byte", "no payload"])
 def test_payload_size_mismatch_rejected(tmp_path, name, change):
@@ -191,7 +218,7 @@ def test_payload_read_through_a_pipe(tmp_path, name, cut):
     assert not writer.is_alive()
 
 
-@pytest.mark.parametrize("bad", ["x", 3.0, ["a", 1, 1]])
+@pytest.mark.parametrize("bad", ["x", 3.0, ["a", 1, 1], ["3.24", "6.7", "67"], [True, 1, 1]])
 def test_non_numeric_spacing_rejected(tmp_path, bad):
     path = tmp_path / "bad.bin"
     header = {"n_b": 2, "n_a": 2, "n_r": 3, "spacing_um": bad, "dtype": "f32le"}
@@ -325,7 +352,7 @@ def _writers():
         "surfaces": (io, lambda p: io.write_surfaces(p, SurfaceSet(np.full((1, 2, 3), 2.5)))),
         "displacements": (io, lambda p: io.write_displacements(
             p, DisplacementField(np.zeros(3), np.zeros(3)))),
-        "histogram": (metrics, lambda p: metrics.write_histogram_csv(
+        "histogram": (io, lambda p: metrics.write_histogram_csv(
             p, np.array([3, 1]), np.array([0.0, 1.0, 2.0]))),
         "json": (io, lambda p: io.write_json(p, {"a": 1})),
     }

@@ -222,6 +222,9 @@ class TestConnectivityHistogram:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == len(counts) + 1
+        rows = "".join(f"{lo:.17g},{hi:.17g},{int(c)}\n"
+                       for lo, hi, c in zip(edges[:-1], edges[1:], counts))
+        assert path.read_text() == "bin_lo,bin_hi,count\n" + rows
 
 
 class TestMotionError:

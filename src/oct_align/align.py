@@ -292,4 +292,4 @@ def template_match_align(volume: OctVolume, cfg: AlignConfig | None = None) -> D
 def apply_axial_correction(volume: OctVolume, surfaces: SurfaceSet, disp: DisplacementField):
     """Resample the volume by the estimate and subtract it from the surfaces."""
     corrected = resample_axial(volume, disp.axial)
-    return corrected, surfaces.with_positions(surfaces.positions - disp.axial[None, :, None])
+    return corrected, SurfaceSet(surfaces.positions - disp.axial[None, :, None])

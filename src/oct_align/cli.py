@@ -97,11 +97,13 @@ def cmd_apply(args) -> int:
 
 
 def cmd_align(args) -> int:
+    if args.mode == "supervised" and not args.surfaces:
+        raise ConfigError("supervised mode needs --surfaces")
+    if args.mode != "supervised" and args.surfaces:
+        raise ConfigError(f"only --mode supervised reads --surfaces, not --mode {args.mode}")
     vol = io.read_volume(args.vol)
     cfg = AlignConfig(search_radius=args.radius)
     if args.mode == "supervised":
-        if not args.surfaces:
-            raise ConfigError("supervised mode needs --surfaces")
         disp = optimize_alignment(vol, _surfaces_on(args.surfaces, vol, "--surfaces"), cfg)
     elif args.mode == "unsupervised":
         disp = optimize_alignment(vol, None, cfg)
@@ -131,6 +133,8 @@ def _parse_crop(text: str) -> tuple[int, int]:
 
 
 def cmd_preprocess(args) -> int:
+    if args.out_surfaces and not args.surfaces:
+        raise ConfigError("--out-surfaces needs --surfaces, whose preprocessed copy it writes")
     vol = io.read_volume(args.vol)
     surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
     if args.flatten:
@@ -138,7 +142,7 @@ def cmd_preprocess(args) -> int:
     if args.crop:
         vol, surf = crop_rows(vol, surf, _parse_crop(args.crop))
     io.write_volume(args.out, vol)
-    if surf is not None and args.out_surfaces:
+    if args.out_surfaces:
         io.write_surfaces(args.out_surfaces, surf)
     print(args.out)
     return 0

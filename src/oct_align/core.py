@@ -150,8 +150,6 @@ class SurfaceSet:
 
     def require_ordered(self) -> None:
         """Raise SurfaceOrderError naming the first offending (b, a, l)."""
-        if self.n_surfaces < 2:
-            return
         bad = self.positions[1:] < self.positions[:-1]  # (L-1, N_B, N_A)
         if not bad.any():
             return
@@ -161,9 +159,6 @@ class SurfaceSet:
             f"surfaces out of order at b={b + 1}, a={a + 1}: "
             f"surface {l + 1} is below surface {l + 2}"
         )
-
-    def with_positions(self, positions: np.ndarray) -> "SurfaceSet":
-        return SurfaceSet(positions=positions)
 
 
 def as_positions(surfaces) -> np.ndarray:
@@ -223,13 +218,12 @@ class LabelMap:
                 f"labels must lie in [0, {self.n_surfaces}], got range "
                 f"[{lab.min()}, {lab.max()}]"
             )
-        if lab.shape[2] >= 2:
-            drops = np.diff(lab, axis=2) < 0
-            if drops.any():
-                b, a = np.argwhere(drops.any(axis=2))[0]
-                raise LabelMonotoneError(
-                    f"labels decrease along the A-scan at b={b + 1}, a={a + 1}"
-                )
+        drops = np.diff(lab, axis=2) < 0
+        if drops.any():
+            b, a = np.argwhere(drops.any(axis=2))[0]
+            raise LabelMonotoneError(
+                f"labels decrease along the A-scan at b={b + 1}, a={a + 1}"
+            )
         object.__setattr__(self, "labels", _freeze(lab))
         object.__setattr__(self, "n_surfaces", int(self.n_surfaces))
 
@@ -247,9 +241,6 @@ def surfaces_to_labels(surfaces: SurfaceSet, n_rows: int) -> LabelMap:
             f"surface position {pos.max():.3f} exceeds row count {n_rows}"
         )
     rows = np.arange(1, n_rows + 1, dtype=np.float64)
-    if surfaces.n_surfaces == 0:
-        n_b, n_a = pos.shape[1], pos.shape[2]
-        return LabelMap(np.zeros((n_b, n_a, n_rows), dtype=np.int16), n_surfaces=0)
     labels = (pos[..., None] <= rows).sum(axis=0)
     return LabelMap(labels.astype(np.int16), n_surfaces=surfaces.n_surfaces)
 

@@ -215,17 +215,18 @@ def read_surfaces(path) -> SurfaceSet:
     idx = table[:, :3]
     if np.any(idx != np.round(idx)) or idx.min() < 1:
         raise FormatError(f"{path}: surface/b/a indices must be 1-based integers")
-    ls, bs, aa = (idx[:, i].astype(np.int64) - 1 for i in range(3))
-    n_s, n_b, n_a = ls.max() + 1, bs.max() + 1, aa.max() + 1
-    if table.shape[0] != n_s * n_b * n_a:
+    ijk = tuple(idx.astype(np.int64).T - 1)
+    shape = tuple(int(i.max()) + 1 for i in ijk)
+    if table.shape[0] != math.prod(shape):
         raise FormatError(
-            f"{path}: expected a complete {n_s}x{n_b}x{n_a} grid "
-            f"({n_s * n_b * n_a} rows), got {table.shape[0]}"
+            f"{path}: expected a complete {'x'.join(map(str, shape))} grid "
+            f"({math.prod(shape)} rows), got {table.shape[0]}"
         )
-    pos = np.full((n_s, n_b, n_a), np.nan)
-    pos[ls, bs, aa] = table[:, 3]
-    if np.isnan(pos).any():
+    # one row per grid point: a point listed twice leaves another one missing
+    if np.bincount(np.ravel_multi_index(ijk, shape)).max() > 1:
         raise FormatError(f"{path}: duplicate or missing (surface, b, a) entries")
+    pos = np.empty(shape)
+    pos[ijk] = table[:, 3]
     return SurfaceSet(pos)
 
 

@@ -84,28 +84,21 @@ def smoothness_energy(s) -> float:
     surface scores exactly 0.
     """
     pos = as_positions(s)
-    total = 0.0
-    if pos.shape[-2] > 1:
-        db = np.diff(pos, axis=-2)
-        total += float((db * db).sum())
-    if pos.shape[-1] > 1:
-        da = np.diff(pos, axis=-1)
-        total += float((da * da).sum())
-    return total
+    db = np.diff(pos, axis=-2)
+    da = np.diff(pos, axis=-1)
+    return float((db * db).sum()) + float((da * da).sum())
 
 
 def grad_smoothness(s) -> np.ndarray:
     """d(smoothness_energy)/ds; checked by acceptance criteria 4 and 9."""
     pos = as_positions(s)
+    db = np.diff(pos, axis=-2)
+    da = np.diff(pos, axis=-1)
     out = np.zeros_like(pos)
-    if pos.shape[-2] > 1:
-        db = np.diff(pos, axis=-2)
-        out[..., 1:, :] += 2.0 * db
-        out[..., :-1, :] -= 2.0 * db
-    if pos.shape[-1] > 1:
-        da = np.diff(pos, axis=-1)
-        out[..., :, 1:] += 2.0 * da
-        out[..., :, :-1] -= 2.0 * da
+    out[..., 1:, :] += 2.0 * db
+    out[..., :-1, :] -= 2.0 * db
+    out[..., :, 1:] += 2.0 * da
+    out[..., :, :-1] -= 2.0 * da
     return out
 
 
@@ -155,13 +148,8 @@ class LossWeights:
 
 def _gradient_norm_sum(pos2d: np.ndarray) -> float:
     """sum over (b, a) of the unsquared forward-difference gradient norm."""
-    n_b, n_a = pos2d.shape
-    db = np.zeros((n_b, n_a))
-    da = np.zeros((n_b, n_a))
-    if n_b > 1:
-        db[:-1, :] = np.diff(pos2d, axis=0)
-    if n_a > 1:
-        da[:, :-1] = np.diff(pos2d, axis=1)
+    db = np.pad(np.diff(pos2d, axis=0), ((0, 1), (0, 0)))
+    da = np.pad(np.diff(pos2d, axis=1), ((0, 0), (0, 1)))
     return float(np.sqrt(db * db + da * da).sum())
 
 

@@ -63,15 +63,11 @@ def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
         if pp.shape != gg.shape:
             raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
         err = np.abs(pp - gg) * float(dz_um)
-        if m is not None:
-            m = np.asarray(m, dtype=bool)
-            if m.shape != err.shape:
-                raise DimensionError(f"mask {m.shape} does not match surfaces {err.shape}")
-            per_surface.append([float(err[l][m[l]].mean()) for l in range(err.shape[0])])
-            overall.append(float(err[m].mean()))
-        else:
-            per_surface.append(err.mean(axis=(1, 2)).tolist())
-            overall.append(float(err.mean()))
+        m = np.ones(err.shape, dtype=bool) if m is None else np.asarray(m, dtype=bool)
+        if m.shape != err.shape:
+            raise DimensionError(f"mask {m.shape} does not match surfaces {err.shape}")
+        per_surface.append([float(err[l][m[l]].mean()) for l in range(err.shape[0])])
+        overall.append(float(err[m].mean()))
     return _summary(per_surface, overall)
 
 

@@ -22,7 +22,7 @@ def fix_surface_order(surfaces: SurfaceSet) -> SurfaceSet:
     fix twice changes nothing.  Public for the benchmark's ``eval_io``
     workload, which fixes its predictions with it.
     """
-    return surfaces.with_positions(np.sort(surfaces.positions, axis=0))
+    return SurfaceSet(np.sort(surfaces.positions, axis=0))
 
 
 def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
@@ -74,7 +74,7 @@ def crop_rows(volume: OctVolume, surfaces, row_range: tuple[int, int]):
     n_r = volume.n_r
     if not 1 <= lo <= hi <= n_r:
         raise ValidationError(f"crop range {lo}:{hi} outside [1, {n_r}]")
-    if surfaces is not None and surfaces.n_surfaces:
+    if surfaces is not None:
         pos = surfaces.positions
         outside = (pos < lo) | (pos > hi)
         if outside.any():
@@ -89,5 +89,5 @@ def crop_rows(volume: OctVolume, surfaces, row_range: tuple[int, int]):
     cropped = volume.with_data(volume.data[:, :, lo - 1:hi])
     if surfaces is None:
         return cropped, None
-    return cropped, surfaces.with_positions(surfaces.positions - (lo - 1))
+    return cropped, SurfaceSet(surfaces.positions - (lo - 1))
 

@@ -285,7 +285,7 @@ def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
             "corrupted surfaces left the row range; the phantom margins are too "
             "small for this motion amplitude"
         )
-    return volume.with_data(data), surfaces.with_positions(shifted)
+    return volume.with_data(data), SurfaceSet(shifted)
 
 
 def sample_motion(rng, n_b: int) -> MotionSpec:
@@ -293,11 +293,8 @@ def sample_motion(rng, n_b: int) -> MotionSpec:
     and integer transverse shifts within it, constant over 3 to 5 groups."""
     axial = rng.uniform(-MAX_MOTION_PX, MAX_MOTION_PX, n_b)
     n_groups = min(int(rng.integers(3, 6)), n_b)
-    if n_groups > 1:
-        cuts = np.sort(rng.choice(np.arange(1, n_b), size=n_groups - 1, replace=False))
-        starts = (0, *map(int, cuts))
-    else:
-        starts = (0,)
+    cuts = np.sort(rng.choice(np.arange(1, n_b), size=n_groups - 1, replace=False))
+    starts = (0, *map(int, cuts))
     shifts = rng.integers(-int(MAX_MOTION_PX), int(MAX_MOTION_PX) + 1, n_groups)
     transverse = np.empty(n_b, dtype=np.int64)
     edges = list(starts) + [n_b]

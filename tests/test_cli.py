@@ -176,6 +176,16 @@ class TestApplyAndAlign:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
     @pytest.mark.parametrize("mode", ["unsupervised", "template"])
+    def test_only_supervised_reads_surfaces(self, mode):
+        with input_dir() as root:
+            code, lines = run_quiet(["align", "--vol", root / "vol.bin", "--mode", mode,
+                                     "--surfaces", root / "nope.csv", "--out", root / "d.csv"])
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "ConfigError" and "--mode supervised" in err["message"]
+            assert not (root / "d.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["unsupervised", "template"])
     def test_radius_must_be_below_nr(self, phantom_dir, tmp_path, mode):
         # the searches pad each B-scan by a multiple of the radius, so an
         # unbounded one would fail allocating instead of with the JSON line
@@ -448,6 +458,24 @@ class TestSurfacesOnTheVolume:
             assert err["error"] == "ValidationError" and "--surfaces" in err["message"]
             assert not (root / "out").exists()
 
+    @pytest.mark.parametrize("command", ["align", "transverse", "eval"])
+    def test_non_finite_row_is_a_validation_error(self, command):
+        with input_dir() as root:
+            argv = eval_argv(root) if command == "eval" else [
+                command, "--vol", root / "vol.bin", "--surfaces", root / "surf.csv",
+                "--out", root / "out", *(["--mode", "supervised"] if command == "align"
+                                         else ["--radius", 2])]
+            rows = (root / "surf.csv").read_text().splitlines()
+            for r, error in (("nan", "ValidationError"), ("inf", "ValidationError"),
+                             (None, "FormatError")):  # None: a duplicated row
+                bad = list(rows)
+                bad[5] = bad[4] if r is None else bad[5].rsplit(",", 1)[0] + "," + r
+                (root / "surf.csv").write_text("\n".join(bad) + "\n")
+                code, lines = run_quiet(argv)
+                assert_one_line_error(code, lines)
+                assert json.loads(lines[0])["error"] == error
+                assert not (root / "out").exists()
+
 
 class TestPreprocessCommand:
     def test_crop(self, phantom_dir, tmp_path):
@@ -470,6 +498,15 @@ class TestPreprocessCommand:
         assert run(["preprocess", "--vol", phantom_dir / "volume.bin",
                     "--flatten", "--out", out]) == 0
         assert io.read_volume(out).n_r == io.read_volume(phantom_dir / "volume.bin").n_r
+
+    def test_out_surfaces_requires_surfaces(self):
+        with input_dir() as root:
+            code, lines = run_quiet(["preprocess", "--vol", root / "vol.bin", "--crop", "2:7",
+                                     "--out", root / "out.bin", "--out-surfaces", root / "s.csv"])
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "ConfigError" and "--surfaces" in err["message"]
+            assert not (root / "out.bin").exists() and not (root / "s.csv").exists()
 
     def test_bad_crop_spec(self, phantom_dir, tmp_path, capsys):
         code = run(["preprocess", "--vol", phantom_dir / "volume.bin",

@@ -63,9 +63,9 @@ class TestSurfaceSet:
         with pytest.raises(SurfaceOrderError, match=r"b=1, a=1.*surface 1"):
             s.require_ordered()
 
-    def test_equal_positions_are_ordered(self):
-        pos = np.stack([np.full((2, 2), 5.0), np.full((2, 2), 5.0)])
-        SurfaceSet(pos).require_ordered()
+    @pytest.mark.parametrize("n_surfaces", [0, 1, 2])
+    def test_equal_positions_are_ordered(self, n_surfaces):
+        assert SurfaceSet(np.full((n_surfaces, 2, 2), 5.0)).require_ordered() is None
 
 
 class TestSurfaceDistribution:
@@ -105,6 +105,11 @@ class TestLabelMap:
         with pytest.raises(LabelMonotoneError, match="b=2, a=1"):
             LabelMap(lab, n_surfaces=1)
 
+    def test_single_row_accepted(self):
+        lab = np.array([[[0], [1]], [[2], [2]]])
+        m = LabelMap(lab, n_surfaces=2)
+        assert m.labels.dtype == np.int16 and np.array_equal(m.labels, lab)
+
     def test_out_of_range_rejected(self):
         lab = np.full((2, 2, 4), 3, dtype=np.int16)
         with pytest.raises(ValidationError):
@@ -119,11 +124,13 @@ class TestSurfacesToLabels:
         assert (m.labels[..., :4] == 0).all()
         assert (m.labels[..., 4:] == 1).all()
 
-    def test_no_surfaces_all_zero(self):
+    @pytest.mark.parametrize("n_rows", [1, 8])
+    def test_no_surfaces_all_zero(self, n_rows):
         s = SurfaceSet(np.zeros((0, 2, 3)))
-        m = surfaces_to_labels(s, 8)
+        m = surfaces_to_labels(s, n_rows)
         assert m.n_surfaces == 0
-        assert (m.labels == 0).all()
+        assert m.labels.dtype == np.int16
+        assert np.array_equal(m.labels, np.zeros((2, 3, n_rows)))
 
     def test_unordered_input_rejected(self):
         pos = np.stack([np.full((2, 2), 6.0), np.full((2, 2), 4.0)])

@@ -73,6 +73,24 @@ class TestSurfaceCsv:
         with pytest.raises(FormatError, match="complete"):
             io.read_surfaces(path)
 
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("surface,b,a,r\n2,1,2,8.5\n1,1,1,5.0\n2,1,1,7.0\n1,1,2,6.0\n")
+        assert io.read_surfaces(path).positions.tolist() == [[[5.0, 6.0]], [[7.0, 8.5]]]
+
+    def test_duplicate_row_is_a_format_error(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("surface,b,a,r\n1,1,1,5.0\n1,1,1,5.0\n1,1,2,6.0\n1,2,1,7.0\n")
+        with pytest.raises(FormatError, match="duplicate or missing"):
+            io.read_surfaces(path)
+
+    @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+    def test_non_finite_row_is_a_validation_error(self, tmp_path, r):
+        path = tmp_path / "s.csv"
+        path.write_text(f"surface,b,a,r\n1,1,1,5.0\n1,1,2,{r}\n")
+        with pytest.raises(ValidationError, match="finite"):
+            io.read_surfaces(path)
+
 
 class TestDisplacementCsv:
     def test_round_trip(self, tmp_path, rng):

@@ -146,6 +146,19 @@ class TestSmoothnessEnergy:
                     expect += (s[b, a + 1] - s[b, a]) ** 2
         assert np.isclose(smoothness_energy(s), expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_one_b_scan_or_one_a_scan(self, axis):
+        # one line per surface; the second holds an inf, whose differences
+        # are +-inf, so its energy and weight denominator are inf
+        lines = np.array([[1.0, 3.0, 4.0, 8.0], [2.0, 2.0, np.inf, 5.0]])
+        pos = np.expand_dims(lines, axis)  # (2, 1, 4) or (2, 4, 1)
+        assert smoothness_energy(pos[0]) == 21.0  # 2^2 + 1^2 + 4^2
+        assert smoothness_energy(pos) == np.inf
+        want = np.array([[-4.0, 2.0, -6.0, 8.0], [0.0, -np.inf, np.inf, -np.inf]])
+        assert np.array_equal(grad_smoothness(pos), np.expand_dims(want, axis))
+        # gradient-norm sums 2 + 1 + 4 and inf
+        assert smoothness_weights(pos, 0.7).lambda_l.tolist() == [0.7 / 7.0, 0.0]
+
     def test_invariant_to_constant_shift_and_positive_otherwise(self, rng):
         s = rng.uniform(1, 9, size=(4, 4))
         assert np.isclose(smoothness_energy(s), smoothness_energy(s + 11.5), rtol=1e-12)

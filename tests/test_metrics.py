@@ -49,6 +49,14 @@ class TestMeanAbsDistance:
         out = mean_abs_distance(surfaces(pred), surfaces(pos), dz_um=1.0, masks=mask)
         assert out["overall"]["mean_um"] == 0.0
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 7), (3, 5, 1), (3, 49, 256)])
+    def test_all_true_mask_equals_no_mask(self, rng, shape):
+        preds = [surfaces(rng.uniform(5, 30, size=shape)) for _ in range(2)]
+        gts = [surfaces(rng.uniform(5, 30, size=shape)) for _ in range(2)]
+        masks = [np.ones(shape, dtype=bool)] * 2
+        assert (mean_abs_distance(preds, gts, dz_um=3.24, masks=masks)
+                == mean_abs_distance(preds, gts, dz_um=3.24))
+
     def test_shape_mismatch(self, rng):
         a = surfaces(rng.uniform(5, 10, size=(1, 2, 3)))
         b = surfaces(rng.uniform(5, 10, size=(2, 2, 3)))

@@ -173,12 +173,14 @@ class TestCropRows:
         assert np.array_equal(v2.data, vol.data)
         assert np.array_equal(s2.positions, surf.positions)
 
-    def test_rebasing(self):
+    @pytest.mark.parametrize("n_surfaces", [0, 1])
+    def test_rebasing(self, n_surfaces):
         data = np.zeros((2, 3, 12))
         vol = OctVolume(data)
-        surf = SurfaceSet(np.full((1, 2, 3), 5.0))
+        surf = SurfaceSet(np.full((n_surfaces, 2, 3), 5.0))
         v2, s2 = crop_rows(vol, surf, (3, 10))
         assert v2.n_r == 8
+        assert s2.positions.shape == (n_surfaces, 2, 3)
         assert (s2.positions == 3.0).all()
 
     def test_surface_outside_crop_rejected(self):

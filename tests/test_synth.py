@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oct_align.core import DisplacementField, surfaces_to_labels
+from oct_align.core import DisplacementField, SurfaceSet, surfaces_to_labels
 from oct_align.errors import DimensionError, ValidationError
 from oct_align.resample import resample_axial
 from oct_align.synth import (
@@ -23,7 +23,7 @@ def invert_motion(volume, surfaces, motion):
     data = resample_axial(data, motion.axial)
     pos = surfaces.positions - motion.axial[None, :, None]
     unrolled = shift_surfaces_transverse(pos, -motion.transverse)
-    return volume.with_data(data), surfaces.with_positions(unrolled)
+    return volume.with_data(data), SurfaceSet(unrolled)
 
 
 class TestPhantomSpec:
@@ -114,6 +114,17 @@ class TestMotionSpec:
             assert np.abs(m.axial).max() <= 15.0
             assert np.abs(m.transverse).max() <= 15
             assert 3 <= len(m.group_boundaries) <= 5
+
+    @pytest.mark.parametrize("n_b", [1, 2])
+    def test_protocol_sampler_on_one_or_two_b_scans(self, n_b):
+        m = sample_motion(np.random.default_rng(5), n_b=n_b)
+        # 3 to 5 groups, capped at N_B: one group per B-scan
+        assert m.group_boundaries == tuple(range(n_b))
+        rng = np.random.default_rng(5)
+        assert np.array_equal(m.axial, rng.uniform(-15.0, 15.0, n_b))
+        if n_b == 1:  # no cut is drawn: the shift is the draw after the group count
+            rng.integers(3, 6)
+            assert np.array_equal(m.transverse, rng.integers(-15, 16, 1))
 
     def test_group_constancy_enforced(self):
         with pytest.raises(ValidationError):

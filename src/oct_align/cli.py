@@ -64,25 +64,30 @@ def _surfaces_on(path, vol, flag: str):
 
 
 def cmd_phantom(args) -> int:
+    """Write the phantom, and with ``--corrupt`` its corrupted copy; every
+    array is computed before the first file is written."""
+    if args.spec and args.seed is not None:
+        raise ConfigError("--seed is for runs without --spec; set the spec's \"seed\" key")
+    if args.motion_seed is not None and not args.corrupt:
+        raise ConfigError("only --corrupt reads --motion-seed")
     if args.spec:
         defaults = {f.name: f.default for f in dataclasses.fields(PhantomSpec)}
         spec = PhantomSpec(**_json_fields(args.spec, "phantom spec", defaults))
     else:
-        spec = PhantomSpec(seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        spec = PhantomSpec(seed=args.seed or 0)
     vol, surf = generate_phantom(spec)
-    io.write_volume(out / "volume.bin", vol)
-    io.write_surfaces(out / "surfaces.csv", surf)
-    written = ["volume.bin", "surfaces.csv"]
+    files = {"volume.bin": (io.write_volume, vol), "surfaces.csv": (io.write_surfaces, surf)}
     if args.corrupt:
         mseed = args.motion_seed if args.motion_seed is not None else spec.seed + 1
         cvol, csurf, motion = simulate_motion(vol, surf, seed=mseed)
-        io.write_volume(out / "volume_corrupt.bin", cvol)
-        io.write_surfaces(out / "surfaces_corrupt.csv", csurf)
-        io.write_displacements(out / "motion.csv", motion)
-        written += ["volume_corrupt.bin", "surfaces_corrupt.csv", "motion.csv"]
-    print(json.dumps({"out": str(out), "files": written}))
+        files.update({"volume_corrupt.bin": (io.write_volume, cvol),
+                      "surfaces_corrupt.csv": (io.write_surfaces, csurf),
+                      "motion.csv": (io.write_displacements, motion)})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (write, obj) in files.items():
+        write(out / name, obj)
+    print(json.dumps({"out": str(out), "files": list(files)}))
     return 0
 
 
@@ -198,12 +203,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    report, timings = run_pipeline(
-        seed=args.seed, volumes=args.volumes, repeats=args.repeats,
-        dims=(args.nb, args.na, args.nr), n_layers=args.layers,
-        radius=args.radius, transverse_radius=args.transverse_radius,
-        jobs=args.jobs,
-    )
+    report, timings = run_pipeline(seed=args.seed, volumes=args.volumes, repeats=args.repeats,
+                                   dims=(args.nb, args.na, args.nr), jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
@@ -221,9 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phantom", help="generate a synthetic volume (optionally corrupted)")
     sp.add_argument("--spec", help="phantom spec JSON; defaults apply when omitted")
-    sp.add_argument("--seed", type=int, default=0, help="seed used when --spec is omitted")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="phantom seed (default 0); only without --spec")
     sp.add_argument("--corrupt", action="store_true", help="also write a motion-corrupted copy")
-    sp.add_argument("--motion-seed", type=int, default=None)
+    sp.add_argument("--motion-seed", type=int, default=None,
+                    help="motion seed (default: the phantom seed + 1); only with --corrupt")
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_phantom)
 
@@ -285,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nb", type=int, default=24)
     sp.add_argument("--na", type=int, default=64)
     sp.add_argument("--nr", type=int, default=96)
-    sp.add_argument("--layers", type=int, default=3)
-    sp.add_argument("--radius", type=int, default=SEARCH_RADIUS)
-    sp.add_argument("--transverse-radius", type=int, default=TRANSVERSE_RADIUS)
     sp.add_argument("--jobs", type=int, default=1, help="parallel volume workers")
     sp.add_argument("--out", required=True, help="directory for report.json")
     sp.set_defaults(func=cmd_pipeline)

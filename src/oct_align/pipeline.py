@@ -18,13 +18,7 @@ import time
 
 import numpy as np
 
-from .align import (
-    SEARCH_RADIUS,
-    AlignConfig,
-    _chain_estimates,
-    apply_axial_correction,
-    optimize_alignment,
-)
+from .align import AlignConfig, _chain_estimates, apply_axial_correction, optimize_alignment
 from .errors import ConfigError
 from .metrics import adjacent_ncc, motion_error
 from .synth import PhantomSpec, generate_phantom, simulate_motion
@@ -50,13 +44,10 @@ def motion_seed(seed: int, index: int, repeat: int) -> int:
 def run_volume(params: tuple) -> dict:
     """One phantom/corruption work item; top-level so process pools can pickle it.
     ``params`` is ``run_pipeline``'s tuple (seed, phantom index, repeat,
-    dims, n_layers, AlignConfig, transverse radius)."""
-    seed, index, repeat, dims, n_layers, cfg, t_radius = params
+    dims, AlignConfig)."""
+    seed, index, repeat, dims, cfg = params
     t = {}
-    spec = PhantomSpec(
-        n_b=dims[0], n_a=dims[1], n_r=dims[2], n_layers=n_layers,
-        seed=phantom_seed(seed, index),
-    )
+    spec = PhantomSpec(n_b=dims[0], n_a=dims[1], n_r=dims[2], seed=phantom_seed(seed, index))
     vol, surf = generate_phantom(spec)
     cvol, csurf, motion = simulate_motion(vol, surf, seed=motion_seed(seed, index, repeat))
 
@@ -76,8 +67,8 @@ def run_volume(params: tuple) -> dict:
 
     v_ax, s_ax = apply_axial_correction(cvol, csurf, d_sup)
     t0 = time.perf_counter()
-    t_masked = align_transverse(v_ax, s_ax, radius=t_radius, layer_mask=True)
-    t_nolayer = align_transverse(v_ax, s_ax, radius=t_radius, layer_mask=False)
+    t_masked = align_transverse(v_ax, s_ax, layer_mask=True)
+    t_nolayer = align_transverse(v_ax, s_ax, layer_mask=False)
     t["transverse_align_s"] = time.perf_counter() - t0
     tr_masked = motion_error(t_masked, motion)[1]
     tr_nolayer = motion_error(t_nolayer, motion)[1]
@@ -108,29 +99,32 @@ def _mean_std(values) -> dict:
 
 
 def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
-                 dims: tuple[int, int, int] = (24, 64, 96), n_layers: int = 3,
-                 radius: int = SEARCH_RADIUS, transverse_radius: int = TRANSVERSE_RADIUS,
-                 jobs: int = 1, align_overrides: dict | None = None):
+                 dims: tuple[int, int, int] = (24, 64, 96), jobs: int = 1,
+                 align_overrides: dict | None = None):
     """Run the synthetic suite; returns (report, timings).
 
-    ``radius`` bounds the per-B-scan axial search (the simulated motion
-    amplitude) and ``transverse_radius`` the pairwise column search
-    (``transverse.TRANSVERSE_RADIUS``).  The report is a pure function of the
-    arguments (timings are returned separately so the report stays
-    byte-stable across runs).  The process pool is imported only when
+    The protocol's motion amplitude fixes both searches: the axial one at
+    ``AlignConfig``'s default radius (``align_overrides`` may change it) and
+    the transverse one at ``TRANSVERSE_RADIUS``.  The report is a pure
+    function of the arguments (timings are returned separately so the report
+    stays byte-stable across runs).  The process pool is imported only when
     ``jobs > 1`` so that a serial run, and every other command, starts
     without loading ``concurrent.futures.process`` and ``multiprocessing``.
     """
     for name, value in (("volumes", volumes), ("repeats", repeats), ("jobs", jobs)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     # a bad config or radius fails here, before any phantom is built or
-    # worker started; each item's chain would reject the radius only later
-    cfg = AlignConfig(search_radius=radius, **(align_overrides or {}))
-    if radius >= dims[2]:
-        raise ConfigError(f"search radius {radius} must be below N_R={dims[2]}")
-    work = [(seed, i, j, tuple(dims), n_layers, cfg, transverse_radius)
-            for i in range(volumes) for j in range(repeats)]
+    # worker started; each item's searches would reject the radius only later
+    cfg = AlignConfig(**(align_overrides or {}))
+    if cfg.search_radius >= dims[2]:
+        raise ConfigError(f"search radius {cfg.search_radius} must be below N_R={dims[2]}")
+    if dims[1] <= TRANSVERSE_RADIUS:
+        raise ConfigError(f"N_A={dims[1]} must exceed the transverse search radius "
+                          f"{TRANSVERSE_RADIUS}")
+    work = [(seed, i, j, tuple(dims), cfg) for i in range(volumes) for j in range(repeats)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -168,9 +162,9 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
         "repeats": repeats,
         "total_corrupted_volumes": volumes * repeats,
         "dims": {"n_b": dims[0], "n_a": dims[1], "n_r": dims[2]},
-        "n_layers": n_layers,
-        "search_radius_px": radius,
-        "transverse_search_radius_px": transverse_radius,
+        "n_layers": PhantomSpec.n_layers,
+        "search_radius_px": cfg.search_radius,
+        "transverse_search_radius_px": TRANSVERSE_RADIUS,
         **recovery,
         "ncc_adjacent": {
             "before_mean": float(np.mean(column("ncc_adjacent", "before"))),

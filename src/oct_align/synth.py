@@ -25,8 +25,20 @@ from .core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
 from .errors import DimensionError, ValidationError
 from .resample import resample_axial
 
-_DEFAULT_BAND_INTENSITY = (0.82, 0.38, 0.66, 0.48, 0.74, 0.30)
 MAX_MOTION_PX = 15.0
+
+# The phantom's anatomy: fixed, since the paper's synthetic protocol is the
+# only experiment run on it.
+BAND_INTENSITY = (0.82, 0.38, 0.66, 0.48, 0.74, 0.30)  # cycled over the bands
+BACKGROUND_INTENSITY = 0.06
+THICKNESS_WOBBLE = 0.15  # a band's thickness varies by up to this fraction
+BUMP_AMPLITUDE_PX = 2.5  # |low-frequency relief| of the inner surface
+BUMP_COUNT = 3  # cosines summed per smooth field
+BUMP_MAX_CYCLES = 2  # their highest frequency across the volume, on each axis
+FOVEA_DEPTH_PX = 6.0
+FOVEA_WIDTH_FRAC = 0.12  # Gaussian width as a fraction of N_A and of N_B
+VESSEL_WIDTH_PX = 2
+VESSEL_ATTENUATION = 0.45  # the shadowed tissue keeps this share of its intensity
 
 
 @dataclass(frozen=True)
@@ -34,30 +46,19 @@ class PhantomSpec:
     """Parameters of the synthetic volume.
 
     ``n_layers`` counts tissue bands; the phantom has n_layers + 1 boundary
-    surfaces.  Empty ``band_intensity`` / ``band_thickness_px`` pick
-    defaults (cycled intensities; an even split of ~42% of the rows).
+    surfaces.  The bands split ~42% of the rows evenly and take the
+    ``BAND_INTENSITY`` levels in turn.
     """
 
     n_b: int = 24
     n_a: int = 64
     n_r: int = 96
     n_layers: int = 3
-    band_intensity: tuple[float, ...] = ()
-    band_thickness_px: tuple[float, ...] = ()
-    thickness_wobble: float = 0.15
     top_margin_frac: float = 0.28
-    bump_amplitude_px: float = 2.5
-    bump_count: int = 3
-    bump_max_cycles: int = 2
-    fovea_depth_px: float = 6.0
-    fovea_width_frac: float = 0.12
     vessel_count: int = 8
-    vessel_width_px: int = 2
     vessel_drift_px: float = 2.0
-    vessel_attenuation: float = 0.45
     speckle_sigma: float = 0.10
     noise_sigma: float = 0.03
-    background_intensity: float = 0.06
     spacing_um: tuple[float, float, float] = (3.24, 6.7, 67.0)
     seed: int = 0
 
@@ -69,44 +70,29 @@ class PhantomSpec:
                                   f"{(self.n_b, self.n_a, self.n_r)}")
         if self.n_layers < 1:
             raise ValidationError("need at least one tissue band")
+        for name in ("vessel_count", "vessel_drift_px", "speckle_sigma", "noise_sigma",
+                     "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         th = self.thicknesses()
-        if any(t <= 0 for t in th):
-            raise ValidationError("band thicknesses must be positive")
-        if not 0 <= self.thickness_wobble < 1:
-            raise ValidationError("thickness_wobble must lie in [0, 1)")
         top = self.top_margin_frac * self.n_r
-        slack = self.bump_amplitude_px + self.fovea_depth_px + 1.0
-        if top - self.bump_amplitude_px < 1.0:
+        slack = BUMP_AMPLITUDE_PX + FOVEA_DEPTH_PX + 1.0
+        if top - BUMP_AMPLITUDE_PX < 1.0:
             raise ValidationError("top margin too small for the bump amplitude")
-        stack_bottom = top + sum(th) * (1.0 + self.thickness_wobble) + slack
+        stack_bottom = top + sum(th) * (1.0 + THICKNESS_WOBBLE) + slack
         if stack_bottom > self.n_r:
             raise ValidationError(
                 f"expected layer stack bottom {stack_bottom:.1f} exceeds R={self.n_r}"
             )
-        min_gap = min(th) * (1.0 - self.thickness_wobble)
-        if self.n_layers > 1 and self.fovea_depth_px / self.n_layers >= min_gap:
+        min_gap = min(th) * (1.0 - THICKNESS_WOBBLE)
+        if self.n_layers > 1 and FOVEA_DEPTH_PX / self.n_layers >= min_gap:
             raise ValidationError("foveal dip too deep for the thinnest band")
-        if not 0 < self.vessel_attenuation <= 1:
-            raise ValidationError("vessel_attenuation must lie in (0, 1]")
 
     def thicknesses(self) -> tuple[float, ...]:
-        if self.band_thickness_px:
-            if len(self.band_thickness_px) != self.n_layers:
-                raise ValidationError(
-                    f"{len(self.band_thickness_px)} thicknesses for {self.n_layers} bands"
-                )
-            return tuple(float(t) for t in self.band_thickness_px)
         return tuple([0.42 * self.n_r / self.n_layers] * self.n_layers)
 
     def intensities(self) -> tuple[float, ...]:
-        if self.band_intensity:
-            if len(self.band_intensity) != self.n_layers:
-                raise ValidationError(
-                    f"{len(self.band_intensity)} intensities for {self.n_layers} bands"
-                )
-            return tuple(float(v) for v in self.band_intensity)
-        cyc = _DEFAULT_BAND_INTENSITY
-        return tuple(cyc[i % len(cyc)] for i in range(self.n_layers))
+        return tuple(BAND_INTENSITY[i % len(BAND_INTENSITY)] for i in range(self.n_layers))
 
 
 @dataclass(frozen=True)
@@ -146,19 +132,17 @@ class MotionSpec(DisplacementField):
         return DisplacementField(axial=self.axial, transverse=self.transverse)
 
 
-def _smooth_field(rng, n_b, n_a, count, max_cycles, amplitude):
-    """Sum of `count` separable low-frequency cosines with |field| <= amplitude."""
+def _smooth_field(rng, n_b, n_a, amplitude):
+    """Sum of BUMP_COUNT separable low-frequency cosines with |field| <= amplitude."""
     bb = np.arange(n_b, dtype=np.float64)[:, None]
     aa = np.arange(n_a, dtype=np.float64)[None, :]
     field = np.zeros((n_b, n_a))
-    if count < 1 or amplitude == 0.0:
-        return field
-    coeffs = rng.uniform(0.5, 1.0, count)
+    coeffs = rng.uniform(0.5, 1.0, BUMP_COUNT)
     coeffs *= amplitude / coeffs.sum()
-    coeffs *= rng.choice([-1.0, 1.0], count)
+    coeffs *= rng.choice([-1.0, 1.0], BUMP_COUNT)
     for c in coeffs:
-        fb = rng.integers(1, max_cycles + 1)
-        fa = rng.integers(1, max_cycles + 1)
+        fb = rng.integers(1, BUMP_MAX_CYCLES + 1)
+        fa = rng.integers(1, BUMP_MAX_CYCLES + 1)
         pb, pa = rng.uniform(0.0, 2.0 * np.pi, 2)
         field += c * np.cos(2 * np.pi * fb * bb / n_b + pb) * np.cos(
             2 * np.pi * fa * aa / n_a + pa
@@ -173,22 +157,20 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
     n_surf = spec.n_layers + 1
 
     surf = np.empty((n_surf, n_b, n_a))
-    surf[0] = spec.top_margin_frac * n_r + _smooth_field(
-        rng, n_b, n_a, spec.bump_count, spec.bump_max_cycles, spec.bump_amplitude_px
-    )
+    surf[0] = spec.top_margin_frac * n_r + _smooth_field(rng, n_b, n_a, BUMP_AMPLITUDE_PX)
     for k, thick in enumerate(spec.thicknesses()):
-        wobble = _smooth_field(rng, n_b, n_a, spec.bump_count, spec.bump_max_cycles, 1.0)
+        wobble = _smooth_field(rng, n_b, n_a, 1.0)
         peak = np.abs(wobble).max()
         if peak > 0:
             wobble /= peak
-        surf[k + 1] = surf[k] + thick * (1.0 + spec.thickness_wobble * wobble)
+        surf[k + 1] = surf[k] + thick * (1.0 + THICKNESS_WOBBLE * wobble)
 
     # foveal dip: strongest on the inner surface, vanishing at the outermost
     bb = np.arange(n_b, dtype=np.float64)[:, None]
     aa = np.arange(n_a, dtype=np.float64)[None, :]
-    wa = max(spec.fovea_width_frac * n_a, 1.0)
-    wb = max(spec.fovea_width_frac * n_b, 1.0)
-    dip = spec.fovea_depth_px * np.exp(
+    wa = max(FOVEA_WIDTH_FRAC * n_a, 1.0)
+    wb = max(FOVEA_WIDTH_FRAC * n_b, 1.0)
+    dip = FOVEA_DEPTH_PX * np.exp(
         -0.5 * (((aa - (n_a - 1) / 2.0) / wa) ** 2 + ((bb - (n_b - 1) / 2.0) / wb) ** 2)
     )
     for l in range(n_surf):
@@ -202,9 +184,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
     surfaces = SurfaceSet(surf)
     surfaces.require_ordered()
 
-    lut = np.array(
-        [spec.background_intensity, *spec.intensities(), spec.background_intensity]
-    )
+    lut = np.array([BACKGROUND_INTENSITY, *spec.intensities(), BACKGROUND_INTENSITY])
     labels = surfaces_to_labels(surfaces, n_r)
     img = lut[labels.labels]
 
@@ -216,12 +196,11 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
         # vessel would be smeared across replicate-filled columns by the
         # motion roll).
         shadow = np.zeros((n_b, n_a))
-        width = max(int(spec.vessel_width_px), 1)
         margin = int(np.ceil(spec.vessel_drift_px)) + 2
         b_axis = np.arange(n_b, dtype=np.float64)
         cols = np.arange(n_a, dtype=np.float64)
         lo_bound = margin
-        hi_bound = max(n_a - width - margin, lo_bound + 1)
+        hi_bound = max(n_a - VESSEL_WIDTH_PX - margin, lo_bound + 1)
         for _ in range(spec.vessel_count):
             a0 = float(rng.uniform(lo_bound, hi_bound))
             cycles = float(rng.uniform(0.5, 1.5))
@@ -230,14 +209,14 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
                 2.0 * np.pi * cycles * b_axis / n_b + phase
             )
             start = a0 + drift  # (n_b,)
-            # per-column overlap of [c, c+1) with [start, start+width)
+            # per-column overlap of [c, c+1) with [start, start + VESSEL_WIDTH_PX)
             cover = np.clip(
-                np.minimum(cols[None, :] + 1.0, start[:, None] + width)
+                np.minimum(cols[None, :] + 1.0, start[:, None] + VESSEL_WIDTH_PX)
                 - np.maximum(cols[None, :], start[:, None]),
                 0.0, 1.0,
             )
             shadow = np.maximum(shadow, cover)
-        attn = 1.0 - (1.0 - spec.vessel_attenuation) * shadow
+        attn = 1.0 - (1.0 - VESSEL_ATTENUATION) * shadow
         img = img * np.where(labels.labels > 0, attn[..., None], 1.0)
 
     if spec.speckle_sigma > 0:
@@ -305,6 +284,8 @@ def sample_motion(rng, n_b: int) -> MotionSpec:
 
 def simulate_motion(volume: OctVolume, surfaces: SurfaceSet, seed: int):
     """Sample protocol motion and corrupt the inputs; returns the truth too."""
+    if seed < 0:
+        raise ValidationError(f"motion seed must be >= 0, got {seed}")
     motion = sample_motion(np.random.default_rng(seed), volume.n_b)
     corrupt_vol, corrupt_surf = apply_motion(volume, surfaces, motion)
     return corrupt_vol, corrupt_surf, motion

@@ -13,7 +13,7 @@ def suite():
     """The full synthetic recovery suite: 20 phantoms x 5 corruptions.
 
     Shared by the acceptance criteria and the paired method comparisons;
-    takes a couple of minutes, so it runs once per session.
+    takes about 3 s on 2 cores, and runs once per session.
     """
     report, timings = run_pipeline(seed=SUITE_SEED, volumes=SUITE_VOLUMES,
                                    repeats=SUITE_REPEATS)

@@ -19,7 +19,7 @@ from oct_align.align import (
     template_match_align,
 )
 from oct_align.core import OctVolume, SurfaceSet, search_order
-from oct_align.errors import DimensionError, ValidationError
+from oct_align.errors import ConfigError, DimensionError, ValidationError
 from oct_align.losses import grad_alignment
 from oct_align.metrics import motion_error
 from oct_align.resample import _interp_rows
@@ -561,7 +561,7 @@ class TestTemplateMatch:
 
 
 def test_run_volume_computes_the_chain_once(monkeypatch):
-    params = (3, 1, 0, (10, 32, 64), 3, AlignConfig(search_radius=15), 30)
+    params = (3, 1, 0, (10, 32, 64), AlignConfig(search_radius=15))
     calls = []
 
     def counted(*args, **kwargs):
@@ -584,14 +584,18 @@ def test_run_volume_computes_the_chain_once(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("kwargs", [{"radius": 0}, {"align_overrides": {"max_iters": 0}}])
-def test_bad_align_config_fails_before_any_phantom(monkeypatch, kwargs):
+@pytest.mark.parametrize("kwargs, error", [
+    ({"align_overrides": {"search_radius": 0}}, ValidationError),
+    ({"align_overrides": {"max_iters": 0}}, ValidationError),
+    ({"dims": (8, 20, 96)}, ConfigError),  # N_A within the 30-column transverse search
+])
+def test_bad_align_config_fails_before_any_phantom(monkeypatch, kwargs, error):
     def no_phantom(spec):
         raise AssertionError("a phantom was built")
 
     monkeypatch.setattr(pipeline, "generate_phantom", no_phantom)
-    with pytest.raises(ValidationError):
-        pipeline.run_pipeline(volumes=1, repeats=1, dims=(8, 32, 96), **kwargs)
+    with pytest.raises(error):
+        pipeline.run_pipeline(**{"volumes": 1, "repeats": 1, "dims": (8, 32, 96), **kwargs})
 
 
 class TestNccPairedComparison:

@@ -1,6 +1,5 @@
 import concurrent.futures
 import contextlib
-import inspect
 import io as text_io
 import json
 import shutil
@@ -49,7 +48,7 @@ class TestPhantomCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("text", ['{"n_b": "x"}', '{"band_intensity": 3}', '[8]'])
+    @pytest.mark.parametrize("text", ['{"n_b": "x"}', '{"spacing_um": 3}', '[8]'])
     def test_spec_file_with_bad_values_fails(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
@@ -60,11 +59,11 @@ class TestPhantomCommand:
         assert json.loads(lines[0])["error"] == "ConfigError"
 
     @pytest.mark.parametrize("key, value", [
-        ("n_b", 24.5), ("n_b", True), ("seed", "x"), ("bump_count", None),  # int fields
+        ("n_b", 24.5), ("n_b", True), ("seed", "x"), ("vessel_count", None),  # int fields
         ("noise_sigma", "0.1"), ("noise_sigma", False), ("speckle_sigma", None),  # float
         ("noise_sigma", float("nan")), ("noise_sigma", 10**400),
-        ("band_intensity", [0.5, "a", 0.3]), ("spacing_um", "abc"),  # tuple fields
-        ("band_intensity", [0.5, True, 0.3]), ("spacing_um", {"x": 1.0}),
+        ("spacing_um", [0.5, "a", 0.3]), ("spacing_um", "abc"),  # tuple fields
+        ("spacing_um", [0.5, True, 0.3]), ("spacing_um", {"x": 1.0}),
     ])
     def test_spec_value_of_the_wrong_kind_names_its_key(self, tmp_path, key, value):
         spec = tmp_path / "spec.json"
@@ -73,6 +72,39 @@ class TestPhantomCommand:
         assert_one_line_error(code, lines)
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError" and repr(key) in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("band_intensity", [0.82, 0.38, 0.66]), ("band_thickness_px", [13.4, 13.4, 13.4]),
+        ("thickness_wobble", 0.15), ("bump_amplitude_px", 2.5), ("bump_count", 3),
+        ("bump_max_cycles", 0), ("fovea_depth_px", 6.0), ("fovea_width_frac", 0.12),
+        ("vessel_width_px", 2), ("vessel_attenuation", 0.45), ("background_intensity", 0.06),
+    ])
+    def test_spec_keys_of_the_fixed_anatomy_are_unknown(self, tmp_path, key, value):
+        # these are synth module constants, not PhantomSpec fields
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: value}))
+        code, lines = run_quiet(["phantom", "--spec", spec, "--out", tmp_path / "o"])
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and repr(key) in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, spec, error, word", [
+        (["--seed", -1], None, "ValidationError", "seed"),
+        ([], {"seed": -1}, "ValidationError", "seed"),
+        (["--corrupt", "--motion-seed", -5], None, "ValidationError", "seed"),
+        (["--seed", 3], {"seed": 3}, "ConfigError", "--seed"),  # ignored with --spec
+        (["--motion-seed", 5], None, "ConfigError", "--motion-seed"),  # ignored without --corrupt
+    ])
+    def test_refused_before_writing(self, tmp_path, argv, spec, error, word):
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv = argv + ["--spec", tmp_path / "spec.json"]
+        code, lines = run_quiet(["phantom", *argv, "--out", tmp_path / "o"])
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == error and word in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_spec_too_large_for_one_volume_fails_before_allocating(self, tmp_path):
@@ -96,7 +128,7 @@ class TestPhantomCommand:
     def test_spec_numbers_of_either_json_kind_fill_float_fields(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_b": 4, "n_a": 16, "n_r": 48, "noise_sigma": 0,
-                                    "band_intensity": [1, 0.5, 0.75]}))
+                                    "spacing_um": [3, 6.7, 67]}))
         assert run(["phantom", "--spec", spec, "--out", tmp_path / "o"]) == 0
 
     def test_spec_file_round_trip(self, tmp_path):
@@ -742,11 +774,25 @@ class TestPipelineCommand:
         assert not (tmp_path / "report.json").exists()
 
     def test_radius_must_be_below_nr(self, tmp_path):
-        code, lines = run_quiet(["pipeline", "--radius", 96, "--nr", 96, "--volumes", 1,
+        # the axial search spans the protocol's 15 px motion
+        code, lines = run_quiet(["pipeline", "--nr", 15, "--volumes", 1,
                                  "--repeats", 1, "--out", tmp_path])
         assert_one_line_error(code, lines)
         assert json.loads(lines[0])["error"] == "ConfigError"
         assert not (tmp_path / "report.json").exists()
+
+    def test_negative_seed_rejected(self, tmp_path):
+        code, lines = run_quiet(["pipeline", "--seed", -1, "--volumes", 1, "--repeats", 1,
+                                 "--out", tmp_path])
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and "seed" in err["message"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--layers", "--radius", "--transverse-radius"])
+    def test_protocol_fixes_layers_and_radii(self, flag):
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(text_io.StringIO()):
+            cli.build_parser().parse_args(["pipeline", flag, "3", "--out", "o"])
 
     def test_dims_too_large_for_one_volume_fail_before_allocating(self, tmp_path):
         code, lines = run_quiet(["pipeline", "--nb", 10**20, "--volumes", 1, "--repeats", 1,
@@ -790,9 +836,6 @@ class TestPipelineCommand:
 def test_every_axial_radius_default_is_the_motion_amplitude():
     parser = cli.build_parser()
     align_args = parser.parse_args(["align", "--vol", "v", "--out", "o"])
-    pipeline_args = parser.parse_args(["pipeline", "--out", "o"])
     assert SEARCH_RADIUS == 15
     assert AlignConfig().search_radius == SEARCH_RADIUS
-    assert inspect.signature(run_pipeline).parameters["radius"].default == SEARCH_RADIUS
     assert align_args.radius == SEARCH_RADIUS
-    assert pipeline_args.radius == SEARCH_RADIUS

@@ -1,5 +1,6 @@
 """Every name ``oct_align`` exports is used by the package's own code, or is
-on a short list that gives the paper claim or caller keeping it."""
+on a short list that gives the paper claim or caller keeping it; and every
+name a module of the package imports, it reads."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,32 @@ def test_every_export_is_used_or_allowed():
 def test_allow_list_holds_only_unused_exports():
     stale = set(ALLOWED_UNUSED) - unused_exports()
     assert not stale, f"used by the package or no longer exported: {sorted(stale)}"
+
+
+def unread_imports(source: str) -> set[str]:
+    """Names that ``source`` binds by an import, other than ``__future__``
+    features, and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_unread_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from .a import b, c\n\ndef f():\n    from .d import e\n    return np, c\n")
+    assert unread_imports(source) == {"os", "b", "e"}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export; the tests above check its names
+    unread = {path.name: sorted(names) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := unread_imports(path.read_text()))}
+    assert not unread, f"imported but never read: {unread}"

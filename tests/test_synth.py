@@ -5,6 +5,12 @@ from oct_align.core import DisplacementField, SurfaceSet, surfaces_to_labels
 from oct_align.errors import DimensionError, ValidationError
 from oct_align.resample import resample_axial
 from oct_align.synth import (
+    BACKGROUND_INTENSITY,
+    BUMP_AMPLITUDE_PX,
+    BUMP_MAX_CYCLES,
+    FOVEA_DEPTH_PX,
+    FOVEA_WIDTH_FRAC,
+    THICKNESS_WOBBLE,
     MotionSpec,
     PhantomSpec,
     apply_motion,
@@ -34,7 +40,7 @@ class TestPhantomSpec:
 
     def test_stack_exceeding_rows_rejected(self):
         with pytest.raises(ValidationError):
-            PhantomSpec(n_r=32, band_thickness_px=(12.0, 12.0, 12.0))
+            PhantomSpec(n_r=32)
 
     def test_dims_beyond_one_addressable_volume_rejected(self):
         # n_b * n_a * n_r float64 values must fit np.intp bytes; checked
@@ -44,9 +50,14 @@ class TestPhantomSpec:
         with pytest.raises(ValidationError, match="too large"):
             PhantomSpec(n_b=2**20, n_a=2**20, n_r=2**20)
 
-    def test_nonpositive_thickness_rejected(self):
-        with pytest.raises(ValidationError):
-            PhantomSpec(band_thickness_px=(10.0, -1.0, 10.0))
+    @pytest.mark.parametrize("key, value", [
+        ("vessel_count", -1), ("vessel_drift_px", -0.5), ("speckle_sigma", -0.1),
+        ("noise_sigma", -0.03), ("seed", -1),
+    ])
+    def test_negative_values_rejected(self, key, value):
+        # each once meant "none" or narrowed a margin without a word
+        with pytest.raises(ValidationError, match=key):
+            PhantomSpec(**{key: value})
 
 
 class TestGeneratePhantom:
@@ -64,7 +75,7 @@ class TestGeneratePhantom:
         vol, surf = generate_phantom(spec)
         labels = surfaces_to_labels(surf, spec.n_r).labels
         lut = np.array(
-            [spec.background_intensity, *spec.intensities(), spec.background_intensity],
+            [BACKGROUND_INTENSITY, *spec.intensities(), BACKGROUND_INTENSITY],
             dtype=np.float32,
         )
         assert np.array_equal(vol.data, lut[labels])
@@ -87,14 +98,12 @@ class TestGeneratePhantom:
         pos = surf.positions
         # bound from the generator's own amplitudes: cosine fields change by
         # at most amp * 2*pi*f/N per step, the dip by depth/width * exp(-1/2)
-        cos_slope = 2 * np.pi * spec.bump_max_cycles * (1 / spec.n_a + 1 / spec.n_b)
+        cos_slope = 2 * np.pi * BUMP_MAX_CYCLES * (1 / spec.n_a + 1 / spec.n_b)
         thick = max(spec.thicknesses())
         bound = (
-            spec.bump_amplitude_px * cos_slope
-            + spec.n_layers * thick * spec.thickness_wobble * cos_slope
-            + spec.fovea_depth_px
-            * np.exp(-0.5)
-            / (spec.fovea_width_frac * min(spec.n_a, spec.n_b))
+            BUMP_AMPLITUDE_PX * cos_slope
+            + spec.n_layers * thick * THICKNESS_WOBBLE * cos_slope
+            + FOVEA_DEPTH_PX * np.exp(-0.5) / (FOVEA_WIDTH_FRAC * min(spec.n_a, spec.n_b))
         )
         for l in range(pos.shape[0]):
             da = np.abs(np.diff(pos[l], axis=1)).mean()
@@ -216,7 +225,7 @@ class TestInverseCorrection:
         err = np.abs(v_back.data.astype(np.float64) - vol.data)[
             :, margin:vol.n_a - margin, band:-band
         ]
-        levels = np.array([spec.background_intensity, *spec.intensities()])
+        levels = np.array([BACKGROUND_INTENSITY, *spec.intensities()])
         max_jump = np.abs(np.diff(levels)).max()
         assert err.max() <= 0.5 * max_jump + 1e-9
 
@@ -251,3 +260,9 @@ def test_simulate_motion_is_seed_deterministic():
     b = simulate_motion(vol, surf, seed=5)
     assert np.array_equal(a[0].data, b[0].data)
     assert np.array_equal(a[2].axial, b[2].axial)
+
+
+def test_simulate_motion_rejects_a_negative_seed():
+    vol, surf = generate_phantom(PhantomSpec(seed=0))
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_motion(vol, surf, seed=-5)

@@ -154,20 +154,21 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_losses(args) -> int:
-    """Print the segmentation loss breakdown as JSON.  Without
+    """Print the segmentation loss breakdown as JSON.  The weights file sets
+    either lambda_base, from which the ground truth derives lambda_l, or
+    lambda_l itself; it is checked before any other file is read.  Without
     ``--class-probs`` the labels are scored against themselves, so the
     Dice+CE term is 0.0."""
+    wraw = _json_fields(args.weights, "loss weights", {"lambda_base": 0.0, "lambda_l": ()})
+    if len(wraw) != 1:
+        raise ConfigError(f"{args.weights}: need exactly one of lambda_base and lambda_l")
     probs = io.read_distributions(args.q)
     surf = io.read_surfaces(args.surfaces)
     labels = io.read_labels(args.labels)
-    wraw = _json_fields(args.weights, "loss weights", {"lambda_base": 0.0, "lambda_l": ()})
-    if not wraw:
-        raise ConfigError(f"{args.weights}: need lambda_base or lambda_l")
-    base = wraw.get("lambda_base", 0.0)
     if "lambda_l" in wraw:
-        weights = LossWeights(lambda_base=base, lambda_l=wraw["lambda_l"])
+        weights = LossWeights(lambda_base=0.0, lambda_l=wraw["lambda_l"])
     else:
-        weights = smoothness_weights(surf, float(base))
+        weights = smoothness_weights(surf, float(wraw["lambda_base"]))
     class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
     breakdown = segmentation_loss(probs, class_probs, surf, labels, weights)
     breakdown["lambda_l"] = weights.lambda_l.tolist()

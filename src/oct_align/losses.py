@@ -154,33 +154,22 @@ def _gradient_norm_sum(pos2d: np.ndarray) -> float:
 
 
 def smoothness_weights(gt_surfaces, lambda_base: float) -> LossWeights:
-    """Per-surface weights lambda_base / sum||grad S_l||, averaged over volumes.
+    """Per-surface weights lambda_l = lambda_base / sum||grad S_l|| of one
+    volume's ground truth.
 
     Smoother ground truth gives a larger weight.  A perfectly flat surface
     has a zero denominator and is rejected.
     """
-    volumes = gt_surfaces if isinstance(gt_surfaces, (list, tuple)) else [gt_surfaces]
-    if not volumes:
-        raise ValidationError("need at least one ground-truth volume")
-    per_volume = []
-    n_s = None
-    for v, s in enumerate(volumes):
-        pos = as_positions(s)
-        if n_s is None:
-            n_s = pos.shape[0]
-        elif pos.shape[0] != n_s:
-            raise DimensionError("volumes disagree on the number of surfaces")
-        lam = np.empty(n_s)
-        for l in range(n_s):
-            denom = _gradient_norm_sum(pos[l])
-            if denom == 0.0:
-                raise ValidationError(
-                    f"surface {l + 1} of volume {v + 1} is flat; "
-                    "its smoothness weight is undefined"
-                )
-            lam[l] = lambda_base / denom
-        per_volume.append(lam)
-    return LossWeights(lambda_base=lambda_base, lambda_l=np.mean(per_volume, axis=0))
+    pos = as_positions(gt_surfaces)
+    lam = np.empty(pos.shape[0])
+    for l in range(pos.shape[0]):
+        denom = _gradient_norm_sum(pos[l])
+        if denom == 0.0:
+            raise ValidationError(
+                f"surface {l + 1} is flat; its smoothness weight is undefined"
+            )
+        lam[l] = lambda_base / denom
+    return LossWeights(lambda_base=lambda_base, lambda_l=lam)
 
 
 def segmentation_loss(q, class_probs, gt_surfaces, gt_labels: LabelMap,

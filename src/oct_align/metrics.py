@@ -1,8 +1,8 @@
 """Evaluation metrics: surface distances, adjacency statistics, motion recovery.
 
-Per-volume aggregation rule: A-scan-wise quantities are first averaged
-within a volume, then the mean and standard deviation (population) are
-taken across the volume-wise values.
+Surface distances score one volume: A-scan-wise quantities average within
+it, and the report lists that volume's value with the mean and population
+standard deviation over the one value, per surface and overall.
 """
 
 from __future__ import annotations
@@ -15,17 +15,12 @@ from .errors import DimensionError, ValidationError
 from .io import _write_table
 
 
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def _summary(per_surface, overall) -> dict:
-    """Volume-wise values with their mean/std, per surface and overall.
-
-    ``per_surface`` is (V, L) and ``overall`` (V,).
-    """
-    per_surface = np.asarray(per_surface, dtype=np.float64)
-    overall = np.asarray(overall, dtype=np.float64)
+def _summary(per_surface, overall: float) -> dict:
+    """The volume's ``per_surface`` (L,) and ``overall`` values in the
+    ``eval`` report's layout: each as a one-entry ``volume_values_um``
+    list with its mean and population std."""
+    per_surface = np.asarray([per_surface], dtype=np.float64)
+    overall = np.asarray([overall], dtype=np.float64)
     return {
         "surfaces": [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
         "per_surface": {
@@ -41,34 +36,18 @@ def _summary(per_surface, overall) -> dict:
     }
 
 
-def mean_abs_distance(preds, gts, dz_um: float, masks=None) -> dict:
-    """Mean absolute surface distance in micrometers.
+def mean_abs_distance(pred, gt, dz_um: float) -> dict:
+    """Mean absolute surface distance of one volume in micrometers.
 
-    ``preds``/``gts`` are SurfaceSets (or one per volume in a list);
-    optional boolean masks of shape (L, N_B, N_A) select the positions that
-    count (missing manual delineations are excluded this way).  Returns
-    per-surface and overall volume-wise values with their mean/std.
+    ``pred`` and ``gt`` are SurfaceSets (or position arrays) of one shape;
+    every position counts.  Returns the per-surface and overall means in
+    the ``_summary`` layout.
     """
-    preds, gts = _as_list(preds), _as_list(gts)
-    if masks is None:
-        masks = [None] * len(preds)
-    else:
-        masks = _as_list(masks)
-    if not (len(preds) == len(gts) == len(masks)):
-        raise DimensionError("preds, gts, and masks must have the same volume count")
-    per_surface = []
-    overall = []
-    for p, g, m in zip(preds, gts, masks):
-        pp, gg = as_positions(p), as_positions(g)
-        if pp.shape != gg.shape:
-            raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
-        err = np.abs(pp - gg) * float(dz_um)
-        m = np.ones(err.shape, dtype=bool) if m is None else np.asarray(m, dtype=bool)
-        if m.shape != err.shape:
-            raise DimensionError(f"mask {m.shape} does not match surfaces {err.shape}")
-        per_surface.append([float(err[l][m[l]].mean()) for l in range(err.shape[0])])
-        overall.append(float(err[m].mean()))
-    return _summary(per_surface, overall)
+    pp, gg = as_positions(pred), as_positions(gt)
+    if pp.shape != gg.shape:
+        raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
+    err = np.abs(pp - gg) * float(dz_um)
+    return _summary([float(e.mean()) for e in err], float(err.mean()))
 
 
 def _diagonal_dxx(n_a: int, dx: float):
@@ -84,13 +63,14 @@ def _diagonal_dxx(n_a: int, dx: float):
     return np.where(inside, (xs - xs[np.clip(cols, 0, n_a - 1)]) ** 2, np.inf)
 
 
-def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
-    """95th-percentile Hausdorff distance in micrometers.
+def hd95(pred, gt, spacing: tuple[float, float]) -> dict:
+    """95th-percentile Hausdorff distance of one volume in micrometers.
 
     Each surface in each B-scan becomes a 2D point set {(a*dx, r*dz)}; the
     95th percentile of the pooled directed nearest-neighbor distances gives
-    the per-B-scan value, B-scans average to the volume value, and volumes
-    aggregate like mean_abs_distance.  ``spacing`` is (dz, dx).
+    the per-B-scan value, and B-scans average to the surface's value, which
+    surfaces average to the overall one; both in the ``_summary`` layout.
+    ``spacing`` is (dz, dx).
 
     The nearest points are searched only on the diagonals j - i that can
     hold one.  With d2(i, j) = dxx[i, j] + (p_i*dz - g_j*dz)**2, the
@@ -104,37 +84,30 @@ def hd95(preds, gts, spacing: tuple[float, float]) -> dict:
     every diagonal.
     """
     dz, dx = (float(x) for x in spacing)
-    preds, gts = _as_list(preds), _as_list(gts)
-    if len(preds) != len(gts):
-        raise DimensionError("preds and gts must have the same volume count")
-    per_surface = []
-    for p, g in zip(preds, gts):
-        pp, gg = as_positions(p), as_positions(g)
-        if pp.shape != gg.shape:
-            raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
-        n_l, n_b, n_a = pp.shape
-        if n_a == 0:
-            raise ValidationError("cannot compute hd95 of an empty surface")
-        dxx = _diagonal_dxx(n_a, dx)
-        dxx_min = dxx.min(axis=1)
-        vals = np.empty(n_l)
-        for l in range(n_l):
-            pz, gz = pp[l] * dz, gg[l] * dz
-            # U: the largest d2(i, i), as dxx is 0 there (-inf without B-scans)
-            bound = np.max((pz - gz) ** 2, initial=-np.inf)
-            fwd = np.full((n_b, n_a), np.inf)
-            bwd = np.full((n_b, n_a), np.inf)
-            for k in np.flatnonzero(~(dxx_min > bound)):
-                s = int(k) + 1 - n_a
-                lo, hi = max(0, -s), min(n_a, n_a - s)
-                d2 = dxx[k, lo:hi] + (pz[:, lo:hi] - gz[:, lo + s:hi + s]) ** 2
-                np.minimum(fwd[:, lo:hi], d2, out=fwd[:, lo:hi])
-                np.minimum(bwd[:, lo + s:hi + s], d2, out=bwd[:, lo + s:hi + s])
-            dist = np.sqrt(np.concatenate([fwd, bwd], axis=1))
-            vals[l] = float(np.mean(np.percentile(dist, 95, axis=1)))
-        per_surface.append(vals)
-    per_surface = np.asarray(per_surface)
-    return _summary(per_surface, per_surface.mean(axis=1))
+    pp, gg = as_positions(pred), as_positions(gt)
+    if pp.shape != gg.shape:
+        raise DimensionError(f"prediction {pp.shape} vs ground truth {gg.shape}")
+    n_l, n_b, n_a = pp.shape
+    if n_a == 0:
+        raise ValidationError("cannot compute hd95 of an empty surface")
+    dxx = _diagonal_dxx(n_a, dx)
+    dxx_min = dxx.min(axis=1)
+    vals = np.empty(n_l)
+    for l in range(n_l):
+        pz, gz = pp[l] * dz, gg[l] * dz
+        # U: the largest d2(i, i), as dxx is 0 there (-inf without B-scans)
+        bound = np.max((pz - gz) ** 2, initial=-np.inf)
+        fwd = np.full((n_b, n_a), np.inf)
+        bwd = np.full((n_b, n_a), np.inf)
+        for k in np.flatnonzero(~(dxx_min > bound)):
+            s = int(k) + 1 - n_a
+            lo, hi = max(0, -s), min(n_a, n_a - s)
+            d2 = dxx[k, lo:hi] + (pz[:, lo:hi] - gz[:, lo + s:hi + s]) ** 2
+            np.minimum(fwd[:, lo:hi], d2, out=fwd[:, lo:hi])
+            np.minimum(bwd[:, lo + s:hi + s], d2, out=bwd[:, lo + s:hi + s])
+        dist = np.sqrt(np.concatenate([fwd, bwd], axis=1))
+        vals[l] = float(np.mean(np.percentile(dist, 95, axis=1)))
+    return _summary(vals, vals.mean())
 
 
 def adjacent_ncc(volume: OctVolume) -> float:

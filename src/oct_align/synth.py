@@ -74,6 +74,13 @@ class PhantomSpec:
                      "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.vessel_count > self.n_a:
+            raise ValidationError(f"vessel_count {self.vessel_count} exceeds N_A={self.n_a}, "
+                                  "the distinct columns a vessel can take")
+        margin = np.ceil(self.vessel_drift_px) + 2  # generate_phantom's vessel margin
+        if self.vessel_count > 0 and not self.n_a - VESSEL_WIDTH_PX - margin > margin:
+            raise ValidationError(f"vessel_drift_px {self.vessel_drift_px} leaves no column "
+                                  f"for a vessel to start on at N_A={self.n_a}")
         th = self.thicknesses()
         top = self.top_margin_frac * self.n_r
         slack = BUMP_AMPLITUDE_PX + FOVEA_DEPTH_PX + 1.0
@@ -199,10 +206,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
         margin = int(np.ceil(spec.vessel_drift_px)) + 2
         b_axis = np.arange(n_b, dtype=np.float64)
         cols = np.arange(n_a, dtype=np.float64)
-        lo_bound = margin
-        hi_bound = max(n_a - VESSEL_WIDTH_PX - margin, lo_bound + 1)
         for _ in range(spec.vessel_count):
-            a0 = float(rng.uniform(lo_bound, hi_bound))
+            a0 = float(rng.uniform(margin, n_a - VESSEL_WIDTH_PX - margin))
             cycles = float(rng.uniform(0.5, 1.5))
             phase = float(rng.uniform(0.0, 2.0 * np.pi))
             drift = spec.vessel_drift_px * np.cos(

@@ -4,6 +4,7 @@ import io as text_io
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,7 @@ class TestPhantomCommand:
         (["--corrupt", "--motion-seed", -5], None, "ValidationError", "seed"),
         (["--seed", 3], {"seed": 3}, "ConfigError", "--seed"),  # ignored with --spec
         (["--motion-seed", 5], None, "ConfigError", "--motion-seed"),  # ignored without --corrupt
+        ([], {"vessel_drift_px": 1e300}, "ValidationError", "vessel_drift_px"),  # no start column
     ])
     def test_refused_before_writing(self, tmp_path, argv, spec, error, word):
         if spec is not None:
@@ -105,6 +107,18 @@ class TestPhantomCommand:
         assert_one_line_error(code, lines)
         err = json.loads(lines[0])
         assert err["error"] == error and word in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_more_vessels_than_columns_refused_at_once(self, tmp_path):
+        # the vessel loop runs once per vessel; 1e8 of them ran past 60 s
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"vessel_count": 100_000_000}))
+        start = time.perf_counter()
+        code, lines = run_quiet(["phantom", "--spec", spec, "--out", tmp_path / "o"])
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "ValidationError" and "vessel_count" in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_spec_too_large_for_one_volume_fails_before_allocating(self, tmp_path):
@@ -688,6 +702,18 @@ class TestLossesCommand:
         assert set(err) == {"error", "message"}
         assert err["error"] == "ConfigError"
         assert named in err["message"].replace(str(wpath), "")
+
+
+    def test_both_weight_keys_refused_before_any_file_is_read(self, tmp_path):
+        # lambda_l would silently override lambda_base; the other paths do not exist
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({"lambda_base": 0.1, "lambda_l": [0.2]}))
+        code, lines = run_quiet(["losses", "--q", tmp_path / "q.bin", "--surfaces",
+                                 tmp_path / "s.csv", "--labels", tmp_path / "m.bin",
+                                 "--weights", wpath])
+        assert_one_line_error(code, lines)
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and "exactly one" in err["message"]
 
 
 class TestEvalCommand:

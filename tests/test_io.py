@@ -55,7 +55,7 @@ class TestVolumeFile:
 
 class TestSurfaceCsv:
     def test_round_trip(self, tmp_path):
-        vol, surf = generate_phantom(PhantomSpec(seed=0, n_b=4, n_a=8))
+        vol, surf = generate_phantom(PhantomSpec(seed=0, n_b=4, n_a=12))
         path = tmp_path / "s.csv"
         io.write_surfaces(path, surf)
         back = io.read_surfaces(path)

@@ -238,17 +238,6 @@ class TestSmoothnessWeights:
         w = smoothness_weights(SurfaceSet(pos + 10), 0.1)
         assert np.isclose(w.lambda_l[0], 0.005, rtol=1e-12)
 
-    def test_mean_across_volumes(self, rng):
-        def volume_with_sum(target):
-            pos = np.full((1, 2, 2), 5.0)
-            pos[0, :, 1] += target / 2.0  # two a-diffs of target/2
-            return SurfaceSet(pos)
-
-        v1 = volume_with_sum(0.1 / 0.004)
-        v2 = volume_with_sum(0.1 / 0.006)
-        w = smoothness_weights([v1, v2], 0.1)
-        assert np.isclose(w.lambda_l[0], 0.005, rtol=1e-12)
-
     def test_homogeneity(self, rng):
         pos = rng.uniform(20, 40, size=(2, 4, 4))
         base = smoothness_weights(SurfaceSet(pos), 0.1).lambda_l

@@ -31,32 +31,6 @@ class TestMeanAbsDistance:
         out = mean_abs_distance(surfaces(pos + 2.0), surfaces(pos), dz_um=3.24)
         assert np.isclose(out["overall"]["mean_um"], 6.48, rtol=1e-12)
 
-    def test_volume_aggregation_rule(self, rng):
-        pos = rng.uniform(5, 30, size=(1, 3, 4))
-        preds = [surfaces(pos + 2.0), surfaces(pos + 4.0)]
-        gts = [surfaces(pos), surfaces(pos)]
-        out = mean_abs_distance(preds, gts, dz_um=1.0)
-        assert np.isclose(out["overall"]["mean_um"], 3.0)
-        assert np.isclose(out["overall"]["std_um"], np.std([2.0, 4.0]))
-        assert out["overall"]["volume_values_um"] == [2.0, 4.0]
-
-    def test_mask_excludes_positions(self, rng):
-        pos = rng.uniform(5, 30, size=(1, 2, 3))
-        pred = pos.copy()
-        pred[0, 0, 0] += 100.0  # masked out below
-        mask = np.ones_like(pos, dtype=bool)
-        mask[0, 0, 0] = False
-        out = mean_abs_distance(surfaces(pred), surfaces(pos), dz_um=1.0, masks=mask)
-        assert out["overall"]["mean_um"] == 0.0
-
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 7), (3, 5, 1), (3, 49, 256)])
-    def test_all_true_mask_equals_no_mask(self, rng, shape):
-        preds = [surfaces(rng.uniform(5, 30, size=shape)) for _ in range(2)]
-        gts = [surfaces(rng.uniform(5, 30, size=shape)) for _ in range(2)]
-        masks = [np.ones(shape, dtype=bool)] * 2
-        assert (mean_abs_distance(preds, gts, dz_um=3.24, masks=masks)
-                == mean_abs_distance(preds, gts, dz_um=3.24))
-
     def test_shape_mismatch(self, rng):
         a = surfaces(rng.uniform(5, 10, size=(1, 2, 3)))
         b = surfaces(rng.uniform(5, 10, size=(2, 2, 3)))

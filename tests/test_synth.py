@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,31 @@ class TestPhantomSpec:
         # each once meant "none" or narrowed a margin without a word
         with pytest.raises(ValidationError, match=key):
             PhantomSpec(**{key: value})
+
+
+    @pytest.mark.parametrize("n_a", [64, 256])
+    def test_more_vessels_than_columns_rejected(self, n_a):
+        PhantomSpec(n_a=n_a, vessel_count=n_a)
+        with pytest.raises(ValidationError, match="vessel_count"):
+            PhantomSpec(n_a=n_a, vessel_count=n_a + 1)
+
+    @pytest.mark.parametrize("drift", [28.5, 1e300, float("inf"), float("nan")])
+    def test_drift_leaving_no_start_column_rejected(self, drift):
+        # at N_A = 64 a margin of ceil(drift) + 2 leaves a start column
+        # while 64 - 2 - margin > margin, that is up to a drift of 28
+        PhantomSpec(vessel_drift_px=28.0)
+        with pytest.raises(ValidationError, match="vessel_drift_px"):
+            PhantomSpec(vessel_drift_px=drift)
+        PhantomSpec(vessel_drift_px=drift, vessel_count=0)  # no vessel to place
+
+    def test_every_vessel_lies_inside_the_volume(self):
+        # the widest drift a default-size spec takes keeps each shadow clear
+        # of the last column
+        spec = PhantomSpec(vessel_drift_px=28.0, speckle_sigma=0.0, noise_sigma=0.0)
+        vol, _ = generate_phantom(spec)
+        flat, _ = generate_phantom(dataclasses.replace(spec, vessel_count=0))
+        shadowed = vol.data != flat.data
+        assert shadowed.any() and not shadowed[:, -1, :].any()
 
 
 class TestGeneratePhantom:

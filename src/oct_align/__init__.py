@@ -3,7 +3,6 @@
 from .align import (
     AlignConfig,
     apply_axial_correction,
-    global_ncc,
     optimize_alignment,
     solve_from_surfaces,
     surface_alignment_loss,

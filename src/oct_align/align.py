@@ -31,7 +31,8 @@ interpolation enters the similarity.
 
 The chain scores all integer candidates of a step at once, each a slice
 of one edge-padded copy of the B-scan being moved, from prefix sums and one
-dot product per candidate (``_chain_scores``); that score picks the shift,
+matrix product of the template with that copy, whose diagonals sum to the
+candidates' cross terms (``_chain_scores``); that score picks the shift,
 breaks ties, feeds the parabola and sums to the unsupervised objective.
 One run of the chain (``_chain_estimates``) yields the template estimate,
 the unsupervised estimate and that objective, so a caller that needs
@@ -43,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, first_best
 from .errors import ConfigError, DimensionError, ValidationError
@@ -107,10 +109,19 @@ def global_ncc(img_a: np.ndarray, img_b: np.ndarray) -> float:
         raise DimensionError(f"images must share a shape, got {a.shape} vs {b.shape}")
     if a.size == 0:
         raise DimensionError(f"images of shape {a.shape} are empty")
-    a = a - a.mean()
-    b = b - b.mean()
-    va = (a * a).mean()
-    vb = (b * b).mean()
+    return _centred_ncc(*_centred(a), *_centred(b))
+
+
+def _centred(img: np.ndarray) -> tuple[np.ndarray, float]:
+    """``img`` as a float64 copy less its mean, and that copy's variance."""
+    a = np.array(img, dtype=np.float64)
+    a -= a.mean()
+    return a, (a * a).mean()
+
+
+def _centred_ncc(a: np.ndarray, va: float, b: np.ndarray, vb: float) -> float:
+    """NCC of the centred images ``a`` and ``b`` of variances ``va`` and
+    ``vb``; 0 where either variance is below VARIANCE_EPS."""
     if va < VARIANCE_EPS or vb < VARIANCE_EPS:
         return 0.0
     return float((a * b).mean() / np.sqrt(va * vb))
@@ -147,7 +158,11 @@ def _padded_copy(img: np.ndarray, span: int) -> np.ndarray:
     cancelling in ``_chain_scores``' sums; rounded to float32, it is
     subtracted exactly from data of few significant bits, so exact ties stay
     exact."""
-    padded = np.asfortranarray(np.pad(img, ((0, 0), (span, span)), mode="edge"), np.float64)
+    n_a, n_r = img.shape
+    padded = np.empty((n_a, n_r + 2 * span), order="F")
+    padded[:, span:span + n_r] = img
+    padded[:, :span] = img[:, :1]
+    padded[:, span + n_r:] = img[:, -1:]
     padded -= np.float32(padded.mean())
     return padded
 
@@ -157,14 +172,16 @@ def _chain_scores(t: np.ndarray, vt: float, padded: np.ndarray, n_r: int) -> np.
     every candidate j, columns j ... j + n_r - 1 of the Fortran-ordered
     ``padded``: means and variances from prefix sums of its column sums and
     squared column sums, sum(t * (c - mean c)) = dot(t, c) - mean c * sum(t)
-    with one dot product on the contiguous block (Lewis, Fast Normalized
-    Cross-Correlation, 1995).  Variance below VARIANCE_EPS scores 0."""
+    (Lewis, Fast Normalized Cross-Correlation, 1995).  One matrix product
+    g = t.T @ padded holds every template column against every padded
+    column, so dot(t, c_j) is the sum of g's j-th diagonal, g[i, j + i]
+    over i.  Variance below VARIANCE_EPS scores 0."""
     n_a, width = padded.shape
     size = n_a * n_r
-    flat = padded.ravel(order="F")
-    t_flat = t.ravel(order="F")
     n_cand = width - n_r + 1
-    dots = np.array([np.dot(t_flat, flat[j * n_a:(j + n_r) * n_a]) for j in range(n_cand)])
+    g = t.T @ padded
+    s0, s1 = g.strides
+    dots = as_strided(g, (n_cand, n_r), (s1, s0 + s1), writeable=False).sum(axis=1)
     col_sums = np.concatenate(([0.0], np.cumsum(padded.sum(axis=0))))
     col_squares = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->j", padded, padded))))
     mean = (col_sums[n_r:] - col_sums[:n_cand]) / size
@@ -187,9 +204,10 @@ def _template_chain(data: np.ndarray, radius: int):
     The chain anchors the first B-scan at zero, so absolute estimates can
     span twice the per-B-scan amplitude; the candidate grid covers that.
     Each step scores the 4*radius + 1 integer shifts at once against the
-    predecessor at its own estimate (``_chain_scores``, one padded copy of
+    predecessor at its own estimate (``_chain_scores``: one padded copy of
     the B-scan, so ``data`` can be the stored float32 volume and is not
-    copied whole) and keeps the first best in ``search_order`` (``first_best``).
+    copied whole, and one matrix product for all cross terms) and keeps
+    the first best in ``search_order`` (``first_best``).
     The block a step chooses is the next step's template as it is; after a
     flat template the successor keeps shift 0, its block at 0 is the next
     and the link adds nothing to ``score``, as ``global_ncc`` scores it 0.

@@ -233,6 +233,8 @@ def surfaces_to_labels(surfaces: SurfaceSet, n_rows: int) -> LabelMap:
 
     Pixel (b, a, r) receives label l = number of surfaces at or above row r
     (positions compare with ``<=`` so a surface exactly on a row claims it).
+    The labels are counted: each surface adds 1 at the first row it claims,
+    1-based row ceil(S), and one cumulative sum along the rows counts them.
     """
     surfaces.require_ordered()
     pos = surfaces.positions
@@ -240,7 +242,13 @@ def surfaces_to_labels(surfaces: SurfaceSet, n_rows: int) -> LabelMap:
         raise ValidationError(
             f"surface position {pos.max():.3f} exceeds row count {n_rows}"
         )
-    rows = np.arange(1, n_rows + 1, dtype=np.float64)
-    labels = (pos[..., None] <= rows).sum(axis=0)
-    return LabelMap(labels.astype(np.int16), n_surfaces=surfaces.n_surfaces)
+    _, n_b, n_a = pos.shape
+    labels = np.zeros((n_b, n_a, n_rows), dtype=np.int16)
+    flat = labels.reshape(-1)
+    base = np.arange(0, n_b * n_a * n_rows, n_rows).reshape(n_b, n_a)
+    for surface in pos:  # no index repeats within one surface
+        flat[base + np.ceil(surface).astype(np.intp) - 1] += 1
+    # int16 out: cumsum would otherwise widen to int64
+    np.cumsum(labels, axis=2, out=labels)
+    return LabelMap(labels, n_surfaces=surfaces.n_surfaces)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .align import global_ncc
+from .align import _centred, _centred_ncc
 from .core import DisplacementField, OctVolume, SurfaceSet, as_positions, most_frequent_int
 from .errors import DimensionError, ValidationError
 from .io import _write_table
@@ -111,9 +111,16 @@ def hd95(pred, gt, spacing: tuple[float, float]) -> dict:
 
 
 def adjacent_ncc(volume: OctVolume) -> float:
-    """Mean global NCC between consecutive B-scans (1 for identical stacks)."""
+    """Mean global NCC between consecutive B-scans (1 for identical stacks).
+
+    Each B-scan is centred once, and only the previous one is kept."""
     data = volume.data
-    vals = [global_ncc(data[b], data[b + 1]) for b in range(volume.n_b - 1)]
+    prev = _centred(data[0])
+    vals = []
+    for b in range(1, volume.n_b):
+        cur = _centred(data[b])
+        vals.append(_centred_ncc(*prev, *cur))
+        prev = cur
     return float(np.mean(vals))
 
 

@@ -31,8 +31,8 @@ def _interp_rows(img: np.ndarray, shift) -> np.ndarray:
     lo = np.floor(pos).astype(np.int64)
     w = pos - lo
     start = np.arange(0, n_a * n_r, n_r)[:, None]  # flat index of each A-scan's row 0
-    return (np.take(img, np.clip(lo, 0, n_r - 1) + start) * (1.0 - w)
-            + np.take(img, np.clip(lo + 1, 0, n_r - 1) + start) * w)
+    return (np.take(img, np.minimum(np.maximum(lo, 0), n_r - 1) + start) * (1.0 - w)
+            + np.take(img, np.minimum(np.maximum(lo + 1, 0), n_r - 1) + start) * w)
 
 
 def resample_axial(volume, shifts):

@@ -222,15 +222,18 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
             )
             shadow = np.maximum(shadow, cover)
         attn = 1.0 - (1.0 - VESSEL_ATTENUATION) * shadow
-        img = img * np.where(labels.labels > 0, attn[..., None], 1.0)
+        np.multiply(img, attn[..., None], out=img, where=labels.labels > 0)
 
     if spec.speckle_sigma > 0:
-        img = img * np.clip(rng.normal(1.0, spec.speckle_sigma, img.shape), 0.0, None)
+        speckle = rng.normal(1.0, spec.speckle_sigma, img.shape)
+        np.maximum(speckle, 0.0, out=speckle)
+        img *= speckle
     if spec.noise_sigma > 0:
-        img = img + rng.normal(0.0, spec.noise_sigma, img.shape)
-    img = np.clip(img, 0.0, 1.0)
+        img += rng.normal(0.0, spec.noise_sigma, img.shape)
+    # clipped straight into float32, which OctVolume stores without a copy
+    out = np.clip(img, 0.0, 1.0, out=np.empty(img.shape, dtype=np.float32))
 
-    return OctVolume(img, spacing=spec.spacing_um), surfaces
+    return OctVolume(out, spacing=spec.spacing_um), surfaces
 
 
 def shift_transverse(data: np.ndarray, shifts) -> np.ndarray:

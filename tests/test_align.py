@@ -18,7 +18,7 @@ from oct_align.align import (
     surface_alignment_loss,
     template_match_align,
 )
-from oct_align.core import OctVolume, SurfaceSet, search_order
+from oct_align.core import OctVolume, SurfaceSet, first_best, search_order
 from oct_align.errors import ConfigError, DimensionError, ValidationError
 from oct_align.losses import grad_alignment
 from oct_align.metrics import motion_error
@@ -415,6 +415,47 @@ class TestChainCandidates:
             direct = _interp_rows(data[1], float(s))
             assert cand.flags.f_contiguous
             assert np.array_equal(cand, direct - np.float64(centre))
+
+    @pytest.mark.parametrize("dims", [(2, 20, 48), (2, 64, 96), (2, 256, 192)])
+    def test_padded_copy_equals_the_edge_pad_form_bitwise(self, dims):
+        vol, _ = generate_phantom(PhantomSpec(n_b=dims[0], n_a=dims[1], n_r=dims[2], seed=2))
+        span = 30
+        want = np.asfortranarray(np.pad(vol.data[1], ((0, 0), (span, span)), mode="edge"),
+                                 np.float64)
+        want -= np.float32(want.mean())
+        got = _padded_copy(vol.data[1], span)
+        assert got.dtype == np.float64 and got.flags.f_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["phantom", "x1e3+500", "clinical"])
+    def test_cross_terms_match_one_dot_product_per_candidate(self, case):
+        # the diagonals of t.T @ padded against one np.dot per candidate on
+        # its contiguous block, and the shift that first_best picks from each
+        dims, radius = ((3, 256, 192), 15) if case == "clinical" else ((6, 32, 64), 6)
+        vol, surf = generate_phantom(PhantomSpec(n_b=dims[0], n_a=dims[1], n_r=dims[2], seed=4))
+        cvol, _, _ = simulate_motion(vol, surf, seed=44)
+        data = cvol.data.astype(np.float64)
+        if case == "x1e3+500":
+            data = data * 1e3 + 500.0
+        span, n_r = 2 * radius, dims[2]
+        for b in range(1, data.shape[0]):
+            template = _padded_copy(data[b - 1], span)[:, span:span + n_r]
+            t = template - template.mean()
+            vt = (t * t).mean()
+            padded = _padded_copy(data[b], span)
+            v = _chain_scores(t, vt, padded, n_r)
+            # the former per-candidate cross term, with the same prefix sums
+            n_a, size = padded.shape[0], padded.shape[0] * n_r
+            flat, t_flat = padded.ravel(order="F"), t.ravel(order="F")
+            dots = np.array([np.dot(t_flat, flat[j * n_a:(j + n_r) * n_a])
+                             for j in range(v.size)])
+            sums = np.concatenate(([0.0], np.cumsum(padded.sum(axis=0))))
+            squares = np.concatenate(([0.0], np.cumsum((padded * padded).sum(axis=0))))
+            mean = (sums[n_r:] - sums[:v.size]) / size
+            var = (squares[n_r:] - squares[:v.size]) / size - mean * mean
+            want = (dots - mean * t.sum()) / size / np.sqrt(vt * var)
+            np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
+            assert first_best(v, span) == first_best(want, span)
 
     def test_the_chain_never_calls_global_ncc(self, monkeypatch):
         # each candidate is scored once, by _chain_scores: on a phantom and

@@ -147,6 +147,26 @@ class TestSurfacesToLabels:
         with pytest.raises(ValidationError):
             surfaces_to_labels(flat_surfaces(11.0), 10)
 
+    @pytest.mark.parametrize("n_surf", [1, 2, 5])
+    def test_counting_equals_the_comparison_of_every_surface_with_every_row(
+            self, rng, n_surf):
+        # the reference compares each surface with each row in one array;
+        # the positions mix fractional rows, whole rows, rows exactly 1.0
+        # and n_rows, and surfaces that coincide
+        n_rows = 24
+        pos = rng.uniform(1, n_rows, size=(n_surf, 6, 7))
+        pos[:, ::2] = np.round(pos[:, ::2])
+        pos[:, 1, :3] = 1.0
+        pos[:, 3, :3] = float(n_rows)
+        pos = np.sort(pos, axis=0)
+        if n_surf > 1:
+            pos[1, 5] = pos[0, 5]
+        rows = np.arange(1, n_rows + 1, dtype=np.float64)
+        want = (pos[..., None] <= rows).sum(axis=0).astype(np.int16)
+        got = surfaces_to_labels(SurfaceSet(pos), n_rows).labels
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want)
+
 
 def brute_force_surfaces(labels, n_surfaces):
     """Definition-level oracle: 1 + count of rows with label < l."""

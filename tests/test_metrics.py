@@ -170,6 +170,14 @@ class TestAdjacentNcc:
         data = vol.data.astype(np.float64)
         want = float(np.mean([global_ncc(data[b], data[b + 1]) for b in range(n_b - 1)]))
         assert adjacent_ncc(vol) == want
+        # a constant B-scan in the middle: both of its pairs take the
+        # variance guard's 0.0, as global_ncc gives them
+        flat = vol.data.copy()
+        flat[n_b // 2] = 0.25
+        data = flat.astype(np.float64)
+        vals = [global_ncc(data[b], data[b + 1]) for b in range(n_b - 1)]
+        assert vals[n_b // 2 - 1] == vals[n_b // 2] == 0.0
+        assert adjacent_ncc(OctVolume(flat)) == float(np.mean(vals))
 
 
 class TestConnectivityHistogram:

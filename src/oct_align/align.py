@@ -226,8 +226,7 @@ def _template_chain(data: np.ndarray, radius: int):
         lo = span + int(steps[b - 1])
         template = padded[:, lo:lo + n_r]  # B-scan b - 1 at its estimate
         padded = _padded_copy(data[b], span)
-        t = template - template.mean()
-        vt = (t * t).mean()
+        t, vt = _centred(template)
         if vt < VARIANCE_EPS:
             continue  # every candidate scores 0 and the search keeps shift 0
         v = _chain_scores(t, vt, padded, n_r)

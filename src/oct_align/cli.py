@@ -122,8 +122,7 @@ def cmd_align(args) -> int:
 def cmd_transverse(args) -> int:
     vol = io.read_volume(args.vol)
     surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
-    disp = align_transverse(vol, surf, radius=args.radius,
-                            layer_mask=not args.no_layer_mask)
+    disp = align_transverse(vol, surf, radius=args.radius)
     io.write_displacements(args.out, disp)
     print(args.out)
     return 0
@@ -140,6 +139,8 @@ def _parse_crop(text: str) -> tuple[int, int]:
 def cmd_preprocess(args) -> int:
     if args.out_surfaces and not args.surfaces:
         raise ConfigError("--out-surfaces needs --surfaces, whose preprocessed copy it writes")
+    if args.surfaces and not (args.crop or args.out_surfaces):
+        raise ConfigError("only --crop and --out-surfaces read --surfaces")
     vol = io.read_volume(args.vol)
     surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
     if args.flatten:
@@ -155,10 +156,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_losses(args) -> int:
     """Print the segmentation loss breakdown as JSON.  The weights file sets
-    either lambda_base, from which the ground truth derives lambda_l, or
-    lambda_l itself; it is checked before any other file is read.  Without
-    ``--class-probs`` the labels are scored against themselves, so the
-    Dice+CE term is 0.0."""
+    either lambda_base, from which ``smoothness_weights`` derives lambda_l
+    on the ground truth, or lambda_l itself, the weights as passed; it is
+    checked before any other file is read.  Without ``--class-probs`` the
+    labels are scored against themselves, so the Dice+CE term is 0.0."""
     wraw = _json_fields(args.weights, "loss weights", {"lambda_base": 0.0, "lambda_l": ()})
     if len(wraw) != 1:
         raise ConfigError(f"{args.weights}: need exactly one of lambda_base and lambda_l")
@@ -166,7 +167,7 @@ def cmd_losses(args) -> int:
     surf = io.read_surfaces(args.surfaces)
     labels = io.read_labels(args.labels)
     if "lambda_l" in wraw:
-        weights = LossWeights(lambda_base=0.0, lambda_l=wraw["lambda_l"])
+        weights = LossWeights(wraw["lambda_l"])
     else:
         weights = smoothness_weights(surf, float(wraw["lambda_base"]))
     class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
@@ -249,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("transverse", help="estimate transverse displacements")
     sp.add_argument("--vol", required=True)
-    sp.add_argument("--surfaces", default=None)
+    sp.add_argument("--surfaces", default=None,
+                    help="project over the retina band between the first and last "
+                         "surfaces; omit it to project over whole columns")
     sp.add_argument("--radius", type=int, default=TRANSVERSE_RADIUS)
-    sp.add_argument("--no-layer-mask", action="store_true",
-                    help="project over whole columns instead of the retina band")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_transverse)
 

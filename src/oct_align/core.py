@@ -177,7 +177,7 @@ class DisplacementField:
 
     def __post_init__(self):
         ax = np.ascontiguousarray(self.axial, dtype=np.float64)
-        tr_raw = np.asarray(self.transverse)
+        tr_raw = np.asarray(self.transverse, dtype=np.float64)
         if ax.ndim != 1 or tr_raw.ndim != 1:
             raise DimensionError("axial and transverse must be 1D vectors")
         if ax.shape != tr_raw.shape:
@@ -186,11 +186,11 @@ class DisplacementField:
             )
         if not np.all(np.isfinite(ax)):
             raise ValidationError("axial displacements must be finite")
-        if not np.all(np.isfinite(tr_raw.astype(np.float64))):
+        if not np.all(np.isfinite(tr_raw)):
             raise ValidationError("transverse displacements must be finite")
-        if np.any(tr_raw.astype(np.float64) != np.round(tr_raw.astype(np.float64))):
+        if np.any(tr_raw != np.round(tr_raw)):
             raise ValidationError("transverse displacements must be whole pixels")
-        tr = np.ascontiguousarray(np.round(tr_raw.astype(np.float64)), dtype=np.int64)
+        tr = np.round(tr_raw).astype(np.int64)
         object.__setattr__(self, "axial", _freeze(ax))
         object.__setattr__(self, "transverse", _freeze(tr))
 

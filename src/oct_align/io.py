@@ -9,9 +9,11 @@ size before it reads (or allocates) the payload straight into its array.
 Volume header: ``n_b, n_a, n_r, spacing_um: [dz, dx, dy]``, dtype
 ``f32le``, payload in (b, a, r) order.  Surface-distribution files
 (``n_l`` and the grid, ``f64le``, values checked finite and nonnegative)
-and label-map files (the grid and ``n_surfaces``, ``u8``) add a ``kind``
-key; they exist so the loss CLI can read its inputs.  Header values
-follow the one JSON kind rule of ``json_kind_ok``.
+and label-map files (the grid and ``n_surfaces``, ``u8``) exist so the
+loss CLI can read its inputs; their dtypes tell them apart.  A reader
+ignores header keys it does not need, such as the ``kind`` key of files
+written by earlier versions.  Header values follow the one JSON kind rule
+of ``json_kind_ok``.
 
 Surface CSV: header ``surface,b,a,r`` with 1-based indices and fractional
 row positions.  Displacement CSV: header ``b,axial,transverse``.
@@ -260,8 +262,7 @@ def write_distributions(path, probs: np.ndarray) -> None:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 4:
         raise FormatError(f"distributions must be 4D (l, b, a, r), got {probs.shape}")
-    header = dict(zip(("n_l", *_GRID), probs.shape), kind="surface_distribution")
-    _write_binary(path, header, probs, "f64le")
+    _write_binary(path, dict(zip(("n_l", *_GRID), probs.shape)), probs, "f64le")
 
 
 def read_distributions(path) -> np.ndarray:
@@ -278,8 +279,7 @@ def write_labels(path, label_map: LabelMap) -> None:
     """Store a label map as u8; the benchmark writes its loss inputs with it."""
     if label_map.n_surfaces > 255:
         raise FormatError("label files support at most 255 surfaces")
-    header = dict(zip(_GRID, label_map.labels.shape), kind="label_map",
-                  n_surfaces=label_map.n_surfaces)
+    header = dict(zip(_GRID, label_map.labels.shape), n_surfaces=label_map.n_surfaces)
     _write_binary(path, header, label_map.labels, "u8")
 
 

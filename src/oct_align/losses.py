@@ -130,19 +130,16 @@ def dice_cross_entropy(class_probs, labels: LabelMap) -> float:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Base smoothness weight and its per-surface normalized values."""
+    """Per-surface smoothness weights lambda_l: ``smoothness_weights``
+    derives them from a base weight, or a caller passes them as they are."""
 
-    lambda_base: float
     lambda_l: np.ndarray
 
     def __post_init__(self):
         lam = np.ascontiguousarray(self.lambda_l, dtype=np.float64)
-        if not np.isfinite(self.lambda_base) or self.lambda_base < 0:
-            raise ValidationError("lambda_base must be finite and nonnegative")
         if lam.ndim != 1 or not np.all(np.isfinite(lam)) or (lam.size and lam.min() < 0):
             raise ValidationError("lambda_l must be a nonnegative finite vector")
         lam.flags.writeable = False
-        object.__setattr__(self, "lambda_base", float(self.lambda_base))
         object.__setattr__(self, "lambda_l", lam)
 
 
@@ -158,7 +155,8 @@ def smoothness_weights(gt_surfaces, lambda_base: float) -> LossWeights:
     volume's ground truth.
 
     Smoother ground truth gives a larger weight.  A perfectly flat surface
-    has a zero denominator and is rejected.
+    has a zero denominator and is rejected; so is a negative or non-finite
+    ``lambda_base``, by the ``LossWeights`` check of the weights it gives.
     """
     pos = as_positions(gt_surfaces)
     lam = np.empty(pos.shape[0])
@@ -169,7 +167,7 @@ def smoothness_weights(gt_surfaces, lambda_base: float) -> LossWeights:
                 f"surface {l + 1} is flat; its smoothness weight is undefined"
             )
         lam[l] = lambda_base / denom
-    return LossWeights(lambda_base=lambda_base, lambda_l=lam)
+    return LossWeights(lam)
 
 
 def segmentation_loss(q, class_probs, gt_surfaces, gt_labels: LabelMap,

@@ -1,8 +1,7 @@
 """Evaluation metrics: surface distances, adjacency statistics, motion recovery.
 
 Surface distances score one volume: A-scan-wise quantities average within
-it, and the report lists that volume's value with the mean and population
-standard deviation over the one value, per surface and overall.
+it, and the report gives that volume's mean per surface and overall.
 """
 
 from __future__ import annotations
@@ -17,22 +16,12 @@ from .io import _write_table
 
 def _summary(per_surface, overall: float) -> dict:
     """The volume's ``per_surface`` (L,) and ``overall`` values in the
-    ``eval`` report's layout: each as a one-entry ``volume_values_um``
-    list with its mean and population std."""
-    per_surface = np.asarray([per_surface], dtype=np.float64)
-    overall = np.asarray([overall], dtype=np.float64)
+    ``eval`` report's layout."""
+    per_surface = [float(v) for v in per_surface]
     return {
-        "surfaces": [f"surface_{i + 1}" for i in range(per_surface.shape[1])],
-        "per_surface": {
-            "volume_values_um": per_surface.tolist(),
-            "mean_um": per_surface.mean(axis=0).tolist(),
-            "std_um": per_surface.std(axis=0).tolist(),
-        },
-        "overall": {
-            "volume_values_um": overall.tolist(),
-            "mean_um": float(overall.mean()),
-            "std_um": float(overall.std()),
-        },
+        "surfaces": [f"surface_{i + 1}" for i in range(len(per_surface))],
+        "per_surface": {"mean_um": per_surface},
+        "overall": {"mean_um": float(overall)},
     }
 
 

@@ -30,6 +30,7 @@ MAX_MOTION_PX = 15.0
 # The phantom's anatomy: fixed, since the paper's synthetic protocol is the
 # only experiment run on it.
 BAND_INTENSITY = (0.82, 0.38, 0.66, 0.48, 0.74, 0.30)  # cycled over the bands
+BAND_ROWS_FRAC = 0.42  # the share of rows the bands split evenly
 BACKGROUND_INTENSITY = 0.06
 THICKNESS_WOBBLE = 0.15  # a band's thickness varies by up to this fraction
 BUMP_AMPLITUDE_PX = 2.5  # |low-frequency relief| of the inner surface
@@ -46,8 +47,8 @@ class PhantomSpec:
     """Parameters of the synthetic volume.
 
     ``n_layers`` counts tissue bands; the phantom has n_layers + 1 boundary
-    surfaces.  The bands split ~42% of the rows evenly and take the
-    ``BAND_INTENSITY`` levels in turn.
+    surfaces.  The bands split ``BAND_ROWS_FRAC`` of the rows evenly and
+    take the ``BAND_INTENSITY`` levels in turn.
     """
 
     n_b: int = 24
@@ -81,25 +82,18 @@ class PhantomSpec:
         if self.vessel_count > 0 and not self.n_a - VESSEL_WIDTH_PX - margin > margin:
             raise ValidationError(f"vessel_drift_px {self.vessel_drift_px} leaves no column "
                                   f"for a vessel to start on at N_A={self.n_a}")
-        th = self.thicknesses()
         top = self.top_margin_frac * self.n_r
         slack = BUMP_AMPLITUDE_PX + FOVEA_DEPTH_PX + 1.0
         if top - BUMP_AMPLITUDE_PX < 1.0:
             raise ValidationError("top margin too small for the bump amplitude")
-        stack_bottom = top + sum(th) * (1.0 + THICKNESS_WOBBLE) + slack
+        stack_bottom = top + BAND_ROWS_FRAC * self.n_r * (1.0 + THICKNESS_WOBBLE) + slack
         if stack_bottom > self.n_r:
             raise ValidationError(
                 f"expected layer stack bottom {stack_bottom:.1f} exceeds R={self.n_r}"
             )
-        min_gap = min(th) * (1.0 - THICKNESS_WOBBLE)
+        min_gap = BAND_ROWS_FRAC * self.n_r / self.n_layers * (1.0 - THICKNESS_WOBBLE)
         if self.n_layers > 1 and FOVEA_DEPTH_PX / self.n_layers >= min_gap:
             raise ValidationError("foveal dip too deep for the thinnest band")
-
-    def thicknesses(self) -> tuple[float, ...]:
-        return tuple([0.42 * self.n_r / self.n_layers] * self.n_layers)
-
-    def intensities(self) -> tuple[float, ...]:
-        return tuple(BAND_INTENSITY[i % len(BAND_INTENSITY)] for i in range(self.n_layers))
 
 
 @dataclass(frozen=True)
@@ -162,10 +156,11 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
     rng = np.random.default_rng(spec.seed)
     n_b, n_a, n_r = spec.n_b, spec.n_a, spec.n_r
     n_surf = spec.n_layers + 1
+    thick = BAND_ROWS_FRAC * n_r / spec.n_layers
 
     surf = np.empty((n_surf, n_b, n_a))
     surf[0] = spec.top_margin_frac * n_r + _smooth_field(rng, n_b, n_a, BUMP_AMPLITUDE_PX)
-    for k, thick in enumerate(spec.thicknesses()):
+    for k in range(spec.n_layers):
         wobble = _smooth_field(rng, n_b, n_a, 1.0)
         peak = np.abs(wobble).max()
         if peak > 0:
@@ -181,7 +176,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
         -0.5 * (((aa - (n_a - 1) / 2.0) / wa) ** 2 + ((bb - (n_b - 1) / 2.0) / wb) ** 2)
     )
     for l in range(n_surf):
-        surf[l] += dip * (1.0 - l / max(n_surf - 1, 1))
+        surf[l] += dip * (1.0 - l / (n_surf - 1))
 
     # remove any per-B-scan mean offset: "motion-free" means exactly that
     surf += surf.mean(axis=(1, 2), keepdims=True) - surf.mean(axis=2, keepdims=True)
@@ -189,9 +184,9 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
     if surf.min() < 1.0 or surf.max() > n_r:
         raise ValidationError("phantom surfaces left the row range; widen the margins")
     surfaces = SurfaceSet(surf)
-    surfaces.require_ordered()
 
-    lut = np.array([BACKGROUND_INTENSITY, *spec.intensities(), BACKGROUND_INTENSITY])
+    bands = [BAND_INTENSITY[k % len(BAND_INTENSITY)] for k in range(spec.n_layers)]
+    lut = np.array([BACKGROUND_INTENSITY, *bands, BACKGROUND_INTENSITY])
     labels = surfaces_to_labels(surfaces, n_r)
     img = lut[labels.labels]
 

@@ -207,7 +207,7 @@ class TestCriterion5LossIdentities:
 
         m = surfaces_to_labels(SurfaceSet(np.sort(gt_rows, axis=0)), 10)
         p = np.stack([(m.labels == c).astype(float) for c in range(3)])
-        weights = LossWeights(0.1, np.array([0.02, 0.03]))
+        weights = LossWeights(np.array([0.02, 0.03]))
         out = segmentation_loss(q, p, gt_rows, m, weights)
         predicted = soft_argmax(q)
         resummed = (

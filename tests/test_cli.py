@@ -19,6 +19,7 @@ from oct_align.core import DisplacementField, OctVolume, SurfaceSet, surfaces_to
 from oct_align.metrics import motion_error
 from oct_align.pipeline import run_pipeline
 from oct_align.resample import resample_axial
+from oct_align.transverse import align_transverse
 
 
 def run(argv):
@@ -444,12 +445,23 @@ class TestMalformedInputFuzz:
 
 class TestTransverseCommand:
     def test_runs_with_and_without_mask(self, phantom_dir, tmp_path):
-        for flag, name in (([], "t1.csv"), (["--no-layer-mask"], "t2.csv")):
+        vol = io.read_volume(phantom_dir / "volume_corrupt.bin")
+        surf = io.read_surfaces(phantom_dir / "surfaces_corrupt.csv")
+        for surfaces, mask, name in ((["--surfaces", phantom_dir / "surfaces_corrupt.csv"],
+                                      True, "t1.csv"), ([], False, "t2.csv")):
             out = tmp_path / name
             assert run(["transverse", "--vol", phantom_dir / "volume_corrupt.bin",
-                        "--surfaces", phantom_dir / "surfaces_corrupt.csv",
-                        "--out", out, *flag]) == 0
-            assert io.read_displacements(out).n_b > 0
+                        *surfaces, "--out", out]) == 0
+            # without --surfaces the command is the no-layer-mask ablation
+            io.write_displacements(tmp_path / "want.csv",
+                                   align_transverse(vol, surf, layer_mask=mask))
+            assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_no_layer_mask_flag_is_gone(self):
+        # omitting --surfaces is the ablation; the flag only repeated it
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(text_io.StringIO()):
+            cli.build_parser().parse_args(["transverse", "--vol", "v.bin", "--out", "t.csv",
+                                           "--no-layer-mask"])
 
     def test_default_radius_follows_a_jump_of_two_amplitudes(self, tmp_path):
         # phantom 18's adjacent transverse groups differ by 29 columns; at
@@ -553,6 +565,17 @@ class TestPreprocessCommand:
             err = json.loads(lines[0])
             assert err["error"] == "ConfigError" and "--surfaces" in err["message"]
             assert not (root / "out.bin").exists() and not (root / "s.csv").exists()
+
+    @pytest.mark.parametrize("flatten", [[], ["--flatten"]])
+    def test_surfaces_nothing_reads_rejected(self, flatten):
+        # without --crop or --out-surfaces the surfaces would be checked and dropped
+        with input_dir() as root:
+            code, lines = run_quiet(["preprocess", "--vol", root / "vol.bin", *flatten,
+                                     "--surfaces", root / "surf.csv", "--out", root / "out.bin"])
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "ConfigError" and "--surfaces" in err["message"]
+            assert not (root / "out.bin").exists()
 
     def test_bad_crop_spec(self, phantom_dir, tmp_path, capsys):
         code = run(["preprocess", "--vol", phantom_dir / "volume.bin",
@@ -724,8 +747,13 @@ class TestEvalCommand:
                     "--vol", phantom_dir / "volume.bin",
                     "--report", report]) == 0
         data = json.loads(report.read_text())
-        assert data["mad_um"]["overall"]["mean_um"] == 0.0
-        assert data["hd95_um"]["overall"]["mean_um"] == 0.0
+        for key in ("mad_um", "hd95_um"):
+            # one volume: its means, and no copies of them or zero spreads
+            entry = data[key]
+            assert set(entry) == {"surfaces", "per_surface", "overall"}
+            assert set(entry["per_surface"]) == set(entry["overall"]) == {"mean_um"}
+            assert len(entry["surfaces"]) == 4 and entry["per_surface"]["mean_um"] == [0.0] * 4
+            assert entry["overall"]["mean_um"] == 0.0
         assert (tmp_path / "report_connectivity_pred.csv").exists()
         assert (tmp_path / "report_connectivity_gt.csv").exists()
 

@@ -20,11 +20,12 @@ from oct_align.metrics import motion_error
 from oct_align.postprocess import estimate_bm_rows
 
 # the surfaces that mask each transverse run: the corrupted ones, which sit
-# up to the motion's axial shift off ax.bin, and the axially corrected ones
+# up to the motion's axial shift off ax.bin, none (whole columns: the
+# no-layer-mask ablation) and the axially corrected ones
 TRANSVERSE_RUNS = {
-    "corrupt_masked": ("surfaces_corrupt.csv", []),
-    "corrupt_no_layer_mask": ("surfaces_corrupt.csv", ["--no-layer-mask"]),
-    "corrected_masked": ("surfaces_ax.csv", []),
+    "corrupt_masked": "surfaces_corrupt.csv",
+    "no_layer_mask": None,
+    "corrected_masked": "surfaces_ax.csv",
 }
 
 
@@ -46,9 +47,9 @@ def clinical(tmp_path_factory):
     csurf = io.read_surfaces(d / "surfaces_corrupt.csv")
     io.write_surfaces(d / "surfaces_ax.csv",
                       SurfaceSet(csurf.positions - motion.axial[None, :, None]))
-    for name, (surfaces, flags) in TRANSVERSE_RUNS.items():
-        cli("transverse", "--vol", d / "ax.bin", "--surfaces", d / surfaces, *flags,
-            "--out", d / f"t_{name}.csv")
+    for name, surfaces in TRANSVERSE_RUNS.items():
+        mask = ["--surfaces", d / surfaces] if surfaces else []
+        cli("transverse", "--vol", d / "ax.bin", *mask, "--out", d / f"t_{name}.csv")
     cli("preprocess", "--vol", d / "ax.bin", "--flatten", "--out", d / "pre.bin")
     cli("eval", "--pred", d / "surfaces_corrupt.csv", "--gt", d / "surfaces_corrupt.csv",
         "--vol", d / "pre.bin", "--report", d / "report.json")

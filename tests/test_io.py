@@ -153,13 +153,11 @@ EXACT_BYTES = {
         + bytes.fromhex("0000803f 00000040 0000003f 000080bf")),
     "distributions": (
         lambda p: io.write_distributions(p, np.array([[[[0.25, 0.75]]]])),
-        b'{"dtype": "f64le", "kind": "surface_distribution", '
-        b'"n_a": 1, "n_b": 1, "n_l": 1, "n_r": 2}\n'
+        b'{"dtype": "f64le", "n_a": 1, "n_b": 1, "n_l": 1, "n_r": 2}\n'
         + bytes.fromhex("000000000000d03f 000000000000e83f")),
     "labels": (
         lambda p: io.write_labels(p, LabelMap(np.array([[[0, 1, 1]], [[0, 0, 2]]]), 2)),
-        b'{"dtype": "u8", "kind": "label_map", "n_a": 1, "n_b": 2, "n_r": 3, '
-        b'"n_surfaces": 2}\n'
+        b'{"dtype": "u8", "n_a": 1, "n_b": 2, "n_r": 3, "n_surfaces": 2}\n'
         + bytes.fromhex("000101 000002")),
 }
 
@@ -169,6 +167,25 @@ def test_binary_writers_write_exact_bytes(tmp_path, name):
     write, want = EXACT_BYTES[name]
     write(tmp_path / "f.bin")
     assert (tmp_path / "f.bin").read_bytes() == want
+
+
+@pytest.mark.parametrize("name, kind", [("distributions", "surface_distribution"),
+                                        ("labels", "label_map")])
+def test_header_with_the_old_kind_key_reads_back_unchanged(tmp_path, name, kind):
+    # files written before the key was dropped carry it; readers ignore it
+    write, want = EXACT_BYTES[name]
+    reader = BINARY_FILES[name][0]
+    write(tmp_path / "new.bin")
+    header, payload = want.split(b"\n", 1)
+    old = json.loads(header)
+    old["kind"] = kind
+    (tmp_path / "old.bin").write_bytes(json.dumps(old, sort_keys=True).encode() + b"\n"
+                                       + payload)
+    got, expect = reader(tmp_path / "old.bin"), reader(tmp_path / "new.bin")
+    if name == "labels":
+        assert got.n_surfaces == expect.n_surfaces
+        got, expect = got.labels, expect.labels
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("name", sorted(BINARY_FILES))

@@ -251,6 +251,12 @@ class TestSmoothnessWeights:
         with pytest.raises(ValidationError):
             smoothness_weights(SurfaceSet(np.full((1, 3, 3), 5.0)), 0.1)
 
+    @pytest.mark.parametrize("base", [-0.1, np.nan, np.inf])
+    def test_base_that_is_negative_or_not_finite_rejected(self, rng, base):
+        pos = rng.uniform(20, 40, size=(2, 4, 4))
+        with pytest.raises(ValidationError, match="lambda_l"):
+            smoothness_weights(SurfaceSet(pos), base)
+
 
 class TestSegmentationLoss:
     def _case(self, rng, perfect=False):
@@ -283,7 +289,7 @@ class TestSegmentationLoss:
 
     def test_zero_smooth_weights_equals_other_three(self, rng):
         q, p, gt, m = self._case(rng)
-        w0 = LossWeights(0.0, np.zeros(2))
+        w0 = LossWeights(np.zeros(2))
         out = segmentation_loss(q, p, gt, m, w0)
         assert np.isclose(
             out["total"],
@@ -295,7 +301,7 @@ class TestSegmentationLoss:
     @pytest.mark.parametrize("perfect", [False, True])
     def test_no_class_probs_equals_the_labels_one_hot(self, rng, perfect):
         q, p, gt, m = self._case(rng, perfect=perfect)
-        weights = LossWeights(0.1, np.array([0.02, 0.03]))
+        weights = LossWeights(np.array([0.02, 0.03]))
         out = segmentation_loss(q, None, gt, m, weights)
         assert out == segmentation_loss(q, p, gt, m, weights)
         assert out["dice_ce"] == 0.0
@@ -303,14 +309,14 @@ class TestSegmentationLoss:
     @pytest.mark.parametrize("with_class_probs", [False, True])
     def test_labels_off_the_distribution_grid_rejected(self, rng, with_class_probs):
         q, p, gt, m = self._case(rng)
-        weights = LossWeights(0.1, np.array([0.02, 0.03]))
+        weights = LossWeights(np.array([0.02, 0.03]))
         with pytest.raises(DimensionError, match="labels are on a"):
             segmentation_loss(q, p if with_class_probs else None, gt,
                               LabelMap(m.labels[:, :-1], 2), weights)
 
     def test_total_is_sum_of_independently_computed_terms(self, rng):
         q, p, gt, m = self._case(rng)
-        weights = LossWeights(0.1, np.array([0.02, 0.03]))
+        weights = LossWeights(np.array([0.02, 0.03]))
         out = segmentation_loss(q, p, gt, m, weights)
         pred = soft_argmax(q)
         expect = (

@@ -8,6 +8,8 @@ from oct_align.errors import DimensionError, ValidationError
 from oct_align.resample import resample_axial
 from oct_align.synth import (
     BACKGROUND_INTENSITY,
+    BAND_INTENSITY,
+    BAND_ROWS_FRAC,
     BUMP_AMPLITUDE_PX,
     BUMP_MAX_CYCLES,
     FOVEA_DEPTH_PX,
@@ -37,8 +39,8 @@ def invert_motion(volume, surfaces, motion):
 class TestPhantomSpec:
     def test_defaults_valid(self):
         spec = PhantomSpec()
-        assert len(spec.thicknesses()) == spec.n_layers
-        assert len(spec.intensities()) == spec.n_layers
+        _, surf = generate_phantom(spec)
+        assert surf.n_surfaces == spec.n_layers + 1
 
     def test_stack_exceeding_rows_rejected(self):
         with pytest.raises(ValidationError):
@@ -96,16 +98,15 @@ class TestGeneratePhantom:
         assert np.array_equal(s1.positions, s2.positions)
 
     def test_noiseless_phantom_is_piecewise_constant_on_label_bands(self):
-        spec = PhantomSpec(
-            n_layers=3, vessel_count=0, speckle_sigma=0.0, noise_sigma=0.0, seed=1
-        )
-        vol, surf = generate_phantom(spec)
-        labels = surfaces_to_labels(surf, spec.n_r).labels
-        lut = np.array(
-            [BACKGROUND_INTENSITY, *spec.intensities(), BACKGROUND_INTENSITY],
-            dtype=np.float32,
-        )
-        assert np.array_equal(vol.data, lut[labels])
+        for n_layers in (3, 7):  # 7 bands cycle the 6 levels
+            spec = PhantomSpec(n_layers=n_layers, vessel_count=0, speckle_sigma=0.0,
+                               noise_sigma=0.0, seed=1)
+            vol, surf = generate_phantom(spec)
+            labels = surfaces_to_labels(surf, spec.n_r).labels
+            bands = (BAND_INTENSITY * 2)[:n_layers]
+            lut = np.array([BACKGROUND_INTENSITY, *bands, BACKGROUND_INTENSITY],
+                           dtype=np.float32)
+            assert np.array_equal(vol.data, lut[labels])
 
     def test_surfaces_ordered_and_in_range(self):
         vol, surf = generate_phantom(PhantomSpec(seed=5))
@@ -126,7 +127,7 @@ class TestGeneratePhantom:
         # bound from the generator's own amplitudes: cosine fields change by
         # at most amp * 2*pi*f/N per step, the dip by depth/width * exp(-1/2)
         cos_slope = 2 * np.pi * BUMP_MAX_CYCLES * (1 / spec.n_a + 1 / spec.n_b)
-        thick = max(spec.thicknesses())
+        thick = BAND_ROWS_FRAC * spec.n_r / spec.n_layers
         bound = (
             BUMP_AMPLITUDE_PX * cos_slope
             + spec.n_layers * thick * THICKNESS_WOBBLE * cos_slope
@@ -252,7 +253,7 @@ class TestInverseCorrection:
         err = np.abs(v_back.data.astype(np.float64) - vol.data)[
             :, margin:vol.n_a - margin, band:-band
         ]
-        levels = np.array([BACKGROUND_INTENSITY, *spec.intensities()])
+        levels = np.array([BACKGROUND_INTENSITY, *BAND_INTENSITY[:spec.n_layers]])
         max_jump = np.abs(np.diff(levels)).max()
         assert err.max() <= 0.5 * max_jump + 1e-9
 

@@ -48,18 +48,19 @@ def _json_fields(path, what: str, defaults: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
-def _surfaces_on(path, vol, flag: str):
-    """The surfaces in ``path``, on ``vol``'s (N_B, N_A) grid and no deeper
-    than its last row; else DimensionError or ValidationError naming ``flag``."""
+def _surfaces_on(path, grid, flag: str):
+    """The surfaces in ``path``, on the N_B x N_A of ``grid`` (N_B, N_A, N_R)
+    and no deeper than N_R; else DimensionError or ValidationError naming ``flag``."""
+    n_b, n_a, n_r = grid
     surf = io.read_surfaces(path)
-    if (surf.n_b, surf.n_a) != (vol.n_b, vol.n_a):
+    if (surf.n_b, surf.n_a) != (n_b, n_a):
         raise DimensionError(
             f"{flag} surfaces are on a {surf.n_b}x{surf.n_a} (N_B x N_A) grid, "
-            f"the volume is {vol.n_b}x{vol.n_a}"
+            f"expected {n_b}x{n_a}"
         )
-    if surf.positions.max() > vol.n_r:
+    if surf.positions.max() > n_r:
         raise ValidationError(f"{flag} surfaces reach row {surf.positions.max():g}, "
-                              f"past the volume's last row {vol.n_r}")
+                              f"past the last row {n_r}")
     return surf
 
 
@@ -109,7 +110,8 @@ def cmd_align(args) -> int:
     vol = io.read_volume(args.vol)
     cfg = AlignConfig(search_radius=args.radius)
     if args.mode == "supervised":
-        disp = optimize_alignment(vol, _surfaces_on(args.surfaces, vol, "--surfaces"), cfg)
+        surf = _surfaces_on(args.surfaces, vol.data.shape, "--surfaces")
+        disp = optimize_alignment(vol, surf, cfg)
     elif args.mode == "unsupervised":
         disp = optimize_alignment(vol, None, cfg)
     else:
@@ -121,7 +123,7 @@ def cmd_align(args) -> int:
 
 def cmd_transverse(args) -> int:
     vol = io.read_volume(args.vol)
-    surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
+    surf = _surfaces_on(args.surfaces, vol.data.shape, "--surfaces") if args.surfaces else None
     disp = align_transverse(vol, surf, radius=args.radius)
     io.write_displacements(args.out, disp)
     print(args.out)
@@ -142,7 +144,7 @@ def cmd_preprocess(args) -> int:
     if args.surfaces and not (args.crop or args.out_surfaces):
         raise ConfigError("only --crop and --out-surfaces read --surfaces")
     vol = io.read_volume(args.vol)
-    surf = _surfaces_on(args.surfaces, vol, "--surfaces") if args.surfaces else None
+    surf = _surfaces_on(args.surfaces, vol.data.shape, "--surfaces") if args.surfaces else None
     if args.flatten:
         vol, _shifts = flatten_to_bm(vol)
     if args.crop:
@@ -158,13 +160,14 @@ def cmd_losses(args) -> int:
     """Print the segmentation loss breakdown as JSON.  The weights file sets
     either lambda_base, from which ``smoothness_weights`` derives lambda_l
     on the ground truth, or lambda_l itself, the weights as passed; it is
-    checked before any other file is read.  Without ``--class-probs`` the
+    checked before any other file is read.  The surfaces must sit on the
+    distributions' (N_B, N_A, N_R) grid.  Without ``--class-probs`` the
     labels are scored against themselves, so the Dice+CE term is 0.0."""
     wraw = _json_fields(args.weights, "loss weights", {"lambda_base": 0.0, "lambda_l": ()})
     if len(wraw) != 1:
         raise ConfigError(f"{args.weights}: need exactly one of lambda_base and lambda_l")
     probs = io.read_distributions(args.q)
-    surf = io.read_surfaces(args.surfaces)
+    surf = _surfaces_on(args.surfaces, probs.shape[1:], "--surfaces")
     labels = io.read_labels(args.labels)
     if "lambda_l" in wraw:
         weights = LossWeights(wraw["lambda_l"])
@@ -181,8 +184,8 @@ def cmd_eval(args) -> int:
     """Write report.json and the two connectivity CSVs beside it; every
     metric is computed before the first file is written."""
     vol = io.read_volume(args.vol)
-    pred = _surfaces_on(args.pred, vol, "--pred")
-    gt = _surfaces_on(args.gt, vol, "--gt")
+    pred = _surfaces_on(args.pred, vol.data.shape, "--pred")
+    gt = _surfaces_on(args.gt, vol.data.shape, "--gt")
     dz, dx = vol.spacing[0], vol.spacing[1]
     report_path = Path(args.report)
     hist_pred = report_path.with_name(report_path.stem + "_connectivity_pred.csv")

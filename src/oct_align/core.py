@@ -186,8 +186,9 @@ class DisplacementField:
             )
         if not np.all(np.isfinite(ax)):
             raise ValidationError("axial displacements must be finite")
-        if not np.all(np.isfinite(tr_raw)):
-            raise ValidationError("transverse displacements must be finite")
+        if not np.all(np.abs(tr_raw) < 2.0 ** 63):  # nan fails too; before the int64 cast
+            raise ValidationError("transverse displacements must be finite and "
+                                  "below 2**63 in magnitude")
         if np.any(tr_raw != np.round(tr_raw)):
             raise ValidationError("transverse displacements must be whole pixels")
         tr = np.round(tr_raw).astype(np.int64)

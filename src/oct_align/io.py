@@ -3,20 +3,22 @@
 Binary container: one UTF-8 JSON header line with sorted keys, ending in
 ``\\n``, then the raw payload array in the header's ``"dtype"``,
 row-major.  ``_write_binary`` and ``_read_binary`` write and read every
-binary format; the reader checks the header's keys, dtype and nonnegative
-integer dimensions, and the payload size they imply against the file's
-size before it reads (or allocates) the payload straight into its array.
+binary format; the reader checks the header's keys and dtype, each field
+it needs by its JSON kind (``json_kind_ok``; dimensions nonnegative), and
+the payload size the dimensions imply against the file's size before it
+reads (or allocates) the payload straight into its array.
 Volume header: ``n_b, n_a, n_r, spacing_um: [dz, dx, dy]``, dtype
 ``f32le``, payload in (b, a, r) order.  Surface-distribution files
 (``n_l`` and the grid, ``f64le``, values checked finite and nonnegative)
 and label-map files (the grid and ``n_surfaces``, ``u8``) exist so the
 loss CLI can read its inputs; their dtypes tell them apart.  A reader
 ignores header keys it does not need, such as the ``kind`` key of files
-written by earlier versions.  Header values follow the one JSON kind rule
-of ``json_kind_ok``.
+written by earlier versions.
 
-Surface CSV: header ``surface,b,a,r`` with 1-based indices and fractional
-row positions.  Displacement CSV: header ``b,axial,transverse``.
+Grid table (CSV, ``_write_grid`` and ``_read_grid``): a header line naming
+the index columns, then the value columns; one row per point of a complete
+grid, its indices 1-based integers, each point once, in any row order.
+Surfaces: ``surface,b,a,r``.  Displacements: ``b,axial,transverse``.
 """
 
 from __future__ import annotations
@@ -74,18 +76,10 @@ def json_kind_ok(value, default) -> bool:
         return False
 
 
-def _header_ints(path, header: dict, keys) -> tuple[int, ...]:
-    """The header's ``keys`` as nonnegative JSON integers, or FormatError."""
-    values = tuple(header[k] for k in keys)
-    if not all(json_kind_ok(v, 0) for v in values):
-        raise FormatError(f"{path}: header fields {list(keys)} must be integers, got {values!r}")
-    if min(values) < 0:
-        raise FormatError(f"{path}: header fields {list(keys)} must be nonnegative, got {values}")
-    return values
-
-
 # header dtype -> the payload's numpy dtype
 _DTYPES = {"f32le": "<f4", "f64le": "<f8", "u8": "u1"}
+# a header field's JSON kind (see json_kind_ok) -> how an error names it
+_FIELD_KINDS = {0: "a nonnegative integer", (): "a list of finite numbers"}
 
 
 def _write_binary(path, header: dict, array, dtype: str) -> None:
@@ -96,11 +90,11 @@ def _write_binary(path, header: dict, array, dtype: str) -> None:
         f.write(np.asarray(array, _DTYPES[dtype]).tobytes())
 
 
-def _read_binary(path, dtype: str, dims, extra=()):
+def _read_binary(path, dtype: str, dims, **extra):
     """``(header, payload)`` of the binary file ``path``: FormatError unless
     the header is a JSON object holding ``dims``, ``extra`` and ``dtype``,
-    the ``dims`` are nonnegative integers and the payload fills an array
-    of that shape exactly."""
+    each of ``dims`` (a nonnegative integer) and ``extra`` (field -> kind)
+    has its kind, and the payload fills an array of the ``dims`` exactly."""
     with open(path, "rb") as f:
         line = f.readline()
         if not line.endswith(b"\n"):
@@ -111,12 +105,18 @@ def _read_binary(path, dtype: str, dims, extra=()):
             raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
         if not isinstance(header, dict):
             raise FormatError(f"{path}: header must be a JSON object")
-        missing = [k for k in (*dims, *extra, "dtype") if k not in header]
+        fields = {**dict.fromkeys(dims, 0), **extra}
+        missing = [k for k in (*fields, "dtype") if k not in header]
         if missing:
             raise FormatError(f"{path}: header missing keys {missing}")
         if header["dtype"] != dtype:
             raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-        return header, _read_payload(path, f, _DTYPES[dtype], _header_ints(path, header, dims))
+        for key, kind in fields.items():
+            value = header[key]
+            if not json_kind_ok(value, kind) or (kind == 0 and value < 0):
+                raise FormatError(f"{path}: header field {key!r} must be "
+                                  f"{_FIELD_KINDS[kind]}, got {json.dumps(value)}")
+        return header, _read_payload(path, f, _DTYPES[dtype], tuple(header[k] for k in dims))
 
 
 def _read_payload(path, f, np_dtype, shape) -> np.ndarray:
@@ -152,31 +152,8 @@ def write_volume(path, volume: OctVolume) -> None:
 
 
 def read_volume(path) -> OctVolume:
-    header, data = _read_binary(path, "f32le", _GRID, extra=("spacing_um",))
-    spacing = header["spacing_um"]
-    if not json_kind_ok(spacing, ()):
-        raise FormatError(f"{path}: spacing_um must be a list of finite numbers, "
-                          f"got {json.dumps(spacing)}")
-    return OctVolume(data=data, spacing=tuple(spacing))
-
-
-def _read_table(path, header: str, what: str) -> np.ndarray:
-    """The comma-separated numeric rows below ``header``, as a 2-D array.
-
-    A file without rows gives an empty table, which the callers reject:
-    numpy's warning about it is silenced, so the failure stays the one
-    FormatError line.
-    """
-    try:
-        with open(path, "r", newline="") as f:
-            got = f.readline().strip()
-            if got != header:
-                raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                return np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:  # a malformed row, or bytes that are not UTF-8
-        raise FormatError(f"{path}: malformed {what} row: {exc}") from exc
+    header, data = _read_binary(path, "f32le", _GRID, spacing_um=())
+    return OctVolume(data=data, spacing=tuple(header["spacing_um"]))
 
 
 def _write_table(path, header: str, row_format: str, table: np.ndarray) -> None:
@@ -194,66 +171,82 @@ def _write_table(path, header: str, row_format: str, table: np.ndarray) -> None:
             f.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def _write_grid(path, header: str, value_format: str, *arrays) -> None:
+    """The grid table of ``arrays``, which share one shape: a row per grid
+    point in C order, its 1-based indices (``%d``), then its value in each
+    array (``value_format``)."""
+    shape = np.shape(arrays[0])
+    index = np.indices(shape).reshape(len(shape), -1) + 1
+    table = np.column_stack([*index, *(np.ravel(a) for a in arrays)])
+    _write_table(path, header, "%d," * len(shape) + value_format + "\n", table)
+
+
+def _read_grid(path, header: str, n_index: int, what: str) -> list[np.ndarray]:
+    """Each value column of the grid table ``path``, on its grid.
+
+    FormatError unless the file starts with ``header`` and each row holds
+    one number per column, its first ``n_index`` the 1-based indices that
+    list each point of a complete grid once.  The indices are checked to be
+    integers in [1, row count], the longest side a complete grid can have,
+    before the int64 cast.  numpy's warning on a file without rows is
+    silenced, so the FormatError stays the one line of output.
+    """
+    try:
+        with open(path, "r", newline="") as f:
+            got = f.readline().strip()
+            if got != header:
+                raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:  # a malformed row, or bytes that are not UTF-8
+        raise FormatError(f"{path}: malformed {what} row: {exc}") from exc
+    n_rows, n_cols = table.shape
+    names = header.split(",")
+    if n_rows == 0:
+        raise FormatError(f"{path}: no {what} rows")
+    if n_cols != len(names):
+        raise FormatError(f"{path}: expected {len(names)} columns ({header}), got {n_cols}")
+    idx = table[:, :n_index]
+    if not np.all((idx >= 1) & (idx <= n_rows) & (idx == np.round(idx))):
+        raise FormatError(f"{path}: {'/'.join(names[:n_index])} indices must be "
+                          f"integers in 1..{n_rows}, the row count")
+    ijk = tuple(idx.astype(np.int64).T - 1)
+    shape = tuple(int(i.max()) + 1 for i in ijk)
+    if n_rows != math.prod(shape):
+        raise FormatError(f"{path}: expected a complete {'x'.join(map(str, shape))} grid "
+                          f"({math.prod(shape)} rows), got {n_rows}")
+    # one row per grid point: a point listed twice leaves another one missing
+    if np.bincount(np.ravel_multi_index(ijk, shape)).max() > 1:
+        raise FormatError(f"{path}: duplicate or missing ({', '.join(names[:n_index])}) entries")
+    columns = [np.empty(shape) for _ in names[n_index:]]
+    for c, column in enumerate(columns, n_index):
+        column[ijk] = table[:, c]
+    return columns
+
+
 _SURFACE_HEADER = "surface,b,a,r"
 
 
 def write_surfaces(path, surfaces: SurfaceSet) -> None:
-    pos = surfaces.positions
-    n_s, n_b, n_a = pos.shape
-    ls, bs, aa = np.meshgrid(
-        np.arange(1, n_s + 1), np.arange(1, n_b + 1), np.arange(1, n_a + 1),
-        indexing="ij",
-    )
-    table = np.column_stack([ls.ravel(), bs.ravel(), aa.ravel(), pos.ravel()])
-    _write_table(path, _SURFACE_HEADER, "%d,%d,%d,%.17g\n", table)
+    _write_grid(path, _SURFACE_HEADER, "%.17g", surfaces.positions)
 
 
 def read_surfaces(path) -> SurfaceSet:
-    table = _read_table(path, _SURFACE_HEADER, "surface")
-    if table.size == 0:
-        raise FormatError(f"{path}: no surface rows")
-    if table.shape[1] != 4:
-        raise FormatError(f"{path}: expected 4 columns, got {table.shape[1]}")
-    idx = table[:, :3]
-    if np.any(idx != np.round(idx)) or idx.min() < 1:
-        raise FormatError(f"{path}: surface/b/a indices must be 1-based integers")
-    ijk = tuple(idx.astype(np.int64).T - 1)
-    shape = tuple(int(i.max()) + 1 for i in ijk)
-    if table.shape[0] != math.prod(shape):
-        raise FormatError(
-            f"{path}: expected a complete {'x'.join(map(str, shape))} grid "
-            f"({math.prod(shape)} rows), got {table.shape[0]}"
-        )
-    # one row per grid point: a point listed twice leaves another one missing
-    if np.bincount(np.ravel_multi_index(ijk, shape)).max() > 1:
-        raise FormatError(f"{path}: duplicate or missing (surface, b, a) entries")
-    pos = np.empty(shape)
-    pos[ijk] = table[:, 3]
-    return SurfaceSet(pos)
+    (positions,) = _read_grid(path, _SURFACE_HEADER, 3, "surface")
+    return SurfaceSet(positions)
 
 
 _DISP_HEADER = "b,axial,transverse"
 
 
 def write_displacements(path, disp: DisplacementField) -> None:
-    table = np.column_stack([
-        np.arange(1, disp.n_b + 1, dtype=np.float64),
-        disp.axial,
-        disp.transverse.astype(np.float64),
-    ])
-    _write_table(path, _DISP_HEADER, "%d,%.17g,%d\n", table)
+    _write_grid(path, _DISP_HEADER, "%.17g,%d", disp.axial, disp.transverse)
 
 
 def read_displacements(path) -> DisplacementField:
-    table = _read_table(path, _DISP_HEADER, "displacement")
-    if table.size == 0 or table.shape[1] != 3:
-        raise FormatError(f"{path}: expected rows of b,axial,transverse")
-    bs = table[:, 0]
-    order = np.argsort(bs)
-    bs = bs[order]
-    if np.any(bs != np.arange(1, len(bs) + 1)):
-        raise FormatError(f"{path}: b column must cover 1..N_B exactly once")
-    return DisplacementField(axial=table[order, 1], transverse=table[order, 2])
+    axial, transverse = _read_grid(path, _DISP_HEADER, 1, "displacement")
+    return DisplacementField(axial=axial, transverse=transverse)
 
 
 def write_distributions(path, probs: np.ndarray) -> None:
@@ -284,9 +277,8 @@ def write_labels(path, label_map: LabelMap) -> None:
 
 
 def read_labels(path) -> LabelMap:
-    header, labels = _read_binary(path, "u8", _GRID, extra=("n_surfaces",))
-    (n_surfaces,) = _header_ints(path, header, ("n_surfaces",))
-    return LabelMap(labels=labels.astype(np.int16), n_surfaces=n_surfaces)
+    header, labels = _read_binary(path, "u8", _GRID, n_surfaces=0)
+    return LabelMap(labels=labels.astype(np.int16), n_surfaces=header["n_surfaces"])
 
 
 def write_json(path, obj) -> None:

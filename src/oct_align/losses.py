@@ -40,9 +40,9 @@ def _pick(q, gt):
     g = as_positions(gt)
     if np.any(g != np.round(g)):
         raise ValidationError("ground-truth rows must be integers")
-    gi = g.astype(np.int64)
-    if gi.size and (gi.min() < 1 or gi.max() > p.shape[-1]):
+    if g.size and (g.min() < 1 or g.max() > p.shape[-1]):  # before the int64 cast
         raise ValidationError(f"ground-truth rows must lie in [1, {p.shape[-1]}]")
+    gi = g.astype(np.int64)
     if gi.shape != p.shape[:-1]:
         raise DimensionError(f"gt shape {gi.shape} does not match {p.shape[:-1]}")
     idx = gi[..., None] - 1

@@ -442,6 +442,35 @@ class TestMalformedInputFuzz:
             assert_one_line_error(*run_quiet(argv))
             assert not (root / "out.bin").exists() and not (root / "out").exists()
 
+    @pytest.mark.parametrize("command, name, column, value, error", [
+        ("eval", "surf.csv", 0, "inf", "FormatError"),  # a surface index
+        ("eval", "surf.csv", 1, "1e300", "FormatError"),
+        ("eval", "surf.csv", 2, "9223372036854775808", "FormatError"),  # 2**63
+        ("apply", "disp.csv", 2, "1e300", "ValidationError"),  # a transverse value
+        ("losses", "surf.csv", 3, "1e300", "ValidationError"),  # a row past N_R
+    ])
+    def test_value_beyond_int64_refused_before_any_cast(self, command, name, column, value,
+                                                        error):
+        # casting these to int64 made numpy warn on stderr before the JSON line
+        with input_dir() as root:
+            io.write_distributions(root / "q.bin", np.full((1, 3, 4, 8), 0.125))
+            io.write_labels(root / "m.bin",
+                            surfaces_to_labels(io.read_surfaces(root / "surf.csv"), 8))
+            (root / "w.json").write_text(json.dumps({"lambda_l": [0.1]}))
+            argv = {"apply": apply_argv(root), "eval": eval_argv(root),
+                    "losses": ["losses", "--q", root / "q.bin", "--surfaces", root / "surf.csv",
+                               "--labels", root / "m.bin", "--weights", root / "w.json"]}
+            lines = (root / name).read_text().splitlines()
+            fields = lines[-1].split(",")
+            fields[column] = value
+            lines[-1] = ",".join(fields)
+            (root / name).write_text("\n".join(lines) + "\n")
+            before = sorted(root.iterdir())
+            code, err = run_quiet(argv[command])
+            assert_one_line_error(code, err)
+            assert json.loads(err[0])["error"] == error
+            assert sorted(root.iterdir()) == before
+
 
 class TestTransverseCommand:
     def test_runs_with_and_without_mask(self, phantom_dir, tmp_path):

@@ -97,6 +97,12 @@ class TestDisplacementField:
         with pytest.raises(DimensionError):
             DisplacementField(np.zeros(3), np.zeros(4, dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 ** 63, -2.0 ** 63, 1e300])
+    def test_transverse_outside_int64_rejected(self, bad):
+        # checked before the int64 cast, which would warn and wrap
+        with pytest.raises(ValidationError, match=r"finite and below 2\*\*63"):
+            DisplacementField(np.zeros(2), np.array([0.0, bad]))
+
 
 class TestLabelMap:
     def test_non_monotone_rejected_with_coordinates(self):

@@ -93,6 +93,13 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             cross_entropy(q, np.full((1, 1), 9.0))
 
+    @pytest.mark.parametrize("row", [1e300, np.inf, -np.inf])
+    def test_gt_beyond_int64_rejected_before_the_cast(self, rng, row):
+        # the int64 cast of these would warn
+        q = random_distribution(rng, (1, 1, 8))
+        with pytest.raises(ValidationError, match=r"lie in \[1, 8\]"):
+            cross_entropy(q, np.full((1, 1), row))
+
     def test_fractional_gt_rejected(self, rng):
         q = random_distribution(rng, (1, 1, 8))
         with pytest.raises(ValidationError):

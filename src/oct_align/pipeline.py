@@ -26,12 +26,6 @@ from .transverse import TRANSVERSE_RADIUS, align_transverse
 
 REPORT_SCHEMA = 1
 
-# recovery axis -> the methods each work item reports an error for
-_METHODS = {
-    "axial": ("supervised", "unsupervised", "template"),
-    "transverse": ("masked", "no_layer_mask"),
-}
-
 
 def phantom_seed(seed: int, index: int) -> int:
     return seed * 100003 + index
@@ -145,9 +139,10 @@ def run_pipeline(seed: int = 0, volumes: int = 20, repeats: int = 5,
 
     recovery = {}
     per_phantom = [{"phantom": i} for i in range(volumes)]
-    for axis, methods in _METHODS.items():
+    for axis in ("axial", "transverse"):
         summary = recovery[f"{axis}_recovery_px"] = {}
-        for method in methods:
+        # run_volume's record names each axis's methods
+        for method in records[0][f"{axis}_err_px"]:
             errs = column(f"{axis}_err_px", method)
             summary[method] = _mean_std(errs)
             # the items run phantom-major: row i holds phantom i's repeats

@@ -99,34 +99,13 @@ class PhantomSpec:
 @dataclass(frozen=True)
 class MotionSpec(DisplacementField):
     """Ground-truth simulated motion, the recovery oracle: a
-    ``DisplacementField`` within +/-MAX_MOTION_PX on both axes, plus its
-    transverse groups.
-
-    ``group_boundaries`` holds the 0-based start index of each transverse
-    group (first element 0).  The protocol sampler always draws 3 to 5
-    groups; degenerate specs (e.g. an all-zero single group) are allowed
-    for forced-identity tests.
-    """
-
-    group_boundaries: tuple[int, ...]
+    ``DisplacementField`` within +/-MAX_MOTION_PX on both axes."""
 
     def __post_init__(self):
         super().__post_init__()
         if max(np.abs(self.axial).max(initial=0.0),
                np.abs(self.transverse).max(initial=0)) > MAX_MOTION_PX:
             raise ValidationError(f"motion truth must lie within +/-{MAX_MOTION_PX} px")
-        bounds = tuple(int(i) for i in self.group_boundaries)
-        if not bounds or bounds[0] != 0 or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ) or bounds[-1] >= self.n_b:
-            raise ValidationError("group boundaries must start at 0 and increase within N_B")
-        if len(bounds) > 5:
-            raise ValidationError("at most 5 transverse groups")
-        edges = list(bounds) + [self.n_b]
-        for lo, hi in zip(edges, edges[1:]):
-            if np.unique(self.transverse[lo:hi]).size != 1:
-                raise ValidationError("transverse shift must be constant within each group")
-        object.__setattr__(self, "group_boundaries", bounds)
 
     def as_displacement(self) -> DisplacementField:
         """The plain field with the same arrays; ``perfbench/workloads.py`` calls it."""
@@ -250,8 +229,9 @@ def shift_surfaces_transverse(positions: np.ndarray, shifts) -> np.ndarray:
     return shift_transverse(positions.transpose(1, 2, 0), shifts).transpose(2, 0, 1)
 
 
-def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
-    """Corrupt a volume and its surfaces with the given ground-truth motion.
+def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: DisplacementField):
+    """Corrupt a volume and its surfaces with the given motion, any
+    ``DisplacementField`` (a ``MotionSpec`` when it is the ground truth).
 
     Axial truth t pushes content toward larger rows by t (surfaces gain +t);
     transverse truth moves content toward larger column indices.
@@ -272,17 +252,13 @@ def apply_motion(volume: OctVolume, surfaces: SurfaceSet, motion: MotionSpec):
 
 def sample_motion(rng, n_b: int) -> MotionSpec:
     """Draw motion per the protocol: uniform axial within +-MAX_MOTION_PX,
-    and integer transverse shifts within it, constant over 3 to 5 groups."""
+    and integer transverse shifts within it, constant over 3 to 5 groups
+    (at most N_B groups, so one or two B-scans get one group each)."""
     axial = rng.uniform(-MAX_MOTION_PX, MAX_MOTION_PX, n_b)
     n_groups = min(int(rng.integers(3, 6)), n_b)
     cuts = np.sort(rng.choice(np.arange(1, n_b), size=n_groups - 1, replace=False))
-    starts = (0, *map(int, cuts))
     shifts = rng.integers(-int(MAX_MOTION_PX), int(MAX_MOTION_PX) + 1, n_groups)
-    transverse = np.empty(n_b, dtype=np.int64)
-    edges = list(starts) + [n_b]
-    for g, (b0, b1) in enumerate(zip(edges, edges[1:])):
-        transverse[b0:b1] = shifts[g]
-    return MotionSpec(axial, transverse, starts)
+    return MotionSpec(axial, np.repeat(shifts, np.diff((0, *cuts, n_b))))
 
 
 def simulate_motion(volume: OctVolume, surfaces: SurfaceSet, seed: int):

@@ -122,7 +122,7 @@ class TestCriterion3ClosedFormExactness:
             vol, surf = generate_phantom(spec)
             rng = np.random.default_rng(900 + seed)
             ax = rng.uniform(-15.0, 15.0, vol.n_b)
-            motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+            motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64))
             _, csurf = apply_motion(vol, surf, motion)
             d = solve_from_surfaces(csurf)
             est = d.axial - d.axial.mean()

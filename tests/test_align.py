@@ -90,7 +90,7 @@ class TestSolveFromSurfaces:
     def test_recovers_axial_truth_exactly(self, rng):
         vol, surf = generate_phantom(PhantomSpec(seed=1))
         ax = rng.uniform(-15, 15, vol.n_b)
-        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64))
         _, csurf = apply_motion(vol, surf, motion)
         d = solve_from_surfaces(csurf)
         est = d.axial - d.axial.mean()
@@ -235,8 +235,7 @@ class TestOptimizeAlignment:
         assert (steps.max() + steps.min()) % 2 == 1
         got = optimize_alignment(cvol, None)
         assert motion_error(got, motion)[0] < motion_error(template_match_align(cvol), motion)[0]
-        shifted = MotionSpec(motion.axial + 0.5, motion.transverse,
-                             motion.group_boundaries)
+        shifted = MotionSpec(motion.axial + 0.5, motion.transverse)
         cvol2, _ = apply_motion(vol, surf, shifted)
         got2 = optimize_alignment(cvol2, None)
         assert np.abs(got2.axial - got.axial).max() < 0.1
@@ -316,7 +315,7 @@ class TestSubpixelChain:
             vol, surf = generate_phantom(PhantomSpec(seed=seed, speckle_sigma=0.0,
                                                      noise_sigma=0.0))
             ax = np.random.default_rng(500 + seed).uniform(-15.0, 15.0, vol.n_b)
-            motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+            motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64))
             cvol, _ = apply_motion(vol, surf, motion)
             refined = motion_error(optimize_alignment(cvol, None), motion)[0]
             chain = motion_error(template_match_align(cvol), motion)[0]
@@ -504,7 +503,7 @@ class TestTemplateMatch:
         spec = PhantomSpec(seed=8, speckle_sigma=0.0, noise_sigma=0.0)
         vol, surf = generate_phantom(spec)
         ax = rng.integers(-10, 11, vol.n_b).astype(float)
-        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64))
         cvol, _ = apply_motion(vol, surf, motion)
         d = template_match_align(cvol)
         est = d.axial - d.axial.mean()
@@ -653,7 +652,7 @@ class TestNccPairedComparison:
 def test_apply_axial_correction_consistency(rng):
     vol, surf = generate_phantom(PhantomSpec(seed=1))
     ax = rng.uniform(-5, 5, vol.n_b)
-    motion = MotionSpec(ax, np.zeros(vol.n_b, np.int64), (0,))
+    motion = MotionSpec(ax, np.zeros(vol.n_b, np.int64))
     cvol, csurf = apply_motion(vol, surf, motion)
     d = solve_from_surfaces(csurf)
     v2, s2 = apply_axial_correction(cvol, csurf, d)

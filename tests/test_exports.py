@@ -1,6 +1,7 @@
-"""Every name ``oct_align`` exports is used by the package's own code, or is
-on a short list that gives the paper claim or caller keeping it; and every
-name a module of the package imports, it reads."""
+"""Every name ``oct_align`` exports, and every field of its dataclasses, is
+used by the package's own code, or is on a short list that gives the paper
+claim or caller keeping it; and every name a module of the package imports,
+it reads."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,58 @@ def test_every_export_is_used_or_allowed():
 def test_allow_list_holds_only_unused_exports():
     stale = set(ALLOWED_UNUSED) - unused_exports()
     assert not stale, f"used by the package or no longer exported: {sorted(stale)}"
+
+
+# dataclass fields that no package code reads, each with the caller keeping it
+ALLOWED_UNREAD_FIELDS = {
+    "AlignConfig.max_iters": "the benchmark's clinical workload passes max_iters=1",
+}
+
+
+def is_dataclass_def(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list)
+
+
+def unread_fields(sources) -> set[str]:
+    """``Class.field`` for each annotated field of a dataclass in ``sources``
+    that no code outside that class's body reads as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    classes = [node for tree in trees for node in ast.walk(tree) if is_dataclass_def(node)]
+    unread = set()
+    for cls in classes:
+        own = {id(node) for node in ast.walk(cls)}
+        read = {node.attr for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in own}
+        unread.update(f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read)
+    return unread
+
+
+def package_unread_fields() -> set[str]:
+    return unread_fields(path.read_text() for path in PACKAGE.glob("*.py"))
+
+
+def test_unread_fields_are_found():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n    z: int\n\n"
+              "    def f(self):\n        return self.y\n\n"
+              "@dataclass\nclass B:\n    w: int\n\ndef g(a):\n    a.z = 1\n    return a.x\n")
+    assert unread_fields([source]) == {"A.y", "A.z", "B.w"}
+
+
+def test_every_dataclass_field_is_read_or_allowed():
+    unexplained = package_unread_fields() - set(ALLOWED_UNREAD_FIELDS)
+    assert not unexplained, (
+        f"dataclass fields that no package code reads: {sorted(unexplained)}; delete "
+        "them, or add each to ALLOWED_UNREAD_FIELDS with the caller that needs it"
+    )
+
+
+def test_field_allow_list_holds_only_unread_fields():
+    stale = set(ALLOWED_UNREAD_FIELDS) - package_unread_fields()
+    assert not stale, f"read by the package or no longer a field: {sorted(stale)}"
 
 
 def unread_imports(source: str) -> set[str]:

@@ -221,24 +221,24 @@ class TestMotionError:
     def test_exact_estimate_is_zero(self, rng):
         ax = rng.uniform(-10, 10, 8)
         tr = np.zeros(8, dtype=np.int64)
-        truth = MotionSpec(ax, tr, (0,))
+        truth = MotionSpec(ax, tr)
         est = DisplacementField(axial=ax, transverse=tr)
         assert motion_error(est, truth) == (0.0, 0.0)
 
     def test_global_constant_removed(self, rng):
         ax = rng.uniform(-10, 10, 8)
-        truth = MotionSpec(ax, np.zeros(8, dtype=np.int64), (0,))
+        truth = MotionSpec(ax, np.zeros(8, dtype=np.int64))
         est = DisplacementField(axial=ax + 4.2, transverse=np.zeros(8, np.int64))
         assert motion_error(est, truth)[0] < 1e-12
 
     def test_transverse_mode_gauge(self):
         tr = np.array([5, 5, 5, -2, -2], dtype=np.int64)
-        truth = MotionSpec(np.zeros(5), tr, (0, 3))
+        truth = MotionSpec(np.zeros(5), tr)
         est = DisplacementField(axial=np.zeros(5), transverse=tr - 5)
         assert motion_error(est, truth) == (0.0, 0.0)
 
     def test_length_mismatch(self):
-        truth = MotionSpec(np.zeros(4), np.zeros(4, np.int64), (0,))
+        truth = MotionSpec(np.zeros(4), np.zeros(4, np.int64))
         with pytest.raises(DimensionError):
             motion_error(DisplacementField(np.zeros(5), np.zeros(5)), truth)
 

@@ -150,38 +150,37 @@ class TestMotionSpec:
             assert np.array_equal(plain.transverse, m.transverse)
             assert np.abs(m.axial).max() <= 15.0
             assert np.abs(m.transverse).max() <= 15
-            assert 3 <= len(m.group_boundaries) <= 5
 
-    @pytest.mark.parametrize("n_b", [1, 2])
+    @pytest.mark.parametrize("n_b", [1, 2, 24])
     def test_protocol_sampler_on_one_or_two_b_scans(self, n_b):
         m = sample_motion(np.random.default_rng(5), n_b=n_b)
-        # 3 to 5 groups, capped at N_B: one group per B-scan
-        assert m.group_boundaries == tuple(range(n_b))
+        # replay the protocol's draws in order
         rng = np.random.default_rng(5)
         assert np.array_equal(m.axial, rng.uniform(-15.0, 15.0, n_b))
-        if n_b == 1:  # no cut is drawn: the shift is the draw after the group count
-            rng.integers(3, 6)
-            assert np.array_equal(m.transverse, rng.integers(-15, 16, 1))
-
-    def test_group_constancy_enforced(self):
-        with pytest.raises(ValidationError):
-            MotionSpec(np.zeros(4), np.array([1, 2, 2, 2]), (0, 2))
+        n_groups = min(int(rng.integers(3, 6)), n_b)  # 3 to 5, capped at N_B
+        if n_b == 24:
+            assert 3 <= n_groups <= 5
+        cuts = np.sort(rng.choice(np.arange(1, n_b), size=n_groups - 1, replace=False))
+        shifts = rng.integers(-15, 16, n_groups)
+        edges = [0, *cuts, n_b]
+        for g, (b0, b1) in enumerate(zip(edges, edges[1:])):
+            assert np.all(m.transverse[b0:b1] == shifts[g])
 
     def test_amplitude_cap_enforced(self):
         with pytest.raises(ValidationError):
-            MotionSpec(np.array([0.0, 16.0]), np.zeros(2, dtype=np.int64), (0,))
+            MotionSpec(np.array([0.0, 16.0]), np.zeros(2, dtype=np.int64))
         # and, as for any DisplacementField, whole-pixel transverse shifts of
         # the axial vector's length
         with pytest.raises(ValidationError):
-            MotionSpec(np.zeros(2), np.array([0.5, 0.5]), (0,))
+            MotionSpec(np.zeros(2), np.array([0.5, 0.5]))
         with pytest.raises(DimensionError):
-            MotionSpec(np.zeros(3), np.zeros(2, dtype=np.int64), (0,))
+            MotionSpec(np.zeros(3), np.zeros(2, dtype=np.int64))
 
 
 class TestApplyMotion:
     def test_zero_motion_is_identity(self):
         vol, surf = generate_phantom(PhantomSpec(seed=0))
-        zero = MotionSpec(np.zeros(vol.n_b), np.zeros(vol.n_b, dtype=np.int64), (0,))
+        zero = MotionSpec(np.zeros(vol.n_b), np.zeros(vol.n_b, dtype=np.int64))
         v2, s2 = apply_motion(vol, surf, zero)
         assert np.array_equal(v2.data, vol.data)
         assert np.array_equal(s2.positions, surf.positions)
@@ -190,7 +189,7 @@ class TestApplyMotion:
         vol, surf = generate_phantom(PhantomSpec(seed=0))
         ax = np.zeros(vol.n_b)
         ax[3] = 3.0
-        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64))
         _, s2 = apply_motion(vol, surf, motion)
         assert np.allclose(s2.positions[:, 3, :], surf.positions[:, 3, :] + 3.0)
         others = np.arange(vol.n_b) != 3
@@ -200,7 +199,7 @@ class TestApplyMotion:
         # corrupted rows minus the truth give back the original surfaces
         vol, surf = generate_phantom(PhantomSpec(seed=1))
         ax = rng.uniform(-15, 15, vol.n_b)
-        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64), (0,))
+        motion = MotionSpec(ax, np.zeros(vol.n_b, dtype=np.int64))
         _, s2 = apply_motion(vol, surf, motion)
         assert np.allclose(
             s2.positions - ax[None, :, None], surf.positions, atol=1e-12
@@ -210,7 +209,7 @@ class TestApplyMotion:
         vol, surf = generate_phantom(PhantomSpec(seed=0, top_margin_frac=0.17))
         ax = np.full(vol.n_b, -15.0)
         with pytest.raises(ValidationError):
-            apply_motion(vol, surf, MotionSpec(ax, np.zeros(vol.n_b, np.int64), (0,)))
+            apply_motion(vol, surf, MotionSpec(ax, np.zeros(vol.n_b, np.int64)))
 
 
 class TestInverseCorrection:
@@ -234,7 +233,7 @@ class TestInverseCorrection:
         vol = OctVolume(ramp)
         surf = SurfaceSet(np.full((1, 8, 16), 32.0))
         ax = rng.uniform(-10, 10, 8)
-        motion = MotionSpec(ax, np.zeros(8, dtype=np.int64), (0,))
+        motion = MotionSpec(ax, np.zeros(8, dtype=np.int64))
         cvol, _ = apply_motion(vol, surf, motion)
         v_back, _ = invert_motion(cvol, SurfaceSet(np.full((1, 8, 16), 32.0)), motion)
         band = int(np.ceil(np.abs(ax).max())) + 1

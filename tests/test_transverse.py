@@ -217,7 +217,7 @@ class TestAlignTransverse:
         tr = np.zeros(vol.n_b, dtype=np.int64)
         tr[8:15] = 9
         tr[15:] = -5
-        motion = MotionSpec(np.zeros(vol.n_b), tr, (0, 8, 15))
+        motion = MotionSpec(np.zeros(vol.n_b), tr)
         cvol, csurf = apply_motion(vol, surf, motion)
         d = align_transverse(cvol, csurf, radius=15)
         assert motion_error(d, motion)[1] == 0.0
@@ -247,7 +247,7 @@ class TestAlignTransverse:
             cuts = np.sort(rng.choice(np.arange(1, vol.n_b), 2, replace=False))
             tr[cuts[0]:cuts[1]] = rng.integers(-12, 13)
             tr[cuts[1]:] = rng.integers(-12, 13)
-            motion = MotionSpec(np.zeros(vol.n_b), tr, (0, int(cuts[0]), int(cuts[1])))
+            motion = MotionSpec(np.zeros(vol.n_b), tr)
             cvol, csurf = apply_motion(vol, surf, motion)
 
             data = cvol.data.astype(np.float64)
@@ -272,7 +272,7 @@ class TestAlignTransverse:
         vol, surf = generate_phantom(PhantomSpec(seed=2))
         tr = np.zeros(vol.n_b, dtype=np.int64)
         tr[10:] = 6
-        motion = MotionSpec(np.zeros(vol.n_b), tr, (0, 10))
+        motion = MotionSpec(np.zeros(vol.n_b), tr)
         cvol, csurf = apply_motion(vol, surf, motion)
         d = align_transverse(cvol, csurf, radius=15)
         v2 = shift_transverse(cvol.data, -d.transverse)  # shift content back
@@ -281,7 +281,7 @@ class TestAlignTransverse:
         assert np.ptp(resid) == 0
         c = int(resid[0])
         expected, _ = apply_motion(
-            vol, surf, MotionSpec(np.zeros(vol.n_b), np.full(vol.n_b, c), (0,))
+            vol, surf, MotionSpec(np.zeros(vol.n_b), np.full(vol.n_b, c))
         )
         margin = 6 + abs(c)
         inner = slice(margin, vol.n_a - margin)

@@ -229,13 +229,29 @@ class LabelMap:
         object.__setattr__(self, "n_surfaces", int(self.n_surfaces))
 
 
+def _band_runs(pos: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row count of each label along every A-scan, shape (N_B, N_A, L+1).
+
+    Surface l claims rows from 1-based row ceil(S_l) down, so label l runs
+    from 0-based row ceil(S_{l-1}) - 1 to ceil(S_l) - 2; label 0 starts at
+    row 0 and label L ends at row n_rows - 1.  Ordered surfaces within
+    [1, n_rows] give runs >= 0 that sum to n_rows.
+    """
+    n_surf, n_b, n_a = pos.shape
+    edges = np.empty((n_b, n_a, n_surf + 2), dtype=np.intp)
+    edges[..., 0] = 0
+    edges[..., 1:-1] = np.ceil(pos).transpose(1, 2, 0) - 1
+    edges[..., -1] = n_rows
+    return np.diff(edges, axis=2)
+
+
 def surfaces_to_labels(surfaces: SurfaceSet, n_rows: int) -> LabelMap:
     """Convert ordered surfaces to pixel labels.
 
     Pixel (b, a, r) receives label l = number of surfaces at or above row r
     (positions compare with ``<=`` so a surface exactly on a row claims it).
-    The labels are counted: each surface adds 1 at the first row it claims,
-    1-based row ceil(S), and one cumulative sum along the rows counts them.
+    Each A-scan is L+1 label runs (``_band_runs``), so the labels are the
+    label ids repeated over those runs in one ``np.repeat``.
     """
     surfaces.require_ordered()
     pos = surfaces.positions
@@ -243,13 +259,7 @@ def surfaces_to_labels(surfaces: SurfaceSet, n_rows: int) -> LabelMap:
         raise ValidationError(
             f"surface position {pos.max():.3f} exceeds row count {n_rows}"
         )
-    _, n_b, n_a = pos.shape
-    labels = np.zeros((n_b, n_a, n_rows), dtype=np.int16)
-    flat = labels.reshape(-1)
-    base = np.arange(0, n_b * n_a * n_rows, n_rows).reshape(n_b, n_a)
-    for surface in pos:  # no index repeats within one surface
-        flat[base + np.ceil(surface).astype(np.intp) - 1] += 1
-    # int16 out: cumsum would otherwise widen to int64
-    np.cumsum(labels, axis=2, out=labels)
+    runs = _band_runs(pos, n_rows)
+    ids = np.broadcast_to(np.arange(runs.shape[2], dtype=np.int16), runs.shape)
+    labels = np.repeat(ids, runs.ravel()).reshape(*runs.shape[:2], n_rows)
     return LabelMap(labels, n_surfaces=surfaces.n_surfaces)
-

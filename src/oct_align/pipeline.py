@@ -42,8 +42,11 @@ def run_volume(params: tuple) -> dict:
     seed, index, repeat, dims, cfg = params
     t = {}
     spec = PhantomSpec(n_b=dims[0], n_a=dims[1], n_r=dims[2], seed=phantom_seed(seed, index))
-    vol, surf = generate_phantom(spec)
-    cvol, csurf, motion = simulate_motion(vol, surf, seed=motion_seed(seed, index, repeat))
+    t0 = time.perf_counter()
+    # the motion-free phantom is not kept: it is freed before alignment starts
+    cvol, csurf, motion = simulate_motion(*generate_phantom(spec),
+                                          seed=motion_seed(seed, index, repeat))
+    t["synthesis_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     d_sup = optimize_alignment(cvol, csurf, cfg)

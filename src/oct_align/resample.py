@@ -19,20 +19,29 @@ from .core import OctVolume
 from .errors import DimensionError, ValidationError
 
 
-def _interp_rows(img: np.ndarray, shift) -> np.ndarray:
+def _interp_rows(img: np.ndarray, shift, out=None) -> np.ndarray:
     """Resample one B-scan (N_A, R) along rows, in float64, at ``shift``: a
-    scalar, or an (N_A, 1) column with one offset per A-scan.
+    scalar, or an (N_A, 1) column with one offset per A-scan.  The result
+    goes to ``out`` when given, cast to its dtype.
 
-    Rows are gathered by flat index (``np.take``), which is several times
-    faster than ``np.take_along_axis``'s two-array index on these shapes.
+    One shift moves every A-scan alike, so whole rows are gathered with one
+    (R,) index along axis 1.  Per-A-scan shifts gather by flat index
+    (``np.take``), which is several times faster than
+    ``np.take_along_axis``'s two-array index on these shapes.  Both use the
+    same indices and weights, so they agree bit for bit.
     """
     n_a, n_r = img.shape
     pos = np.arange(n_r, dtype=np.float64) + np.reshape(shift, (-1, 1))
     lo = np.floor(pos).astype(np.int64)
     w = pos - lo
-    start = np.arange(0, n_a * n_r, n_r)[:, None]  # flat index of each A-scan's row 0
-    return (np.take(img, np.minimum(np.maximum(lo, 0), n_r - 1) + start) * (1.0 - w)
-            + np.take(img, np.minimum(np.maximum(lo + 1, 0), n_r - 1) + start) * w)
+    i0 = np.minimum(np.maximum(lo, 0), n_r - 1)
+    i1 = np.minimum(np.maximum(lo + 1, 0), n_r - 1)
+    if pos.shape[0] == 1:
+        g0, g1 = np.take(img, i0[0], axis=1), np.take(img, i1[0], axis=1)
+    else:
+        start = np.arange(0, n_a * n_r, n_r)[:, None]  # flat index of each A-scan's row 0
+        g0, g1 = np.take(img, i0 + start), np.take(img, i1 + start)
+    return np.add(g0 * (1.0 - w), g1 * w, out=out, casting="same_kind")
 
 
 def resample_axial(volume, shifts):
@@ -57,5 +66,8 @@ def resample_axial(volume, shifts):
     cols = d.reshape(n_b, -1, 1)
     out = np.empty_like(data) if is_volume else np.empty(data.shape)
     for b in range(n_b):
-        out[b] = _interp_rows(data[b], cols[b]) if cols[b].any() else data[b]
+        if cols[b].any():
+            _interp_rows(data[b], cols[b], out=out[b])
+        else:
+            out[b] = data[b]
     return volume.with_data(out) if is_volume else out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DisplacementField, OctVolume, SurfaceSet, surfaces_to_labels
+from .core import DisplacementField, OctVolume, SurfaceSet, _band_runs
 from .errors import DimensionError, ValidationError
 from .resample import resample_axial
 
@@ -130,8 +130,48 @@ def _smooth_field(rng, n_b, n_a, amplitude):
     return field
 
 
+def _vessel_attenuation(rng, spec: PhantomSpec) -> np.ndarray:
+    """The (N_B, N_A) share of its intensity the tissue keeps under the
+    vessel shadows: VESSEL_ATTENUATION on a vessel, 1 off every vessel.
+
+    Vessels cross the whole stack of B-scans, drifting slowly in x.
+    Coverage is anti-aliased so a subpixel drift moves the shadow smoothly,
+    and centers stay clear of the volume edges (an edge vessel would be
+    smeared across replicate-filled columns by the motion roll).
+    """
+    n_b, n_a = spec.n_b, spec.n_a
+    shadow = np.zeros((n_b, n_a))
+    margin = int(np.ceil(spec.vessel_drift_px)) + 2
+    b_axis = np.arange(n_b, dtype=np.float64)
+    cols = np.arange(n_a, dtype=np.float64)
+    for _ in range(spec.vessel_count):
+        a0 = float(rng.uniform(margin, n_a - VESSEL_WIDTH_PX - margin))
+        cycles = float(rng.uniform(0.5, 1.5))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        drift = spec.vessel_drift_px * np.cos(
+            2.0 * np.pi * cycles * b_axis / n_b + phase
+        )
+        start = a0 + drift  # (n_b,)
+        # per-column overlap of [c, c+1) with [start, start + VESSEL_WIDTH_PX)
+        cover = np.clip(
+            np.minimum(cols[None, :] + 1.0, start[:, None] + VESSEL_WIDTH_PX)
+            - np.maximum(cols[None, :], start[:, None]),
+            0.0, 1.0,
+        )
+        shadow = np.maximum(shadow, cover)
+    return 1.0 - (1.0 - VESSEL_ATTENUATION) * shadow
+
+
 def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
-    """Build a motion-free phantom volume and its exact boundary surfaces."""
+    """Build a motion-free phantom volume and its exact boundary surfaces.
+
+    Each A-scan is n_layers + 2 label runs (``core._band_runs``): the
+    background, the bands and the background again.  The image repeats one
+    intensity per run, vessel shadows included, over the run lengths.  The
+    speckle and then the noise are drawn one (N_A, R) B-scan block at a
+    time into one buffer, which gives the values and generator state of one
+    whole-volume ``rng.normal`` draw each.
+    """
     rng = np.random.default_rng(spec.seed)
     n_b, n_a, n_r = spec.n_b, spec.n_a, spec.n_r
     n_surf = spec.n_layers + 1
@@ -166,44 +206,30 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
 
     bands = [BAND_INTENSITY[k % len(BAND_INTENSITY)] for k in range(spec.n_layers)]
     lut = np.array([BACKGROUND_INTENSITY, *bands, BACKGROUND_INTENSITY])
-    labels = surfaces_to_labels(surfaces, n_r)
-    img = lut[labels.labels]
+    surfaces.require_ordered()
+    runs = _band_runs(surf, n_r)
+    level = np.tile(lut, (n_b, n_a, 1))  # one intensity per label run
 
-    if spec.vessel_count > 0:
-        # vessels cross the whole stack of B-scans, drifting slowly in x;
-        # their shadows attenuate everything from the inner surface down.
-        # Coverage is anti-aliased so a subpixel drift moves the shadow
-        # smoothly, and centers stay clear of the volume edges (an edge
-        # vessel would be smeared across replicate-filled columns by the
-        # motion roll).
-        shadow = np.zeros((n_b, n_a))
-        margin = int(np.ceil(spec.vessel_drift_px)) + 2
-        b_axis = np.arange(n_b, dtype=np.float64)
-        cols = np.arange(n_a, dtype=np.float64)
-        for _ in range(spec.vessel_count):
-            a0 = float(rng.uniform(margin, n_a - VESSEL_WIDTH_PX - margin))
-            cycles = float(rng.uniform(0.5, 1.5))
-            phase = float(rng.uniform(0.0, 2.0 * np.pi))
-            drift = spec.vessel_drift_px * np.cos(
-                2.0 * np.pi * cycles * b_axis / n_b + phase
-            )
-            start = a0 + drift  # (n_b,)
-            # per-column overlap of [c, c+1) with [start, start + VESSEL_WIDTH_PX)
-            cover = np.clip(
-                np.minimum(cols[None, :] + 1.0, start[:, None] + VESSEL_WIDTH_PX)
-                - np.maximum(cols[None, :], start[:, None]),
-                0.0, 1.0,
-            )
-            shadow = np.maximum(shadow, cover)
-        attn = 1.0 - (1.0 - VESSEL_ATTENUATION) * shadow
-        np.multiply(img, attn[..., None], out=img, where=labels.labels > 0)
+    if spec.vessel_count > 0:  # shadows fall on every run below the inner surface
+        level[..., 1:] *= _vessel_attenuation(rng, spec)[..., None]
+    img = np.repeat(level, runs.ravel()).reshape(n_b, n_a, n_r)
 
+    # Generator.normal(loc, scale) is loc + scale * standard_normal, so
+    # B-scan blocks drawn in volume order give the whole-volume draw's values
+    # and leave the generator in the same state
+    block = np.empty((n_a, n_r))
     if spec.speckle_sigma > 0:
-        speckle = rng.normal(1.0, spec.speckle_sigma, img.shape)
-        np.maximum(speckle, 0.0, out=speckle)
-        img *= speckle
+        for plane in img:
+            rng.standard_normal(out=block)
+            block *= spec.speckle_sigma
+            block += 1.0
+            np.maximum(block, 0.0, out=block)
+            plane *= block
     if spec.noise_sigma > 0:
-        img += rng.normal(0.0, spec.noise_sigma, img.shape)
+        for plane in img:
+            rng.standard_normal(out=block)
+            block *= spec.noise_sigma
+            plane += block
     # clipped straight into float32, which OctVolume stores without a copy
     out = np.clip(img, 0.0, 1.0, out=np.empty(img.shape, dtype=np.float32))
 

@@ -849,6 +849,14 @@ class TestPipelineCommand:
         }
         assert set(report["transverse_recovery_px"]) == {"masked", "no_layer_mask"}
 
+    def test_timings_line_names_every_stage(self, tmp_path, capsys):
+        # the phantom and its motion are timed together as the synthesis stage
+        assert run(["pipeline", "--volumes", 1, "--repeats", 1, "--nb", 8, "--na", 32,
+                    "--nr", 96, "--out", tmp_path]) == 0
+        timings = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["timings_s"]
+        assert set(timings) == {"synthesis_s", "supervised_align_s", "template_align_s",
+                                "transverse_align_s"}
+
     @pytest.mark.parametrize("flag", ["--volumes", "--repeats", "--jobs"])
     def test_nonpositive_counts_rejected(self, tmp_path, capsys, flag):
         code = run(["pipeline", flag, 0, "--nb", 8, "--na", 32, "--out", tmp_path])

@@ -174,6 +174,42 @@ class TestSurfacesToLabels:
         assert np.array_equal(got, want)
 
 
+def counted_labels(pos, n_rows):
+    """Reference: each surface adds 1 at the first row it claims, 1-based
+    row ceil(S), and an int16 cumulative sum along the rows counts them."""
+    _, n_b, n_a = pos.shape
+    labels = np.zeros((n_b, n_a, n_rows), dtype=np.int16)
+    flat = labels.reshape(-1)
+    base = np.arange(0, n_b * n_a * n_rows, n_rows).reshape(n_b, n_a)
+    for surface in pos:
+        flat[base + np.ceil(surface).astype(np.intp) - 1] += 1
+    np.cumsum(labels, axis=2, out=labels)
+    return labels
+
+
+class TestLabelRuns:
+    @pytest.mark.parametrize("case", ["on_rows", "coincident", "first_and_last_row", "mixed"])
+    def test_runs_equal_the_counting_construction_bitwise(self, rng, case):
+        n_rows = 20
+        pos = rng.uniform(1, n_rows, size=(4, 3, 5))
+        if case == "on_rows":
+            pos = np.round(pos)
+        elif case == "coincident":
+            pos[1:3] = pos[1]
+        elif case == "first_and_last_row":
+            pos[0], pos[-1] = 1.0, float(n_rows)
+        else:
+            # one case per A-scan column
+            pos[..., 0] = np.round(pos[..., 0])
+            pos[:2, :, 1] = 1.0
+            pos[2:, :, 2] = float(n_rows)
+            pos[1:, :, 3] = 7.0
+        pos = np.sort(pos, axis=0)
+        got = surfaces_to_labels(SurfaceSet(pos), n_rows).labels
+        assert got.dtype == np.int16
+        assert got.tobytes() == counted_labels(pos, n_rows).tobytes()
+
+
 def brute_force_surfaces(labels, n_surfaces):
     """Definition-level oracle: 1 + count of rows with label < l."""
     n_b, n_a, n_r = labels.shape

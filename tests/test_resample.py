@@ -138,6 +138,26 @@ def test_per_a_scan_shifts_equal_the_whole_volume_formula(rng, dtype):
 
 
 @pytest.mark.parametrize("as_volume", [False, True])
+def test_per_b_scan_row_gather_equals_the_whole_volume_formula(rng, as_volume):
+    # one shift per B-scan gathers whole rows; the edge cases are shifts
+    # beyond +/-N_R (every row clamps), whole rows, -1e-17 (floor -1 at row
+    # 0, then rows r - 1e-17 == r) and 0 (the copy path)
+    n_r = 24
+    data = rng.normal(50.0, 20.0, size=(7, 9, n_r)).astype(np.float32)
+    d = np.array([n_r + 3.5, -(n_r + 0.25), 5.0, -7.0, -1e-17, 0.0, 2.75])
+    want = per_a_scan_whole_volume(data, np.repeat(d[:, None], 9, axis=1))
+    if as_volume:
+        got = resample_axial(OctVolume(data), d).data
+        want = want.astype(np.float32)
+    else:
+        got = resample_axial(data, d)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[0], np.repeat(data[0, :, -1:], n_r, axis=1))
+    assert np.array_equal(got[1], np.repeat(data[1, :, :1], n_r, axis=1))
+
+
+@pytest.mark.parametrize("as_volume", [False, True])
 def test_repeated_columns_equal_per_b_scan_shifts_bitwise(rng, as_volume):
     data = rng.normal(50.0, 20.0, size=(6, 16, 40)).astype(np.float32)
     d = rng.uniform(-8, 8, size=6)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from oct_align.synth import (
     FOVEA_WIDTH_FRAC,
     THICKNESS_WOBBLE,
     MotionSpec,
+    _smooth_field,
+    _vessel_attenuation,
     PhantomSpec,
     apply_motion,
     generate_phantom,
@@ -137,6 +140,71 @@ class TestGeneratePhantom:
             da = np.abs(np.diff(pos[l], axis=1)).mean()
             db = np.abs(np.diff(pos[l], axis=0)).mean()
             assert max(da, db) < bound
+
+
+def label_lut_phantom(spec):
+    """Reference: the phantom rendered through a whole label volume, an
+    intensity lookup table, a vessel multiply masked to labels above 0, and
+    one whole-volume ``rng.normal`` draw per noise field."""
+    _, surfaces = generate_phantom(spec)
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(spec.n_layers + 1):  # the surfaces' draws, replayed
+        _smooth_field(rng, spec.n_b, spec.n_a, 1.0)
+    rows = np.arange(1, spec.n_r + 1, dtype=np.float64)
+    labels = (surfaces.positions[..., None] <= rows).sum(axis=0)
+    bands = [BAND_INTENSITY[k % len(BAND_INTENSITY)] for k in range(spec.n_layers)]
+    img = np.array([BACKGROUND_INTENSITY, *bands, BACKGROUND_INTENSITY])[labels]
+    if spec.vessel_count > 0:
+        attn = _vessel_attenuation(rng, spec)
+        np.multiply(img, attn[..., None], out=img, where=labels > 0)
+    if spec.speckle_sigma > 0:
+        speckle = rng.normal(1.0, spec.speckle_sigma, img.shape)
+        np.maximum(speckle, 0.0, out=speckle)
+        img *= speckle
+    if spec.noise_sigma > 0:
+        img += rng.normal(0.0, spec.noise_sigma, img.shape)
+    return np.clip(img, 0.0, 1.0, out=np.empty(img.shape, dtype=np.float32))
+
+
+class TestPhantomRendering:
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 3}, {"n_layers": 7, "seed": 1}, {"vessel_count": 0, "seed": 2},
+        {"speckle_sigma": 0.0, "seed": 4}, {"noise_sigma": 0.0, "seed": 5},
+    ])
+    def test_label_runs_and_blockwise_noise_equal_the_label_volume_bitwise(self, kwargs):
+        spec = PhantomSpec(**kwargs)
+        vol, _ = generate_phantom(spec)
+        assert vol.data.tobytes() == label_lut_phantom(spec).tobytes()
+
+    def test_blockwise_fills_equal_whole_volume_normal_draws(self):
+        # the speckle and then the noise, drawn as generate_phantom draws them
+        shape = (5, 7, 11)
+        whole, blocks = np.random.default_rng(4), np.random.default_rng(4)
+        block = np.empty(shape[1:])
+        for loc, scale in ((1.0, 0.10), (0.0, 0.03)):
+            want = whole.normal(loc, scale, shape)
+            got = np.empty(shape)
+            for plane in got:
+                blocks.standard_normal(out=block)
+                block *= scale
+                block += loc
+                plane[:] = block
+            assert got.tobytes() == want.tobytes()
+            assert blocks.bit_generator.state == whole.bit_generator.state
+
+    def test_no_volume_sized_temporaries(self):
+        # the float64 image and the float32 output take 12 bytes per voxel,
+        # one B-scan block and the per-A-scan tables little more; a label
+        # volume or a whole-volume normal draw would add 2 or 8 bytes
+        spec = PhantomSpec(n_b=32, n_a=64, n_r=96)
+        generate_phantom(spec)  # leaves numpy's first-call allocations out
+        tracemalloc.start()
+        try:
+            generate_phantom(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * spec.n_b * spec.n_a * spec.n_r
 
 
 class TestMotionSpec:

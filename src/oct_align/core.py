@@ -219,12 +219,11 @@ class LabelMap:
                 f"labels must lie in [0, {self.n_surfaces}], got range "
                 f"[{lab.min()}, {lab.max()}]"
             )
-        drops = np.diff(lab, axis=2) < 0
-        if drops.any():
-            b, a = np.argwhere(drops.any(axis=2))[0]
-            raise LabelMonotoneError(
-                f"labels decrease along the A-scan at b={b + 1}, a={a + 1}"
-            )
+        for b, plane in enumerate(lab):  # one (N_A, R - 1) mask at a time
+            drops = (plane[:, 1:] < plane[:, :-1]).any(axis=1)
+            if drops.any():
+                raise LabelMonotoneError(f"labels decrease along the A-scan at "
+                                         f"b={b + 1}, a={int(np.argmax(drops)) + 1}")
         object.__setattr__(self, "labels", _freeze(lab))
         object.__setattr__(self, "n_surfaces", int(self.n_surfaces))
 

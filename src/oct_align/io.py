@@ -3,10 +3,13 @@
 Binary container: one UTF-8 JSON header line with sorted keys, ending in
 ``\\n``, then the raw payload array in the header's ``"dtype"``,
 row-major.  ``_write_binary`` and ``_read_binary`` write and read every
-binary format; the reader checks the header's keys and dtype, each field
-it needs by its JSON kind (``json_kind_ok``; dimensions nonnegative), and
-the payload size the dimensions imply against the file's size before it
-reads (or allocates) the payload straight into its array.
+binary format, each without a payload-sized copy: the writer writes the
+payload from its array's own buffer (it converts only an array that is
+not C-contiguous or not in the file's dtype), and the reader checks the
+header's keys and dtype, each field it needs by its JSON kind
+(``json_kind_ok``; dimensions nonnegative), and the payload size the
+dimensions imply against the file's size before it reads (or allocates)
+the payload straight into its array.
 Volume header: ``n_b, n_a, n_r, spacing_um: [dz, dx, dy]``, dtype
 ``f32le``, payload in (b, a, r) order.  Surface-distribution files
 (``n_l`` and the grid, ``f64le``, values checked finite and nonnegative)
@@ -84,10 +87,12 @@ _FIELD_KINDS = {0: "a nonnegative integer", (): "a list of finite numbers"}
 
 def _write_binary(path, header: dict, array, dtype: str) -> None:
     """``header`` with ``"dtype": dtype`` as one sorted JSON line, then
-    ``array`` as that dtype in C order."""
+    ``array`` as that dtype in C order, written from the array's own
+    buffer: a C-contiguous array already in that dtype is not copied."""
+    payload = np.ascontiguousarray(array, _DTYPES[dtype])
     with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(json.dumps({**header, "dtype": dtype}, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(np.asarray(array, _DTYPES[dtype]).tobytes())
+        f.write(payload.data)
 
 
 def _read_binary(path, dtype: str, dims, **extra):

@@ -37,19 +37,24 @@ def estimate_bm_rows(volume: OctVolume) -> np.ndarray:
     pays for loading it.  Only the rows the gradient reads are smoothed:
     the gradient from row ``half = N_R // 2`` on reads smoothed rows from
     ``half - 1``, each of which reads input rows within ``_BM_RADIUS``, so
-    smoothing starts that many rows above ``half - 1``.  Every row read is
-    computed from the same inputs by the same code, so the result is
-    bit-identical to smoothing every row.
+    smoothing starts that many rows above ``half - 1``.  The smoothing, the
+    gradient and the argmin run on one (N_A, R - lo) float64 B-scan block
+    at a time, not on the whole volume.  Each of them works along rows, on
+    every A-scan by itself, so each value is computed from the same inputs
+    by the same code as on the whole volume, and the rows are bit-identical.
     """
     from scipy.ndimage import gaussian_filter1d, median_filter
 
     half = volume.n_r // 2
     lo = max(half - 1 - _BM_RADIUS, 0)
-    smoothed = gaussian_filter1d(volume.data[:, :, lo:], sigma=BM_SIGMA, axis=2,
-                                 mode="nearest", output=np.float64)
-    grad = np.gradient(smoothed, axis=2)
-    rows0 = half + np.argmin(grad[:, :, half - lo:], axis=2)
-    rows = median_filter(rows0.astype(np.float64), size=BM_MEDIAN_SIZE, mode="nearest")
+    rows0 = np.empty((volume.n_b, volume.n_a))
+    smoothed = np.empty((volume.n_a, volume.n_r - lo))
+    for b, plane in enumerate(volume.data):
+        gaussian_filter1d(plane[:, lo:], sigma=BM_SIGMA, axis=1, mode="nearest",
+                          output=smoothed)
+        grad = np.gradient(smoothed, axis=1)
+        rows0[b] = half + np.argmin(grad[:, half - lo:], axis=1)
+    rows = median_filter(rows0, size=BM_MEDIAN_SIZE, mode="nearest")
     return rows + 1.0
 
 

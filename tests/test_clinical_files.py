@@ -9,6 +9,7 @@ fixture drives every command through ``cli.main`` and keeps the files.
 import contextlib
 import io as text_io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ TRANSVERSE_RUNS = {
 def cli(*argv):
     with contextlib.redirect_stdout(text_io.StringIO()):
         assert main([str(a) for a in argv]) == 0
+
+
+def traced_peak(*argv):
+    """The tracemalloc peak of one ``cli`` run, in bytes."""
+    tracemalloc.start()
+    try:
+        cli(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+VOLUME_BYTES = 49 * 256 * 192 * 4
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +96,25 @@ def test_eval_of_identical_surfaces_reads_zero_hd95(clinical):
     d, _ = clinical
     report = json.loads((d / "report.json").read_text())
     assert report["hd95_um"]["overall"]["mean_um"] == 0.0
+
+
+def test_apply_peaks_below_two_and_a_half_volumes(clinical):
+    # the input and the output volume and one finiteness mask (2.25
+    # volumes); a copy of the output for writing made it 3.0
+    d, _ = clinical
+    peak = traced_peak("apply", "--vol", d / "volume_corrupt.bin", "--disp", d / "motion.csv",
+                       "--out", d / "ax_traced.bin")
+    assert peak < 2.5 * VOLUME_BYTES
+    assert (d / "ax_traced.bin").read_bytes() == (d / "ax.bin").read_bytes()
+
+
+def test_preprocess_flatten_crop_peaks_below_two_and_three_quarter_volumes(clinical):
+    # about 2.4 volumes; the BM estimate's two volume-sized float64 arrays and
+    # a copy of the output for writing made it 4.3
+    d, _ = clinical
+    pos = io.read_surfaces(d / "surfaces_ax.csv").positions
+    crop = f"{max(1, int(pos.min()) - 4)}:{min(192, int(np.ceil(pos.max())) + 4)}"
+    peak = traced_peak("preprocess", "--vol", d / "ax.bin", "--surfaces", d / "surfaces_ax.csv",
+                       "--flatten", "--crop", crop, "--out", d / "pre_crop.bin",
+                       "--out-surfaces", d / "pre_crop.csv")
+    assert peak < 2.75 * VOLUME_BYTES

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,34 @@ class TestLabelMap:
         lab[1, 0] = [0, 1, 0, 1]
         with pytest.raises(LabelMonotoneError, match="b=2, a=1"):
             LabelMap(lab, n_surfaces=1)
+
+    def test_first_drop_named_as_by_the_whole_volume_diff(self):
+        # drops in two A-scans of each of two B-scans, one at the last row
+        # and one at row 1 (0-based); (b, a, r) plants a drop from row r-1
+        # to r, and each plant leaves every other A-scan monotone
+        base = np.broadcast_to(np.repeat(np.arange(4, dtype=np.int16), 5), (5, 7, 20))
+        drops = [(1, 2, 9), (1, 6, 1), (3, 0, 4), (3, 5, 19)]
+        for k in range(len(drops)):
+            lab = base.copy()
+            for b, a, r in drops[k:]:
+                lab[b, a, r - 1], lab[b, a, r] = 3, 0
+            b, a = np.argwhere((np.diff(lab, axis=2) < 0).any(axis=2))[0]
+            assert (b, a) == drops[k][:2]
+            with pytest.raises(LabelMonotoneError,
+                               match=f"at b={b + 1}, a={a + 1}$"):
+                LabelMap(lab, n_surfaces=3)
+
+    def test_no_volume_sized_temporaries(self):
+        # a whole-volume int16 np.diff and its bool mask took 3 bytes per voxel
+        runs = np.repeat(np.arange(5, dtype=np.int16), [30, 40, 50, 40, 32])
+        lab = np.ascontiguousarray(np.broadcast_to(runs, (49, 256, 192)))
+        tracemalloc.start()
+        try:
+            LabelMap(lab, n_surfaces=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * lab.size
 
     def test_single_row_accepted(self):
         lab = np.array([[[0], [1]], [[2], [2]]])

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -169,6 +170,29 @@ def test_binary_writers_write_exact_bytes(tmp_path, name):
     assert (tmp_path / "f.bin").read_bytes() == want
 
 
+# payloads that need a conversion or a copy before they can be written:
+# (array, header dtype)
+_X = np.random.default_rng(5).normal(size=(3, 4, 6))
+CONVERTED_PAYLOADS = {
+    "sliced": (_X.astype(np.float32)[:, ::2, 1:5], "f32le"),
+    "fortran-ordered": (np.asfortranarray(_X), "f64le"),
+    "float64 as f32le": (_X, "f32le"),
+    "big-endian >f4": (_X.astype(">f4"), "f32le"),
+    "big-endian >f8": (_X.astype(">f8"), "f64le"),
+    "int16 labels as u8": (np.floor(np.abs(_X) * 3).astype(np.int16), "u8"),
+    "zero-size": (np.zeros((2, 0, 3), np.float32), "f32le"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERTED_PAYLOADS))
+def test_binary_payload_is_the_bytes_of_the_converted_array(tmp_path, name):
+    array, dtype = CONVERTED_PAYLOADS[name]
+    io._write_binary(tmp_path / "f.bin", {"n": 1}, array, dtype)
+    header, payload = (tmp_path / "f.bin").read_bytes().split(b"\n", 1)
+    assert json.loads(header) == {"dtype": dtype, "n": 1}
+    assert payload == np.asarray(array, io._DTYPES[dtype]).tobytes()
+
+
 @pytest.mark.parametrize("name, kind", [("distributions", "surface_distribution"),
                                         ("labels", "label_map")])
 def test_header_with_the_old_kind_key_reads_back_unchanged(tmp_path, name, kind):
@@ -319,6 +343,20 @@ class TestDistributionAndLabelFiles:
         back = io.read_distributions(path)
         assert np.array_equal(back, q)  # f64 payload: exact
         assert back.flags.writeable
+
+    def test_distributions_written_without_a_payload_copy(self, tmp_path):
+        # 73.5 MiB of float64, written from its own buffer; a tobytes() copy
+        # would allocate all of it again
+        q = np.zeros((4, 49, 256, 192))
+        tracemalloc.start()
+        try:
+            io.write_distributions(tmp_path / "q.bin", q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        with open(tmp_path / "q.bin", "rb") as f:
+            assert os.fstat(f.fileno()).st_size == len(f.readline()) + q.nbytes
 
     def test_negative_rejected(self, tmp_path):
         q = np.full((1, 1, 1, 2), 0.5)

@@ -91,8 +91,9 @@ class OctVolume:
             raise ValidationError(
                 f"volume dims too small: {data.shape} (need N_B >= 2, N_A >= 1, R >= 2)"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("volume intensities must all be finite")
+        for plane in data:  # one (N_A, R) mask at a time
+            if not np.isfinite(plane).all():
+                raise ValidationError("volume intensities must all be finite")
         spacing = tuple(float(x) for x in self.spacing)
         if len(spacing) != 3 or any(not np.isfinite(x) or x <= 0 for x in spacing):
             raise ValidationError(f"spacing must be three positive values, got {self.spacing!r}")

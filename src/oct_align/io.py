@@ -20,8 +20,14 @@ written by earlier versions.
 
 Grid table (CSV, ``_write_grid`` and ``_read_grid``): a header line naming
 the index columns, then the value columns; one row per point of a complete
-grid, its indices 1-based integers, each point once, in any row order.
-Surfaces: ``surface,b,a,r``.  Displacements: ``b,axial,transverse``.
+grid, its indices 1-based integers, each point once, in any row order, and
+no comment lines.  Surfaces: ``surface,b,a,r``.  Displacements:
+``b,axial,transverse``.  The writer writes the rows of one outer index at
+a time (one B-scan of one surface), from that index's text built once and
+one format string that holds the last axis's indices, and writes the bytes
+np.savetxt writes.  The reader checks the header on the opened file, then
+has np.loadtxt read the rows of a regular file from its path, in chunks,
+and those of a pipe from the open file.
 """
 
 from __future__ import annotations
@@ -178,12 +184,31 @@ def _write_table(path, header: str, row_format: str, table: np.ndarray) -> None:
 
 def _write_grid(path, header: str, value_format: str, *arrays) -> None:
     """The grid table of ``arrays``, which share one shape: a row per grid
-    point in C order, its 1-based indices (``%d``), then its value in each
-    array (``value_format``)."""
-    shape = np.shape(arrays[0])
-    index = np.indices(shape).reshape(len(shape), -1) + 1
-    table = np.column_stack([*index, *(np.ravel(a) for a in arrays)])
-    _write_table(path, header, "%d," * len(shape) + value_format + "\n", table)
+    point in C order, its 1-based indices, then its value in each array
+    (``value_format``); the bytes ``_write_table`` writes for those rows.
+
+    One ``f.write`` per index of the outer axes writes that index's rows:
+    its index text (``"l,b,"`` for surfaces, ``""`` for displacements) is
+    built once, the last axis's indices are baked into one format string
+    for every block, and only the block's values become Python floats.
+    Every value goes through float64, as in ``_write_table``.
+    """
+    *outer, n_last = np.shape(arrays[0])
+    columns = [np.asarray(a, np.float64).reshape(math.prod(outer), n_last) for a in arrays]
+    step = 1 + len(columns)
+    block_format = "".join(f"%s{j},{value_format}\n" for j in range(1, n_last + 1))
+    args = [None] * (step * n_last)
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        f.write(header + "\n")
+        for row, index in enumerate(np.ndindex(*outer)):
+            args[::step] = ["".join(f"{i + 1}," for i in index)] * n_last
+            for c, column in enumerate(columns, 1):
+                args[c::step] = column[row].tolist()
+            f.write(block_format % tuple(args))
+
+
+# the suffixes np.loadtxt opens a path through a decompressor for
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_grid(path, header: str, n_index: int, what: str) -> list[np.ndarray]:
@@ -191,19 +216,31 @@ def _read_grid(path, header: str, n_index: int, what: str) -> list[np.ndarray]:
 
     FormatError unless the file starts with ``header`` and each row holds
     one number per column, its first ``n_index`` the 1-based indices that
-    list each point of a complete grid once.  The indices are checked to be
-    integers in [1, row count], the longest side a complete grid can have,
-    before the int64 cast.  numpy's warning on a file without rows is
-    silenced, so the FormatError stays the one line of output.
+    list each point of a complete grid once; a table has no comment lines,
+    so a ``#`` is a malformed row.  The header is checked on the opened
+    file.  The rows of a regular file are read by handing np.loadtxt the
+    path, which it reads in chunks through its C reader, where a file
+    object is iterated one Python ``str`` per row; a pipe cannot be opened
+    twice, so its rows are read from the open file.  The indices are
+    checked to be integers in [1, row count], the longest side a complete
+    grid can have, before the int64 cast.  numpy's warning on a file
+    without rows is silenced, so the FormatError stays the one line of
+    output.
     """
     try:
         with open(path, "r", newline="") as f:
             got = f.readline().strip()
             if got != header:
                 raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
+            # numpy opens a path by its name: an absolute one is never taken
+            # for a URL, and a compressed suffix would be decompressed
+            by_path = (stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+                       and os.path.splitext(path)[1] not in _COMPRESSED)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(f, delimiter=",", ndmin=2, dtype=np.float64)
+                table = np.loadtxt(os.path.abspath(path) if by_path else f, delimiter=",",
+                                   skiprows=int(by_path), comments=None, encoding=f.encoding,
+                                   ndmin=2, dtype=np.float64)
     except ValueError as exc:  # a malformed row, or bytes that are not UTF-8
         raise FormatError(f"{path}: malformed {what} row: {exc}") from exc
     n_rows, n_cols = table.shape

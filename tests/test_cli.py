@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import hashlib
 import io as text_io
 import json
 import shutil
@@ -33,6 +34,14 @@ def phantom_dir(tmp_path):
     return out
 
 
+# sha256 of each table that `phantom --seed 3 --corrupt` writes
+GOLDEN_CSV = {
+    "surfaces.csv": "9fa5ab17ec4d145f47b0f5253d64de9e8777051b32f144a4273e47777317a68e",
+    "surfaces_corrupt.csv": "9cf4c1894c7bda494daaef2e4903394c00ab32eaf6e16a53bc312145a8fd249a",
+    "motion.csv": "84eefbcf13e8d4b6d3f54e03435bdb211d26835a54ea9f4df54a585d8508d296",
+}
+
+
 class TestPhantomCommand:
     def test_writes_expected_files(self, phantom_dir):
         for name in ("volume.bin", "surfaces.csv", "volume_corrupt.bin",
@@ -41,6 +50,13 @@ class TestPhantomCommand:
         vol = io.read_volume(phantom_dir / "volume.bin")
         surf = io.read_surfaces(phantom_dir / "surfaces.csv")
         assert surf.n_b == vol.n_b
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # the sha256 of the tables as np.savetxt wrote them, on every numpy
+        assert run(["phantom", "--seed", 3, "--corrupt", "--out", tmp_path]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_CSV}
+        assert digests == GOLDEN_CSV
 
     def test_spec_file_with_unknown_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -363,6 +379,22 @@ class TestMalformedInputFuzz:
             (root / name).write_text(header + "\n")
             argv = apply_argv(root) if command == "apply" else eval_argv(root)
             assert_one_line_error(*run_quiet(argv))
+            assert not (root / "out.bin").exists() and not (root / "out").exists()
+
+    @pytest.mark.parametrize("command,name", [("apply", "disp.csv"), ("eval", "surf.csv")])
+    @pytest.mark.parametrize("change", ["value#x", "# note line"])
+    def test_hash_in_csv_is_a_format_error(self, command, name, change):
+        with input_dir() as root:
+            head, rows = (root / name).read_text().split("\n", 1)
+            if change == "value#x":
+                rows = rows[:-1] + "#x\n"
+            else:
+                rows = "# note\n" + rows
+            (root / name).write_text(head + "\n" + rows)
+            argv = apply_argv(root) if command == "apply" else eval_argv(root)
+            code, lines = run_quiet(argv)
+            assert_one_line_error(code, lines)
+            assert json.loads(lines[0])["error"] == "FormatError"
             assert not (root / "out.bin").exists() and not (root / "out").exists()
 
     @settings(max_examples=40, deadline=None)

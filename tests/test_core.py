@@ -49,6 +49,25 @@ class TestOctVolume:
         with pytest.raises(ValidationError):
             OctVolume(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_in_the_last_b_scan_rejected(self, bad):
+        data = np.zeros((3, 4, 5), np.float32)
+        data[-1, -1, -1] = bad
+        with pytest.raises(ValidationError, match="^volume intensities must all be finite$"):
+            OctVolume(data)
+
+    def test_finiteness_checked_one_b_scan_at_a_time(self):
+        # np.isfinite of the whole volume was a bool mask of a quarter of its bytes
+        data = np.zeros((49, 256, 192), np.float32)
+        tracemalloc.start()
+        try:
+            OctVolume(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mask = 256 * 192  # one B-scan's bool mask
+        assert peak < 2 * mask, peak
+
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValidationError):
             OctVolume(np.zeros((2, 3, 4)), spacing=(0.0, 1.0, 1.0))

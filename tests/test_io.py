@@ -110,6 +110,70 @@ class TestDisplacementCsv:
             io.read_displacements(path)
 
 
+GRID_TABLES = {
+    "surfaces": (io.read_surfaces, "surface,b,a,r\n1,1,1,5.0\n1,1,2,6.0\n"),
+    "displacements": (io.read_displacements, "b,axial,transverse\n1,0.5,0\n2,6.0,1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TABLES))
+@pytest.mark.parametrize("change", ["value#x", "# note line"])
+def test_hash_is_data_not_a_comment(tmp_path, name, change):
+    # np.loadtxt's default comments="#" read a last row "...,1#x" as "...,1"
+    # and skipped "# note"
+    reader, text = GRID_TABLES[name]
+    if change == "value#x":
+        text = text[:-1] + "#x\n"
+    else:
+        head, rows = text.split("\n", 1)
+        text = head + "\n# note\n" + rows
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="t.csv: malformed"):
+        reader(path)
+
+
+@pytest.mark.parametrize("suffix", io._COMPRESSED)
+def test_plain_table_named_like_a_compressed_file_reads_as_text(tmp_path, suffix):
+    # np.loadtxt would open such a path through a decompressor
+    reader, text = GRID_TABLES["surfaces"]
+    (tmp_path / ("t.csv" + suffix)).write_text(text)
+    assert reader(tmp_path / ("t.csv" + suffix)).positions.tolist() == [[[5.0, 6.0]]]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TABLES))
+def test_grid_table_read_through_a_pipe(tmp_path, name):
+    reader, _text = GRID_TABLES[name]
+    if name == "surfaces":
+        io.write_surfaces(tmp_path / "t.csv", SurfaceSet(np.arange(1.0, 61.0).reshape(3, 4, 5)))
+    else:
+        io.write_displacements(tmp_path / "t.csv", DisplacementField(
+            np.linspace(-3.0, 3.0, 7), np.arange(-3, 4)))
+    raw = (tmp_path / "t.csv").read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(raw)
+
+    read = {}
+    writer = threading.Thread(target=feed, daemon=True)
+    reading = threading.Thread(target=lambda: read.update(got=reader(fifo)), daemon=True)
+    writer.start()
+    reading.start()
+    reading.join(timeout=10)
+    if reading.is_alive():  # a second open of the pipe waits for a writer
+        with open(fifo, "wb"):
+            pass
+        pytest.fail("the reader opened the pipe a second time")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    got, want = read["got"], reader(tmp_path / "t.csv")
+    for field in ("positions",) if name == "surfaces" else ("axial", "transverse"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
 @pytest.mark.parametrize("reader, keys", [
     (io.read_volume, {"n_b": 2, "n_a": 2, "n_r": 3, "spacing_um": [1, 1, 1],
                       "dtype": "f32le"}),
@@ -332,6 +396,49 @@ class TestTableWriters:
         path = tmp_path / "e.csv"
         io._write_table(path, "i,v", "%d,%.17g\n", np.zeros((0, 2)))
         assert path.read_bytes() == b"i,v\n"
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 3, 0), (0, 0, 0)])
+    def test_empty_surface_grid_writes_the_header_alone(self, tmp_path, shape):
+        path = tmp_path / "e.csv"
+        io.write_surfaces(path, SurfaceSet(np.zeros(shape)))
+        assert path.read_bytes() == b"surface,b,a,r\n"
+
+    def test_empty_displacements_write_the_header_alone(self, tmp_path):
+        path = tmp_path / "e.csv"
+        io.write_displacements(path, DisplacementField(np.zeros(0), np.zeros(0)))
+        assert path.read_bytes() == b"b,axial,transverse\n"
+
+    def test_one_point_grids(self, tmp_path):
+        io.write_surfaces(tmp_path / "s.csv", SurfaceSet(np.full((1, 1, 1), 2.5)))
+        io.write_displacements(tmp_path / "d.csv", DisplacementField([-0.25], [7]))
+        assert (tmp_path / "s.csv").read_bytes() == b"surface,b,a,r\n1,1,1,2.5\n"
+        assert (tmp_path / "d.csv").read_bytes() == b"b,axial,transverse\n1,-0.25,7\n"
+
+    def test_transverse_beyond_float64_integers_writes_its_float64_bytes(self, tmp_path):
+        # 2**53 + 1 has no float64; the field holds the float64 it rounds to
+        big = 2 ** 53 + 1
+        transverse = np.array([big, -big, 3], dtype=np.int64)
+        axial = np.array([0.5, -1.0, 0.0])
+        path = tmp_path / "d.csv"
+        io.write_displacements(path, DisplacementField(axial=axial, transverse=transverse))
+        rows = [(b + 1, axial[b], transverse[b]) for b in range(3)]
+        want = savetxt_reference("b,axial,transverse", rows, ["%d", "%.17g", "%d"])
+        assert path.read_bytes() == want
+        assert b"\n1,0.5,9007199254740992\n" in want
+
+    def test_surfaces_written_one_block_of_rows_at_a_time(self, tmp_path, rng):
+        # the whole (4, 49, 256) table as a float64 index table and its
+        # Python floats took about 2.9 MiB
+        surfaces = SurfaceSet(rng.uniform(1.0, 192.0, (4, 49, 256)))
+        tracemalloc.start()
+        try:
+            io.write_surfaces(tmp_path / "s.csv", surfaces)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+        assert np.array_equal(io.read_surfaces(tmp_path / "s.csv").positions,
+                              surfaces.positions)
 
 
 class TestDistributionAndLabelFiles:

@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io, metrics
 from .align import SEARCH_RADIUS, AlignConfig, optimize_alignment, template_match_align
 from .errors import ConfigError, DimensionError, OctAlignError, ValidationError
@@ -69,8 +71,6 @@ def cmd_phantom(args) -> int:
     array is computed before the first file is written."""
     if args.spec and args.seed is not None:
         raise ConfigError("--seed is for runs without --spec; set the spec's \"seed\" key")
-    if args.motion_seed is not None and not args.corrupt:
-        raise ConfigError("only --corrupt reads --motion-seed")
     if args.spec:
         defaults = {f.name: f.default for f in dataclasses.fields(PhantomSpec)}
         spec = PhantomSpec(**_json_fields(args.spec, "phantom spec", defaults))
@@ -79,8 +79,7 @@ def cmd_phantom(args) -> int:
     vol, surf = generate_phantom(spec)
     files = {"volume.bin": (io.write_volume, vol), "surfaces.csv": (io.write_surfaces, surf)}
     if args.corrupt:
-        mseed = args.motion_seed if args.motion_seed is not None else spec.seed + 1
-        cvol, csurf, motion = simulate_motion(vol, surf, seed=mseed)
+        cvol, csurf, motion = simulate_motion(vol, surf, seed=spec.seed + 1)
         files.update({"volume_corrupt.bin": (io.write_volume, cvol),
                       "surfaces_corrupt.csv": (io.write_surfaces, csurf),
                       "motion.csv": (io.write_displacements, motion)})
@@ -169,14 +168,15 @@ def cmd_losses(args) -> int:
     probs = io.read_distributions(args.q)
     surf = _surfaces_on(args.surfaces, probs.shape[1:], "--surfaces")
     labels = io.read_labels(args.labels)
-    if "lambda_l" in wraw:
-        weights = LossWeights(wraw["lambda_l"])
-    else:
-        weights = smoothness_weights(surf, float(wraw["lambda_base"]))
-    class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
-    breakdown = segmentation_loss(probs, class_probs, surf, labels, weights)
+    with np.errstate(all="ignore"):  # io.json_text refuses what overflows
+        if "lambda_l" in wraw:
+            weights = LossWeights(wraw["lambda_l"])
+        else:
+            weights = smoothness_weights(surf, float(wraw["lambda_base"]))
+        class_probs = io.read_distributions(args.class_probs) if args.class_probs else None
+        breakdown = segmentation_loss(probs, class_probs, surf, labels, weights)
     breakdown["lambda_l"] = weights.lambda_l.tolist()
-    print(json.dumps(breakdown, sort_keys=True, indent=2))
+    print(io.json_text(breakdown))
     return 0
 
 
@@ -192,13 +192,15 @@ def cmd_eval(args) -> int:
     hist_gt = report_path.with_name(report_path.stem + "_connectivity_gt.csv")
     counts_p, edges_p = metrics.connectivity_histogram(pred)
     counts_g, edges_g = metrics.connectivity_histogram(gt)
-    report = {
-        "schema": 1,
-        "mad_um": metrics.mean_abs_distance(pred, gt, dz_um=dz),
-        "hd95_um": metrics.hd95(pred, gt, spacing=(dz, dx)),
-        "ncc_adjacent": metrics.adjacent_ncc(vol),
-        "connectivity_csv": {"pred": str(hist_pred), "gt": str(hist_gt)},
-    }
+    with np.errstate(all="ignore"):  # io.json_text refuses what overflows
+        report = {
+            "schema": 1,
+            "mad_um": metrics.mean_abs_distance(pred, gt, dz_um=dz),
+            "hd95_um": metrics.hd95(pred, gt, spacing=(dz, dx)),
+            "ncc_adjacent": metrics.adjacent_ncc(vol),
+            "connectivity_csv": {"pred": str(hist_pred), "gt": str(hist_gt)},
+        }
+    io.json_text(report)  # a result that is not finite is refused before any file is written
     report_path.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_histogram_csv(hist_pred, counts_p, edges_p)
     metrics.write_histogram_csv(hist_gt, counts_g, edges_g)
@@ -230,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="phantom seed (default 0); only without --spec")
     sp.add_argument("--corrupt", action="store_true", help="also write a motion-corrupted copy")
-    sp.add_argument("--motion-seed", type=int, default=None,
-                    help="motion seed (default: the phantom seed + 1); only with --corrupt")
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_phantom)
 

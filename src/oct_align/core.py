@@ -192,7 +192,7 @@ class DisplacementField:
                                   "below 2**63 in magnitude")
         if np.any(tr_raw != np.round(tr_raw)):
             raise ValidationError("transverse displacements must be whole pixels")
-        tr = np.round(tr_raw).astype(np.int64)
+        tr = tr_raw.astype(np.int64)
         object.__setattr__(self, "axial", _freeze(ax))
         object.__setattr__(self, "transverse", _freeze(tr))
 

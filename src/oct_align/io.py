@@ -168,30 +168,24 @@ def read_volume(path) -> OctVolume:
 
 
 def _write_table(path, header: str, row_format: str, table: np.ndarray) -> None:
-    """The header line, then one ``row_format`` line per row of ``table``.
-
-    One %-format per block of rows writes the bytes np.savetxt writes with
-    the same per-column formats and a "," delimiter, without its per-row
-    loop; blocks of 1024 rows keep the Python floats and the formatted
-    text small.
-    """
+    """The header line, then one ``row_format`` line per row of ``table``:
+    the bytes np.savetxt writes with those formats and a "," delimiter, in
+    one %-format (the one caller, a histogram, has at most N_R + 1 rows)."""
     with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         f.write(header + "\n")
-        for lo in range(0, table.shape[0], 1024):
-            block = table[lo:lo + 1024]
-            f.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+        f.write((row_format * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def _write_grid(path, header: str, value_format: str, *arrays) -> None:
     """The grid table of ``arrays``, which share one shape: a row per grid
     point in C order, its 1-based indices, then its value in each array
-    (``value_format``); the bytes ``_write_table`` writes for those rows.
+    (``value_format``): the bytes np.savetxt writes for those rows in float64
+    with ``%d`` per index, ``value_format`` and a "," delimiter.
 
     One ``f.write`` per index of the outer axes writes that index's rows:
     its index text (``"l,b,"`` for surfaces, ``""`` for displacements) is
     built once, the last axis's indices are baked into one format string
     for every block, and only the block's values become Python floats.
-    Every value goes through float64, as in ``_write_table``.
     """
     *outer, n_last = np.shape(arrays[0])
     columns = [np.asarray(a, np.float64).reshape(math.prod(outer), n_last) for a in arrays]
@@ -294,10 +288,9 @@ def read_displacements(path) -> DisplacementField:
 def write_distributions(path, probs: np.ndarray) -> None:
     """Store per-surface row distributions, shape (L, N_B, N_A, R), as f64le
     (the benchmark writes its loss inputs with it; the package only reads)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 4:
-        raise FormatError(f"distributions must be 4D (l, b, a, r), got {probs.shape}")
-    _write_binary(path, dict(zip(("n_l", *_GRID), probs.shape)), probs, "f64le")
+    if np.ndim(probs) != 4:
+        raise FormatError(f"distributions must be 4D (l, b, a, r), got {np.shape(probs)}")
+    _write_binary(path, dict(zip(("n_l", *_GRID), np.shape(probs))), probs, "f64le")
 
 
 def read_distributions(path) -> np.ndarray:
@@ -320,11 +313,19 @@ def write_labels(path, label_map: LabelMap) -> None:
 
 def read_labels(path) -> LabelMap:
     header, labels = _read_binary(path, "u8", _GRID, n_surfaces=0)
-    return LabelMap(labels=labels.astype(np.int16), n_surfaces=header["n_surfaces"])
+    return LabelMap(labels=labels, n_surfaces=header["n_surfaces"])
+
+
+def json_text(obj) -> str:
+    """``obj`` as JSON, keys sorted, indented by two spaces, without a newline."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN and Infinity are not JSON
+        raise ValidationError(f"a result is not finite, so it has no JSON form: {exc}") from exc
 
 
 def write_json(path, obj) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    """``json_text(obj)`` and a newline; a refused ``obj`` leaves no file."""
     with atomic_path(path) as tmp, open(tmp, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write(json_text(obj))
         f.write("\n")

@@ -50,7 +50,9 @@ def resample_axial(volume, shifts):
 
     Accepts an OctVolume (returns an OctVolume) or a plain (N_B, N_A, R)
     array (returns a float64 array).  Each B-scan is interpolated in float64
-    straight into the output; one whose shifts are all zero is copied.
+    straight into the output; a whole shift moves finite voxels bit for bit
+    (a -0.0 can become +0.0).  Shifts are clipped to +/-2**52, whole and past
+    either edge, before the int64 cast, which overflows from 2**63 on.
     """
     is_volume = isinstance(volume, OctVolume)
     data = volume.data if is_volume else np.asarray(volume)
@@ -63,11 +65,8 @@ def resample_axial(volume, shifts):
                              f"of the {data.shape} volume")
     if not np.all(np.isfinite(d)):
         raise ValidationError("axial displacements must be finite")
-    cols = d.reshape(n_b, -1, 1)
+    cols = np.clip(d, -2.0 ** 52, 2.0 ** 52).reshape(n_b, -1, 1)
     out = np.empty_like(data) if is_volume else np.empty(data.shape)
     for b in range(n_b):
-        if cols[b].any():
-            _interp_rows(data[b], cols[b], out=out[b])
-        else:
-            out[b] = data[b]
+        _interp_rows(data[b], cols[b], out=out[b])
     return volume.with_data(out) if is_volume else out

@@ -141,7 +141,7 @@ def _vessel_attenuation(rng, spec: PhantomSpec) -> np.ndarray:
     """
     n_b, n_a = spec.n_b, spec.n_a
     shadow = np.zeros((n_b, n_a))
-    margin = int(np.ceil(spec.vessel_drift_px)) + 2
+    margin = np.ceil(spec.vessel_drift_px) + 2  # float: an inf drift is valid with no vessels
     b_axis = np.arange(n_b, dtype=np.float64)
     cols = np.arange(n_a, dtype=np.float64)
     for _ in range(spec.vessel_count):
@@ -210,8 +210,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[OctVolume, SurfaceSet]:
     runs = _band_runs(surf, n_r)
     level = np.tile(lut, (n_b, n_a, 1))  # one intensity per label run
 
-    if spec.vessel_count > 0:  # shadows fall on every run below the inner surface
-        level[..., 1:] *= _vessel_attenuation(rng, spec)[..., None]
+    level[..., 1:] *= _vessel_attenuation(rng, spec)[..., None]  # every run below surface 1
     img = np.repeat(level, runs.ravel()).reshape(n_b, n_a, n_r)
 
     # Generator.normal(loc, scale) is loc + scale * standard_normal, so

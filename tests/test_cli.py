@@ -6,6 +6,7 @@ import json
 import shutil
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,11 @@ GOLDEN_CSV = {
     "surfaces_corrupt.csv": "9cf4c1894c7bda494daaef2e4903394c00ab32eaf6e16a53bc312145a8fd249a",
     "motion.csv": "84eefbcf13e8d4b6d3f54e03435bdb211d26835a54ea9f4df54a585d8508d296",
 }
+# sha256 of each volume that `phantom --spec {"vessel_count": 0, "seed": 5} --corrupt` writes
+GOLDEN_NO_VESSEL_VOLUMES = {
+    "volume.bin": "854d1098fd966307130584acedec033bfb2b66ff57b8b54d08356d2cb6addea2",
+    "volume_corrupt.bin": "564a94d352affdee061638f51ccab918d6032472a236edbb613ffffa87068b77",
+}
 
 
 class TestPhantomCommand:
@@ -57,6 +63,20 @@ class TestPhantomCommand:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in GOLDEN_CSV}
         assert digests == GOLDEN_CSV
+
+    def test_volume_bytes_without_vessels_are_pinned(self, tmp_path):
+        # no vessel: every attenuation factor is exactly 1.0 and no draw is made
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"vessel_count": 0, "seed": 5}))
+        assert run(["phantom", "--spec", spec, "--corrupt", "--out", tmp_path / "o"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_NO_VESSEL_VOLUMES}
+        assert digests == GOLDEN_NO_VESSEL_VOLUMES
+
+    def test_motion_seed_is_not_an_option(self):
+        # --corrupt draws its motion from the phantom seed + 1
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(text_io.StringIO()):
+            cli.build_parser().parse_args(["phantom", "--motion-seed", "5", "--out", "o"])
 
     def test_spec_file_with_unknown_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -111,9 +131,9 @@ class TestPhantomCommand:
     @pytest.mark.parametrize("argv, spec, error, word", [
         (["--seed", -1], None, "ValidationError", "seed"),
         ([], {"seed": -1}, "ValidationError", "seed"),
-        (["--corrupt", "--motion-seed", -5], None, "ValidationError", "seed"),
+        ([], {"speckle_sigma": -0.1}, "ValidationError", "speckle_sigma"),
         (["--seed", 3], {"seed": 3}, "ConfigError", "--seed"),  # ignored with --spec
-        (["--motion-seed", 5], None, "ConfigError", "--motion-seed"),  # ignored without --corrupt
+        (["--corrupt"], {"vessel_count": -1}, "ValidationError", "vessel_count"),
         ([], {"vessel_drift_px": 1e300}, "ValidationError", "vessel_drift_px"),  # no start column
     ])
     def test_refused_before_writing(self, tmp_path, argv, spec, error, word):
@@ -196,6 +216,19 @@ class TestApplyAndAlign:
         # the nonzero transverse column is read and ignored
         expected = resample_axial(vol, axial).data
         assert np.array_equal(io.read_volume(out).data, expected)
+
+    @pytest.mark.parametrize("axial, edge", [(1e300, -1), (-1e300, 0)])
+    def test_apply_takes_the_edge_row_of_a_shift_past_int64(self, axial, edge):
+        with input_dir() as root:
+            vol = io.read_volume(root / "vol.bin")
+            io.write_displacements(root / "disp.csv",
+                                   DisplacementField([axial, 0.0, 2.5], np.zeros(3)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's invalid-cast warning fails the run
+                assert run_quiet(apply_argv(root)) == (0, [])
+            out = io.read_volume(root / "out.bin").data
+            assert np.array_equal(out[0], np.repeat(vol.data[0, :, edge, None], 8, axis=1))
+            assert np.array_equal(out[1:], resample_axial(vol, [0.0, 0.0, 2.5]).data[1:])
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "template"])
     def test_align_modes_write_displacements(self, phantom_dir, tmp_path, mode):
@@ -671,6 +704,34 @@ class TestLossesCommand:
         assert out["cross_entropy"] == 0.0
         assert out["smooth_l1"] == 0.0
 
+    def test_a_total_that_overflows_prints_nothing(self, tmp_path, capsys, rng):
+        # flat ground truth but for one A-scan: lambda_l is 1e308 / sqrt(2),
+        # and the rough soft-argmax surfaces take their weighted sum past
+        # the float64 range
+        n_s, n_b, n_a, n_r = 2, 4, 6, 24
+        gt = np.full((n_s, n_b, n_a), 10.0)
+        gt[1] += 5.0
+        gt[:, 0, 0] += 1.0
+        q = rng.uniform(1e-3, 1.0, size=(n_s, n_b, n_a, n_r))
+        paths = {k: tmp_path / v for k, v in {
+            "--q": "q.bin", "--surfaces": "s.csv", "--labels": "m.bin",
+            "--weights": "w.json"}.items()}
+        io.write_distributions(paths["--q"], q / q.sum(axis=-1, keepdims=True))
+        io.write_surfaces(paths["--surfaces"], SurfaceSet(gt))
+        io.write_labels(paths["--labels"], surfaces_to_labels(SurfaceSet(gt), n_r))
+        paths["--weights"].write_text(json.dumps({"lambda_base": 1e308}))
+        argv = ["losses"]
+        for key, path in paths.items():
+            argv += [key, path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning fails the run
+            code = run(argv)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_line_error(code, err.splitlines())
+        err = json.loads(err)
+        assert err["error"] == "ValidationError" and "not finite" in err["message"]
+
     def test_no_class_probs_prints_what_the_labels_one_hot_file_prints(self, tmp_path,
                                                                         capsys, rng):
         n_s, n_b, n_a, n_r = 3, 4, 5, 20
@@ -846,6 +907,18 @@ class TestEvalCommand:
             assert_one_line_error(code, lines)
             err = json.loads(lines[0])
             assert err["error"] == "ValidationError" and which in err["message"]
+            assert not (root / "out").exists()
+
+    def test_results_that_are_not_finite_write_nothing(self):
+        with input_dir() as root:  # rows 4.0 at 1e308 um each overflow; inf - inf is nan
+            vol = io.read_volume(root / "vol.bin")
+            io.write_volume(root / "vol.bin", OctVolume(vol.data, spacing=(1e308, 6.7, 67.0)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's overflow warnings fail the run
+                code, lines = run_quiet(eval_argv(root))
+            assert_one_line_error(code, lines)
+            err = json.loads(lines[0])
+            assert err["error"] == "ValidationError" and "not finite" in err["message"]
             assert not (root / "out").exists()
 
     def test_surface_count_mismatch_writes_nothing(self):

@@ -499,6 +499,18 @@ def test_write_json_is_deterministic(tmp_path):
     io.write_json(p1, obj)
     io.write_json(p2, obj)
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert io.json_text(obj) + "\n" == p1.read_text()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_refuses_numbers_that_are_not_finite(tmp_path, value):
+    obj = {"a": [1.0, {"b": value}]}
+    with pytest.raises(ValidationError, match="not finite"):
+        io.json_text(obj)
+    with pytest.raises(ValidationError, match="not finite"):
+        io.write_json(tmp_path / "r.json", obj)
+    assert list(tmp_path.iterdir()) == []
 
 
 class _FullDisk:

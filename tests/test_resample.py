@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_per_a_scan_shifts_equal_the_whole_volume_formula(rng, dtype):
 def test_per_b_scan_row_gather_equals_the_whole_volume_formula(rng, as_volume):
     # one shift per B-scan gathers whole rows; the edge cases are shifts
     # beyond +/-N_R (every row clamps), whole rows, -1e-17 (floor -1 at row
-    # 0, then rows r - 1e-17 == r) and 0 (the copy path)
+    # 0, then rows r - 1e-17 == r) and 0 (weight 0: the B-scan as it was)
     n_r = 24
     data = rng.normal(50.0, 20.0, size=(7, 9, n_r)).astype(np.float32)
     d = np.array([n_r + 3.5, -(n_r + 0.25), 5.0, -7.0, -1e-17, 0.0, 2.75])
@@ -157,11 +158,39 @@ def test_per_b_scan_row_gather_equals_the_whole_volume_formula(rng, as_volume):
     assert np.array_equal(got[1], np.repeat(data[1, :, :1], n_r, axis=1))
 
 
+@pytest.mark.parametrize("per_a_scan", [False, True])
+@pytest.mark.parametrize("as_volume", [False, True])
+def test_zero_shift_among_shifting_b_scans_keeps_the_input_bytes(rng, as_volume, per_a_scan):
+    # a float32 volume comes back float32, a float64 array float64
+    data = rng.normal(50.0, 20.0, size=(5, 9, 24)).astype(np.float32 if as_volume else float)
+    d = rng.uniform(-6, 6, size=(5, 9) if per_a_scan else 5)
+    d[2] = 0.0
+    out = resample_axial(OctVolume(data), d).data if as_volume else resample_axial(data, d)
+    assert out[2].tobytes() == data[2].tobytes()
+    assert not np.array_equal(out[1], data[1])
+
+
+@pytest.mark.parametrize("per_a_scan", [False, True])
+def test_shifts_past_the_int64_range_take_the_edge_rows(rng, per_a_scan):
+    # clipped to +/-2**52 before the int64 cast: the bytes of any shift
+    # past N_R, here 1e18, and no invalid-cast warning
+    data = rng.normal(size=(4, 5, 12))
+    d = np.array([1e300, -1e300, 1e18, -1e18])
+    if per_a_scan:
+        d = np.repeat(d[:, None], 5, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = resample_axial(data, d)
+    assert np.array_equal(out[0], np.repeat(data[0, :, -1:], 12, axis=1))
+    assert np.array_equal(out[1], np.repeat(data[1, :, :1], 12, axis=1))
+    assert out[:2].tobytes() == resample_axial(data[:2], d[2:]).tobytes()
+
+
 @pytest.mark.parametrize("as_volume", [False, True])
 def test_repeated_columns_equal_per_b_scan_shifts_bitwise(rng, as_volume):
     data = rng.normal(50.0, 20.0, size=(6, 16, 40)).astype(np.float32)
     d = rng.uniform(-8, 8, size=6)
-    d[2] = 0.0  # an all-zero B-scan is copied in both forms
+    d[2] = 0.0  # a zero shift, interpolated at weight 0 in both forms
     vol = OctVolume(data) if as_volume else data
     per_b = resample_axial(vol, d)
     per_a = resample_axial(vol, np.repeat(d[:, None], 16, axis=1))
